@@ -40,7 +40,6 @@ from .restriction import (
     RestrictedState,
     breuer_distinguishable,
     phase_class_check,
-    pointer_weights,
     restricted_state,
 )
 from .dual import (

@@ -25,7 +25,6 @@ from .core import (
     LinearOperator,
     StateVector,
     evolve_unitary,
-    expectation,
     projector,
     tensor_compose,
 )
@@ -34,6 +33,7 @@ from .dynamics import (
     S_LABEL,
     MeasurementModel,
     branch_state,
+    branch_weights,
     build_meas_hamiltonian,
     reverse_evolution,
 )
@@ -80,12 +80,7 @@ class DualEventState:
 
     def perception_weights(self) -> np.ndarray:
         """P_j = Tr(P_j phi_d) over the pointer basis, clipped and renormalized."""
-        layout = self.phi_d.layout
-        w = np.array(
-            [expectation(self.phi_d, projector(layout, O_LABEL, j)) for j in range(layout.dim(O_LABEL))]
-        )
-        w = np.clip(w, 0.0, None)
-        return w / w.sum()
+        return branch_weights(self.phi_d)
 
 
 @dataclass(frozen=True)
@@ -100,26 +95,17 @@ class DualStatisticalState:
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "perception_probs", p)
-        layout = self.eta_d.layout
-        o_dim = layout.dim(O_LABEL)
+        o_dim = self.eta_d.layout.dim(O_LABEL)
         if p.shape != (o_dim,):
             raise InvariantError(f"perception_probs length {p.shape} != observer dim {o_dim}")
         if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-12:
             raise InvariantError("perception probabilities must be nonnegative and sum to 1")
-        derived = np.array(
-            [expectation(self.eta_d, projector(layout, O_LABEL, j)) for j in range(o_dim)]
-        )
-        if np.max(np.abs(derived - p)) > 1e-10:
+        if np.max(np.abs(branch_weights(self.eta_d) - p)) > 1e-10:
             raise InvariantError("perception_probs inconsistent with Tr(P_j eta_d)")
 
     @classmethod
     def from_density(cls, eta_d: DensityMatrix) -> "DualStatisticalState":
-        layout = eta_d.layout
-        p = np.array(
-            [expectation(eta_d, projector(layout, O_LABEL, j)) for j in range(layout.dim(O_LABEL))]
-        )
-        p = np.clip(p, 0.0, None)
-        return cls(eta_d, p / p.sum())
+        return cls(eta_d, branch_weights(eta_d))
 
 
 @dataclass(frozen=True)
@@ -139,8 +125,7 @@ class ReductionBaselineState:
 
 def init_dual(rho0: DensityMatrix, event_id=0) -> DualEventState:
     """Start an event with the observer in its ready state and no information."""
-    layout = rho0.layout
-    ready_weight = expectation(rho0, projector(layout, O_LABEL, 0))
+    ready_weight = branch_weights(rho0)[0]
     if ready_weight < 1.0 - READY_WEIGHT_TOL:
         raise InvariantError(
             f"observer must start in the ready state (weight {ready_weight:.3g} < 1)"
@@ -284,11 +269,9 @@ def undo_dual(event: DualEventState, model: MeasurementModel) -> DualEventState:
     """
     if event.phi_i == 0:
         raise InvariantError("nothing to undo: no perception record is set")
-    layout = event.phi_d.layout
-    h = build_meas_hamiltonian(model, layout)
+    h = build_meas_hamiltonian(model, event.phi_d.layout)
     phi_d = reverse_evolution(event.phi_d, h, model.duration)
-    ready_weight = expectation(phi_d, projector(layout, O_LABEL, 0))
-    if ready_weight < 1.0 - READY_WEIGHT_TOL:
+    if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
         raise InvariantError(
             "reversal did not return the observer to its ready state; "
             "the event state was not a post-measurement state of this model"

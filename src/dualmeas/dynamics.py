@@ -24,8 +24,6 @@ from .core import (
     StateVector,
     embed,
     evolve_unitary,
-    expectation,
-    projector,
     tensor_compose,
 )
 
@@ -275,8 +273,16 @@ def branch_state(layout: CompositeLayout, i: int) -> StateVector:
 
 
 def branch_weights(state, observer=O_LABEL) -> np.ndarray:
-    """Pointer-projector weights Tr(P_j rho) over the observer basis."""
+    """Pointer weights P_j = Tr(P_j rho) over the *observer* basis: the
+    diagonal of the state (|psi|^2, or Re diag rho) reshaped to the layout's
+    axes and summed over every other subsystem, clipped at 0, renormalized."""
     layout = state.layout
-    return np.array(
-        [expectation(state, projector(layout, observer, j)) for j in range(layout.dim(observer))]
-    )
+    if isinstance(state, StateVector):
+        a = state.amplitudes
+        diag = (a * a.conj()).real
+    else:
+        diag = np.diagonal(state.entries).real
+    axis = layout.axis(observer)
+    others = tuple(k for k in range(len(layout.dims)) if k != axis)
+    w = np.clip(diag.reshape(layout.dims).sum(axis=others), 0.0, None)
+    return w / w.sum()

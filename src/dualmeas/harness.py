@@ -22,21 +22,17 @@ from scipy.integrate import simpson
 
 from . import __version__
 from .core import (
+    MAX_TOTAL_DIM,
     CompositeLayout,
     DensityMatrix,
     InvariantError,
-    LinearOperator,
     StateVector,
     TOL_ALGEBRAIC,
     TOL_ROUNDTRIP,
     evolve_unitary,
-    expectation,
-    partial_trace,
-    projector,
     trace_distance,
 )
 from .dual import (
-    DualEventState,
     draw_index,
     event_rng,
     evolve_event,
@@ -63,7 +59,7 @@ from .dynamics import (
     run_premeasurement,
 )
 from .interference import discriminate, interference_operator
-from .restriction import breuer_distinguishable, pointer_weights, restricted_state
+from .restriction import breuer_distinguishable, restricted_state
 
 EXPERIMENTS = (
     "premeasure",
@@ -109,8 +105,12 @@ class Scenario:
             raise ScenarioError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.n_events < 1:
             raise ScenarioError("n_events must be >= 1")
-        if self.seed is None:
-            raise ScenarioError("seed is mandatory (no wall-clock seeding)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ScenarioError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if self.n_times < 2:
+            raise ScenarioError("n_times must be >= 2")
+        if self.env_atoms < 0:
+            raise ScenarioError("env n_atoms must be >= 0")
         if amps.shape[0] != self.s_dim:
             raise ScenarioError(
                 f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}"
@@ -132,6 +132,12 @@ class Scenario:
             raise ScenarioError("env coupling_range must satisfy 0 <= low <= high")
         # Constructing the models validates dimension constraints up front.
         self.model()
+        # S x O x 2**n_atoms; the capped shift still exceeds the cap when
+        # n_atoms does, without building a huge integer.
+        if self.experiment == "decohere" and (
+            self.s_dim * self.o_dim << min(self.env_atoms, MAX_TOTAL_DIM.bit_length())
+        ) > MAX_TOTAL_DIM:
+            raise ScenarioError(f"decohere layout exceeds the dense cap {MAX_TOTAL_DIM}")
 
     def model(self) -> MeasurementModel:
         coupling = self.coupling if self.coupling is not None else math.pi / (2.0 * self.delta_t)
@@ -188,12 +194,19 @@ def _parse_amplitude(x, pos):
     )
 
 
+def _convert(kind, value, key):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document (strict keys)."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
-        raise ScenarioError(f"malformed YAML: {e}")
+        raise ScenarioError("malformed YAML: " + " ".join(str(e).split()))
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -224,14 +237,14 @@ def parse_scenario(text: str) -> Scenario:
         experiment=doc["experiment"],
         amplitudes=amplitudes,
         seed=doc["seed"],
-        s_dim=doc.get("s_dim", len(amplitudes)),
-        o_dim=doc.get("o_dim", len(amplitudes) + 1),
-        delta_t=float(doc.get("delta_t", 1.0)),
-        coupling=float(doc["lambda"]) if "lambda" in doc else None,
-        n_events=int(doc.get("n_events", 1000)),
-        env_atoms=int(env.get("n_atoms", 0)),
-        t_max=float(doc.get("t_max", 1.0)),
-        n_times=int(doc.get("n_times", 50)),
+        s_dim=_convert(int, doc.get("s_dim", len(amplitudes)), "s_dim"),
+        o_dim=_convert(int, doc.get("o_dim", len(amplitudes) + 1), "o_dim"),
+        delta_t=_convert(float, doc.get("delta_t", 1.0), "delta_t"),
+        coupling=_convert(float, doc["lambda"], "lambda") if "lambda" in doc else None,
+        n_events=_convert(int, doc.get("n_events", 1000), "n_events"),
+        env_atoms=_convert(int, env.get("n_atoms", 0), "env.n_atoms"),
+        t_max=_convert(float, doc.get("t_max", 1.0), "t_max"),
+        n_times=_convert(int, doc.get("n_times", 50), "n_times"),
         perception_mode=doc.get("perception_mode", "fire_at_end"),
         out_path=str(output.get("path", "out")),
         out_format=str(output.get("format", "json")),
@@ -240,7 +253,7 @@ def parse_scenario(text: str) -> Scenario:
         cr = env["coupling_range"]
         if not (isinstance(cr, list) and len(cr) == 2):
             raise ScenarioError("env.coupling_range: expected [low, high]")
-        kwargs["env_coupling_range"] = (float(cr[0]), float(cr[1]))
+        kwargs["env_coupling_range"] = tuple(_convert(float, x, "env.coupling_range") for x in cr)
     try:
         return Scenario(**kwargs)
     except (InvariantError, ValueError) as e:
@@ -316,18 +329,6 @@ def _complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
 
 
-def _check_density(rho: DensityMatrix, where: str):
-    """Mid-run invariant audit; DensityMatrix construction already validates,
-    so this guards states assembled by hand."""
-    m = rho.entries
-    if np.max(np.abs(m - m.conj().T)) > TOL_ALGEBRAIC:
-        raise NumericalInvariantError(f"{where}: density matrix not Hermitian")
-    if abs(np.trace(m).real - 1.0) > TOL_ALGEBRAIC:
-        raise NumericalInvariantError(f"{where}: trace drifted from 1")
-    if float(np.min(np.linalg.eigvalsh(m))) < -TOL_ALGEBRAIC:
-        raise NumericalInvariantError(f"{where}: negative eigenvalue")
-
-
 def _frequencies(js, o_dim, n_events) -> dict:
     counts = np.bincount(np.asarray(js, dtype=int), minlength=o_dim)
     return {j: counts[j] / n_events for j in range(o_dim)}
@@ -346,11 +347,6 @@ def _freq_check(freqs: dict, probs: np.ndarray, n: int) -> dict:
             ok = False
         worst = max(worst, dev)
     return {"name": "empirical frequencies within 4 sigma of P_j", "passed": bool(ok), "value": worst}
-
-
-def _projector_product(p1, p2):
-    """Product of two commuting projectors as a Hermitian operator."""
-    return LinearOperator(p1.layout, p1.entries @ p2.entries, hermitian_flag=True)
 
 
 def _correlation(a, b):
@@ -376,22 +372,29 @@ def run(scenario: Scenario):
         "reduction_compare": _run_reduction_compare,
         "perception_timing": _run_perception_timing,
     }[scenario.experiment]
-    summary, records = runner(scenario)
-    summary.tolerances = {
-        "algebraic": TOL_ALGEBRAIC,
-        "roundtrip": TOL_ROUNDTRIP,
-    }
+    fields, records = runner(scenario)
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
-    summary.fingerprint = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    summary = RunSummary(
+        experiment=scenario.experiment,
+        seed=scenario.seed,
+        n_events=scenario.n_events,
+        tolerances={"algebraic": TOL_ALGEBRAIC, "roundtrip": TOL_ROUNDTRIP},
+        fingerprint=hashlib.sha256(payload.encode()).hexdigest()[:16],
+        **fields,
+    )
     return summary, records
 
 
-def _post_measurement(scenario: Scenario):
-    model = scenario.model()
-    psi = run_premeasurement(scenario.system_state(), model)
-    rho = psi.to_density()
-    _check_density(rho, "post-measurement")
-    return model, psi, rho
+def _sample(scenario: Scenario, draw, flags=()) -> list:
+    """The per-event loop of every runner.
+
+    Event ``eid`` draws only from its own substream ``event_rng(seed, eid)``;
+    ``draw(eid, rng)`` returns that event's history.
+    """
+    return [
+        EventRecord(event_id=eid, history=draw(eid, event_rng(scenario.seed, eid)), flags=list(flags))
+        for eid in range(scenario.n_events)
+    ]
 
 
 def _matched_mixture(scenario: Scenario) -> DensityMatrix:
@@ -406,12 +409,13 @@ def _matched_mixture(scenario: Scenario) -> DensityMatrix:
 
 
 def _run_premeasure(scenario: Scenario):
-    model, psi, rho = _post_measurement(scenario)
-    layout = psi.layout
-    w = branch_weights(psi)
+    model = scenario.model()
+    psi = run_premeasurement(scenario.system_state(), model)
+    rho = psi.to_density()
+    weights = branch_weights(psi)
     probs = np.abs(scenario.amplitudes) ** 2
 
-    b = interference_operator(layout)
+    b = interference_operator(psi.layout)
     b_pure = discriminate(rho, b)
     rho_mixed = _matched_mixture(scenario)
     b_mixed = discriminate(rho_mixed, b)
@@ -420,33 +424,24 @@ def _run_premeasure(scenario: Scenario):
     r_mixed = restricted_state(rho_mixed, source_kind="mixed_ensemble")
     _, dist = breuer_distinguishable(r_pure, r_mixed)
 
-    post = DualEventState(phi_d=rho, phi_i=0, event_id=0, clock=scenario.delta_t)
-
     pdf = None
     if scenario.perception_mode == "sample":
         grid = np.linspace(0.0, scenario.delta_t, 201)
         pdf = perception_time_pdf(model, scenario.amplitudes, grid)
 
-    records = []
-    js = []
-    weights = post.perception_weights()
-    for eid in range(scenario.n_events):
-        rng = event_rng(scenario.seed, eid)
+    def draw(eid, rng):
         j = draw_index(weights, rng)
-        t_p = (
-            sample_perception_time(pdf, rng)
-            if pdf is not None
-            else scenario.delta_t
-        )
-        js.append(j)
-        records.append(EventRecord(event_id=eid, history=[(t_p, j)]))
-    freqs = _frequencies(js, model.o_dim, scenario.n_events)
+        t_p = sample_perception_time(pdf, rng) if pdf is not None else scenario.delta_t
+        return [(t_p, j)]
+
+    records = _sample(scenario, draw)
+    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
 
     checks = [
         {
             "name": "branch weights equal |a_i|^2",
-            "passed": bool(np.max(np.abs(w[1:1 + model.s_dim] - probs)) <= TOL_ALGEBRAIC),
-            "value": float(np.max(np.abs(w[1:1 + model.s_dim] - probs))),
+            "passed": bool(np.max(np.abs(weights[1:1 + model.s_dim] - probs)) <= TOL_ALGEBRAIC),
+            "value": float(np.max(np.abs(weights[1:1 + model.s_dim] - probs))),
         },
         {
             "name": "interference expectation distinguishes pure from mixed ensembles",
@@ -460,10 +455,7 @@ def _run_premeasure(scenario: Scenario):
         },
         _freq_check(freqs, weights, scenario.n_events),
     ]
-    summary = RunSummary(
-        experiment=scenario.experiment,
-        seed=scenario.seed,
-        n_events=scenario.n_events,
+    return dict(
         frequencies=freqs,
         b_values={"pure": b_pure, "mixed": b_mixed},
         restricted_states={
@@ -471,18 +463,10 @@ def _run_premeasure(scenario: Scenario):
             "mixed_ensemble": _complex_matrix_to_json(r_mixed.o_density.entries),
         },
         checks=checks,
-    )
-    return summary, records
+    ), records
 
 
-def _initial_density(scenario: Scenario) -> DensityMatrix:
-    model = scenario.model()
-    layout = model.so_layout()
-    amps = np.kron(scenario.amplitudes, np.eye(model.o_dim, 1, dtype=complex).ravel())
-    return StateVector(layout, amps).to_density()
-
-
-def _undo_event_full(scenario, model, rho0, h, rng):
+def _undo_event_full(model, rho0, h, rng):
     """One undo event through init -> evolve -> perceive -> undo -> repeat.
 
     Draws in the same substream order as the shared-chain fast path, so the
@@ -499,41 +483,39 @@ def _undo_event_full(scenario, model, rho0, h, rng):
 
 
 def _run_undo(scenario: Scenario):
-    model, psi, rho = _post_measurement(scenario)
-    rho0 = _initial_density(scenario)
+    model = scenario.model()
+    psi_s = scenario.system_state()
+    psi = run_premeasurement(psi_s, model)
+    ready = np.eye(model.o_dim, 1, dtype=complex).ravel()
+    rho0 = StateVector(psi.layout, np.kron(scenario.amplitudes, ready)).to_density()
     h = build_meas_hamiltonian(model, psi.layout)
-    psi_undone = reverse_evolution(psi, h, model.duration)
-    rho_undone = psi_undone.to_density()
-    _check_density(rho_undone, "post-undo")
+    rho_undone = reverse_evolution(psi, h, model.duration).to_density()
     recovery = trace_distance(rho_undone, rho0)
 
     # Perception never back-reacts, so the dynamical chain is shared by all
     # events; only the two perception draws differ. Event 0 additionally runs
     # through the full event-level API and must agree with the shared chain.
-    post = DualEventState(phi_d=rho, phi_i=0, event_id=0, clock=scenario.delta_t)
-    weights = post.perception_weights()
-
-    old_dual, new_dual, old_base, new_base = [], [], [], []
-    records = []
+    weights = branch_weights(psi)
+    old_base, new_base = [], []
     t1 = scenario.delta_t
     t2 = 3.0 * scenario.delta_t  # measure, reverse, re-measure
-    for eid in range(scenario.n_events):
-        rng = event_rng(scenario.seed, eid)
+
+    def draw(eid, rng):
         if eid == 0:
-            j_old, j_new = _undo_event_full(scenario, model, rho0, h, rng)
+            j_old, j_new = _undo_event_full(model, rho0, h, rng)
         else:
             j_old = draw_index(weights, rng)
             j_new = draw_index(weights, rng)
-        old_dual.append(j_old)
-        new_dual.append(j_new)
-        base = reduction_baseline(scenario.system_state(), rng)
+        base = reduction_baseline(psi_s, rng)
         old_base.append(base.collapsed_index)
         # Textbook collapse: undoing erases the record but re-measurement of
         # the already-collapsed system restores the identical value.
         new_base.append(base.collapsed_index)
-        records.append(
-            EventRecord(event_id=eid, history=[(t1, j_old), (2 * t1, 0), (t2, j_new)], flags=["undo"])
-        )
+        return [(t1, j_old), (2 * t1, 0), (t2, j_new)]
+
+    records = _sample(scenario, draw, flags=("undo",))
+    old_dual = [r.history[0][1] for r in records]
+    new_dual = [r.final_j for r in records]
 
     corr_dual = _correlation(old_dual, new_dual)
     corr_base = 1.0 if old_base == new_base else _correlation(old_base, new_base)
@@ -560,10 +542,7 @@ def _run_undo(scenario: Scenario):
         },
         _freq_check(freqs, weights, scenario.n_events),
     ]
-    summary = RunSummary(
-        experiment=scenario.experiment,
-        seed=scenario.seed,
-        n_events=scenario.n_events,
+    return dict(
         frequencies=freqs,
         correlations={
             "dual_old_new": corr_dual,
@@ -571,8 +550,7 @@ def _run_undo(scenario: Scenario):
             "recovery_trace_distance": recovery,
         },
         checks=checks,
-    )
-    return summary, records
+    ), records
 
 
 def _run_two_observer(scenario: Scenario):
@@ -580,49 +558,37 @@ def _run_two_observer(scenario: Scenario):
     layout = CompositeLayout(
         ((S_LABEL, model.s_dim), (O_LABEL, model.o_dim), (O2_LABEL, model.o_dim))
     )
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    for i, a in enumerate(scenario.amplitudes):
-        amps[layout.flat_index({S_LABEL: i})] = a
-    psi0 = StateVector(layout, amps)
+    ready = np.eye(model.o_dim**2, 1, dtype=complex).ravel()  # both observers ready
+    psi0 = StateVector(layout, np.kron(scenario.amplitudes, ready))
 
     h1 = build_meas_hamiltonian(model, layout, observer=O_LABEL)
     h2 = build_meas_hamiltonian(model, layout, observer=O2_LABEL)
     psi_t1 = evolve_unitary(psi0, h1, model.duration)  # O entangled, O2 ready
     psi_t2 = evolve_unitary(psi_t1, h2, model.duration)  # both entangled
 
-    _check_density(partial_trace(psi_t1.to_density(), {S_LABEL, O_LABEL}), "t1 reduced")
-    _check_density(partial_trace(psi_t2.to_density(), {S_LABEL, O_LABEL}), "t2 reduced")
-
     # Interference probe available to the second observer between the two
     # measurements: nonzero expectation certifies no objective collapse at t1.
     b = interference_operator(layout)
     b_mid = discriminate(psi_t1, b)
 
-    # Joint pointer distribution at t2; each event draws the first observer's
-    # record from the marginal, the second from the conditional row.
+    # Joint pointer distribution at t2: the adjacent (O, O2) axes read as one
+    # observer axis of dimension o_dim**2. Each event draws the first
+    # observer's record from the marginal, the second from the conditional row.
     o_dim = model.o_dim
-    joint = np.zeros((o_dim, o_dim))
-    for j1 in range(o_dim):
-        p1 = projector(layout, O_LABEL, j1)
-        for j2 in range(o_dim):
-            p2 = projector(layout, O2_LABEL, j2)
-            val = expectation(psi_t2, _projector_product(p1, p2))
-            joint[j1, j2] = max(val, 0.0)
-    joint /= joint.sum()
+    joint_layout = CompositeLayout(((S_LABEL, model.s_dim), (O_LABEL, o_dim * o_dim)))
+    joint = branch_weights(StateVector(joint_layout, psi_t2.amplitudes)).reshape(o_dim, o_dim)
     marginal = joint.sum(axis=1)
 
-    records, js1, js2 = [], [], []
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    agree = 0
-    for eid in range(scenario.n_events):
-        rng = event_rng(scenario.seed, eid)
+
+    def draw(eid, rng):
         j1 = draw_index(marginal, rng)
         row = joint[j1]
-        j2 = draw_index(row / row.sum(), rng)
-        js1.append(j1)
-        js2.append(j2)
-        agree += int(j1 == j2)
-        records.append(EventRecord(event_id=eid, history=[(t1, j1), (t2, j2)]))
+        return [(t1, j1), (t2, draw_index(row / row.sum(), rng))]
+
+    records = _sample(scenario, draw)
+    js1 = [r.history[0][1] for r in records]
+    agree = sum(r.history[0][1] == r.final_j for r in records)
 
     freqs = _frequencies(js1, o_dim, scenario.n_events)
     a = scenario.amplitudes
@@ -640,16 +606,12 @@ def _run_two_observer(scenario: Scenario):
         },
         _freq_check(freqs, marginal, scenario.n_events),
     ]
-    summary = RunSummary(
-        experiment=scenario.experiment,
-        seed=scenario.seed,
-        n_events=scenario.n_events,
+    return dict(
         frequencies=freqs,
         b_values={"between_measurements": b_mid},
         correlations={"agreement_rate": agree / scenario.n_events},
         checks=checks,
-    )
-    return summary, records
+    ), records
 
 
 def _run_decohere(scenario: Scenario):
@@ -674,7 +636,6 @@ def _run_decohere(scenario: Scenario):
         # Reduced system-observer state, built without the full density matrix.
         m = evolved.amplitudes.reshape(d_so, -1)
         rho_so = DensityMatrix(psi_so.layout, m @ m.conj().T)
-        _check_density(rho_so, f"decohere t={t:.4g}")
         b_t = discriminate(rho_so, b_so)
         simulated.append(complex(factor))
         formula.append(expected)
@@ -683,18 +644,9 @@ def _run_decohere(scenario: Scenario):
         worst_b = max(worst_b, abs(b_t - b_pure * complex(factor).real))
 
     # Perception statistics are untouched by dephasing.
-    weights = np.array(
-        [expectation(psi_full, projector(layout, O_LABEL, j)) for j in range(model.o_dim)]
-    )
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    records, js = [], []
-    for eid in range(scenario.n_events):
-        rng = event_rng(scenario.seed, eid)
-        j = draw_index(weights, rng)
-        js.append(j)
-        records.append(EventRecord(event_id=eid, history=[(scenario.delta_t, j)]))
-    freqs = _frequencies(js, model.o_dim, scenario.n_events)
+    weights = branch_weights(psi_full)
+    records = _sample(scenario, lambda eid, rng: [(scenario.delta_t, draw_index(weights, rng))])
+    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -709,10 +661,7 @@ def _run_decohere(scenario: Scenario):
         },
         _freq_check(freqs, weights, scenario.n_events),
     ]
-    summary = RunSummary(
-        experiment=scenario.experiment,
-        seed=scenario.seed,
-        n_events=scenario.n_events,
+    return dict(
         frequencies=freqs,
         b_values={"pure": b_pure},
         offdiag_curve={
@@ -723,47 +672,40 @@ def _run_decohere(scenario: Scenario):
         },
         env_couplings=[float(g) for g in env.couplings],
         checks=checks,
-    )
-    return summary, records
+    ), records
 
 
 def _run_reduction_compare(scenario: Scenario):
     """Matched dual and textbook-collapse ensembles, side by side."""
-    summary_undo, records = _run_undo(scenario)
-    model, psi, rho = _post_measurement(scenario)
+    fields, records = _run_undo(scenario)
+    psi = run_premeasurement(scenario.system_state(), scenario.model())
     b = interference_operator(psi.layout)
-    b_dual = discriminate(rho, b)
+    b_dual = discriminate(psi.to_density(), b)
     b_baseline = discriminate(_matched_mixture(scenario), b)
-    summary_undo.experiment = scenario.experiment
-    summary_undo.b_values = {"dual": b_dual, "reduction_baseline": b_baseline}
-    summary_undo.checks.append(
+    fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
+    fields["checks"].append(
         {
             "name": "interference discriminator: dual nonzero, baseline zero",
             "passed": bool(abs(b_baseline) <= TOL_ALGEBRAIC),
             "value": b_baseline,
         }
     )
-    return summary_undo, records
+    return fields, records
 
 
 def _run_perception_timing(scenario: Scenario):
     model = scenario.model()
-    grid = np.linspace(0.0, scenario.delta_t, max(scenario.n_times, 2))
+    grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
     integral = float(simpson(pdf.density, x=pdf.times))
+    weights = branch_weights(run_premeasurement(scenario.system_state(), model))
 
-    post_rho = run_premeasurement(scenario.system_state(), model).to_density()
-    post = DualEventState(phi_d=post_rho, phi_i=0, event_id=0, clock=scenario.delta_t)
-    weights = post.perception_weights()
-
-    records, js = [], []
-    for eid in range(scenario.n_events):
-        rng = event_rng(scenario.seed, eid)
+    def draw(eid, rng):
         j = draw_index(weights, rng)
-        t_p = sample_perception_time(pdf, rng)
-        js.append(j)
-        records.append(EventRecord(event_id=eid, history=[(t_p, j)]))
-    freqs = _frequencies(js, model.o_dim, scenario.n_events)
+        return [(sample_perception_time(pdf, rng), j)]
+
+    records = _sample(scenario, draw)
+    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -773,10 +715,7 @@ def _run_perception_timing(scenario: Scenario):
         },
         _freq_check(freqs, weights, scenario.n_events),
     ]
-    summary = RunSummary(
-        experiment=scenario.experiment,
-        seed=scenario.seed,
-        n_events=scenario.n_events,
+    return dict(
         frequencies=freqs,
         perception_pdf={
             "times": [float(t) for t in pdf.times],
@@ -784,8 +723,7 @@ def _run_perception_timing(scenario: Scenario):
             "normalization": pdf.normalization,
         },
         checks=checks,
-    )
-    return summary, records
+    ), records
 
 
 def emit(summary: RunSummary, records, out_dir, fmt="json"):

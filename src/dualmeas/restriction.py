@@ -2,8 +2,9 @@
 
 The observer's self-description of the composite state is its reduction onto
 the observer subsystem. Two composite states whose restrictions coincide are
-indistinguishable "from inside": this module computes the restrictions,
-their pointer weights, and the trace-distance verdict.
+indistinguishable "from inside": this module computes the restrictions and
+the trace-distance verdict. Pointer weights, of a restriction or of any
+composite state, are ``dynamics.branch_weights``.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ def restricted_state(rho_ms: DensityMatrix, o_label=O_LABEL, source_kind="pure_e
         raise LayoutError(f"unknown observer label {o_label!r}")
     reduced = partial_trace(rho_ms, {o_label})
     return RestrictedState(o_density=reduced, source_kind=source_kind)
-
-
-def pointer_weights(r: RestrictedState) -> np.ndarray:
-    """Diagonal pointer weights w_j = Tr(P_j rho_O); nonnegative, sum 1."""
-    w = np.real(np.diag(r.o_density.entries)).copy()
-    w[np.abs(w) < 1e-15] = 0.0
-    return w
 
 
 def breuer_distinguishable(a: RestrictedState, b: RestrictedState, tol=DISTINGUISH_TOL):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmeas.core import (
     CompositeLayout,
@@ -78,6 +80,42 @@ class TestMeasurementHamiltonian:
 
         q = embed(layout, {"S": np.diag([1.0 + 0j, -1.0 + 0j])})
         np.testing.assert_allclose(q @ h.entries, h.entries @ q, atol=TOL_ALGEBRAIC)
+
+
+@st.composite
+def composite_states(draw):
+    """Random complex state, some amplitudes zeroed, over S(2-4) x
+    O(s_dim+1..s_dim+2) plus either 0-3 environment atoms or a second
+    observer, with the subsystems in any order."""
+    s_dim = draw(st.integers(2, 4))
+    o_dim = draw(st.integers(s_dim + 1, s_dim + 2))
+    subsystems = [("S", s_dim), ("O", o_dim)]
+    if draw(st.booleans()):
+        subsystems.append(("O2", o_dim))
+    else:
+        subsystems += [(env_label(k), 2) for k in range(draw(st.integers(0, 3)))]
+    layout = CompositeLayout(tuple(draw(st.permutations(subsystems))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = layout.total_dim
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    a[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+    a[rng.integers(n)] += 1.0
+    return StateVector(layout, a / np.linalg.norm(a))
+
+
+class TestBranchWeightsProperty:
+    @given(composite_states())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_clipped_normalized_projector_expectations(self, psi):
+        # Reference: Tr(P_j rho) with P_j the dense projector embed.
+        for state in (psi, psi.to_density()):
+            for obs in sorted({"O", "O2"} & set(psi.layout.labels)):
+                dim = psi.layout.dim(obs)
+                ref = np.array([expectation(state, projector(psi.layout, obs, j)) for j in range(dim)])
+                ref = np.clip(ref, 0.0, None)
+                np.testing.assert_allclose(
+                    branch_weights(state, observer=obs), ref / ref.sum(), rtol=0, atol=1e-12
+                )
 
 
 class TestPremeasurement:

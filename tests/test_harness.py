@@ -185,10 +185,36 @@ class TestCli:
             main(["--scenario", self._write(tmp_path), "--frobnicate"])
         assert e.value.code == 1
 
-    def test_invalid_scenario_exit_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            MINIMAL + "colapse_rate: 0.1\n",
+            MINIMAL.replace("seed: 7", "seed: -1"),
+            MINIMAL.replace("seed: 7", "seed: 18446744073709551616"),
+            MINIMAL.replace("seed: 7", "seed: abc"),
+            MINIMAL.replace("n_events: 200", "n_events: abc"),
+            MINIMAL + "delta_t: abc\n",
+            MINIMAL + "o_dim: abc\n",
+            MINIMAL + "env: {coupling_range: [a, b]}\n",
+            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: -1}\n",
+            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 10}\n",
+            MINIMAL.replace("premeasure", "decohere") + "n_times: 0\n",
+            MINIMAL.replace("premeasure", "perception_timing") + "n_times: 0\n",
+            "experiment: [unclosed\n",
+        ],
+        ids=[
+            "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
+            "delta_t_abc", "o_dim_abc", "coupling_range_abc", "negative_atoms",
+            "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "malformed_yaml",
+        ],
+    )
+    def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
         p = tmp_path / "bad.yaml"
-        p.write_text(MINIMAL + "colapse_rate: 0.1\n")
+        p.write_text(body)
         assert main(["--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2

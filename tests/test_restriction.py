@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmeas.core import CompositeLayout, DensityMatrix, InvariantError, StateVector
-from dualmeas.dynamics import MeasurementModel, run_premeasurement
+from dualmeas.dynamics import MeasurementModel, branch_weights, run_premeasurement
 from dualmeas.restriction import (
     RestrictedState,
     breuer_distinguishable,
     phase_class_check,
-    pointer_weights,
     restricted_state,
 )
 
@@ -64,19 +63,19 @@ class TestRestrictedState:
 class TestPointerWeights:
     def test_post_measurement(self):
         rho = run_premeasurement(s_state(math.sqrt(0.3), math.sqrt(0.7)), MODEL).to_density()
-        w = pointer_weights(restricted_state(rho))
+        w = branch_weights(restricted_state(rho).o_density)
         np.testing.assert_allclose(w, [0, 0.3, 0.7], atol=1e-12)
         assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_ready_state(self):
         lay = SO
         rho = StateVector.basis(lay, {"S": 0, "O": 0}).to_density()
-        np.testing.assert_allclose(pointer_weights(restricted_state(rho)), [1, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(branch_weights(restricted_state(rho).o_density), [1, 0, 0], atol=1e-14)
 
     def test_maximally_mixed(self):
         oc = CompositeLayout((("O", 3),))
         r = RestrictedState(DensityMatrix(oc, np.eye(3) / 3), "mixed_ensemble")
-        np.testing.assert_allclose(pointer_weights(r), [1 / 3] * 3, atol=1e-14)
+        np.testing.assert_allclose(branch_weights(r.o_density), [1 / 3] * 3, atol=1e-14)
 
 
 class TestBreuerDistinguishability:
