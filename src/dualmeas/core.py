@@ -213,20 +213,12 @@ class LinearOperator:
     def _eigh(self):
         if not self.hermitian_flag:
             raise InvariantError("eigendecomposition requested for non-Hermitian operator")
-        # Diagonal generators (e.g. pointer-environment dephasing) are common
-        # and large; skip the O(n^3) solve for them.
-        if np.count_nonzero(self.entries - np.diag(np.diag(self.entries))) == 0:
-            return np.real(np.diag(self.entries)).copy(), None
-        w, v = np.linalg.eigh(self.entries)
-        return w, v
+        return np.linalg.eigh(self.entries)
 
     def unitary_at(self, t: float) -> np.ndarray:
         """exp(-i * self * t) via the cached Hermitian eigendecomposition."""
         w, v = self._eigh
-        phases = np.exp(-1j * w * t)
-        if v is None:  # generator diagonal in the computational basis
-            return np.diag(phases)
-        return (v * phases) @ v.conj().T
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray:

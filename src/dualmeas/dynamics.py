@@ -168,11 +168,12 @@ def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVect
     return StateVector(layout, out.amplitudes, metadata=meta)
 
 
-def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> LinearOperator:
+def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:
     """sum_k g_k * (sum_i q_i |O_i><O_i|) (x) sigma_z^(k), identity elsewhere.
 
-    Diagonal in the pointer basis: it commutes with every pointer projector,
-    which is exactly why that basis survives the dephasing.
+    Diagonal in the pointer basis, so it is returned as its diagonal, a real
+    vector of length ``layout.total_dim``: it commutes with every pointer
+    projector, which is exactly why that basis survives the dephasing.
     """
     if O_LABEL not in layout.labels:
         raise LayoutError(f"layout is missing subsystem {O_LABEL!r}")
@@ -182,15 +183,17 @@ def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) 
             raise LayoutError(f"layout is missing environment atom {lbl!r}")
         if layout.dim(lbl) != 2:
             raise LayoutError(f"environment atom {lbl!r} must be two-level")
-    o_d = layout.dim(O_LABEL)
-    if len(env.pointer_values) != o_d:
+    if len(env.pointer_values) != layout.dim(O_LABEL):
         raise LayoutError("pointer value list does not match the observer dimension")
-    q_op = np.diag(env.pointer_values.astype(complex))
-    sigma_z = np.diag([1.0 + 0j, -1.0 + 0j])
-    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for k in range(env.n_atoms):
-        h += env.couplings[k] * embed(layout, {O_LABEL: q_op, env_label(k): sigma_z})
-    return LinearOperator(layout, h, hermitian_flag=True)
+
+    def along(label, values):  # values on one axis, broadcast over the others
+        return np.reshape(values, [-1 if l == label else 1 for l in layout.labels])
+
+    q = along(O_LABEL, env.pointer_values)
+    h = np.zeros(layout.dims)
+    for k, g in enumerate(env.couplings):
+        h += g * (q * along(env_label(k), [1.0, -1.0]))
+    return h.reshape(-1)
 
 
 def decoherence_layout(model: MeasurementModel, env: EnvironmentModel) -> CompositeLayout:
@@ -227,23 +230,23 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, t: float):
     Returns the evolved state together with the simulated overlap
     <E_1(t)|E_2(t)> of the environment states tied to the first two pointer
     branches, extracted from the evolved vector itself (independent of the
-    closed-form cosine product, which tests compare against).
+    closed-form cosine product, which tests compare against). The relative
+    phase of the two branch amplitudes is divided out as the phase of the
+    input state's overlap (the |+> bath starts at overlap 1).
     """
-    layout = state.layout
-    h = build_dephasing_hamiltonian(env, layout)
-    out = evolve_unitary(state, h, t)
-    factor = _branch_env_overlap(out, branches=(1, 2))
-    return out, factor
+    phases = np.exp(-1j * build_dephasing_hamiltonian(env, state.layout) * t)
+    out = StateVector(state.layout, phases * state.amplitudes, metadata=dict(state.metadata))
+    z0 = _branch_env_overlap(state)
+    return out, complex(_branch_env_overlap(out) * np.exp(-1j * np.angle(z0)))
 
 
 def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:
-    """<E_i(t)|E_j(t)> read off the evolved composite vector.
+    """Normalized overlap of the environment factors of two pointer branches.
 
     Projects the vector onto the |s_i>|O_i> and |s_j>|O_j> branches and takes
-    the normalized inner product of the environment factors. Branch amplitude
-    phases are assumed equal (true after the model's premeasurement of a
-    real-amplitude input, where every branch picks the same -i). Falls back
-    to 1 when a branch amplitude vanishes (no coherence to suppress).
+    the normalized inner product of the environment factors, which includes
+    the relative phase of the two branch amplitudes. Falls back to 1 when a
+    branch amplitude vanishes (no coherence to suppress).
     """
     layout = state.layout
     dims = layout.dims

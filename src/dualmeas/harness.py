@@ -111,6 +111,11 @@ class Scenario:
             raise ScenarioError("n_times must be >= 2")
         if self.env_atoms < 0:
             raise ScenarioError("env n_atoms must be >= 0")
+        finite = {"delta_t": self.delta_t, "t_max": self.t_max, "lambda": self.coupling or 0.0,
+                  "env coupling_range": self.env_coupling_range, "amplitudes": amps}
+        for name, x in finite.items():
+            if not np.all(np.isfinite(x)):
+                raise ScenarioError(f"{name} must be finite")
         if amps.shape[0] != self.s_dim:
             raise ScenarioError(
                 f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}"

@@ -10,6 +10,7 @@ from dualmeas.core import (
     InvariantError,
     StateVector,
     TOL_ALGEBRAIC,
+    embed,
     evolve_unitary,
     expectation,
     LinearOperator,
@@ -164,13 +165,14 @@ class TestPremeasurement:
 class TestDephasingHamiltonian:
     def test_no_atoms_zero_operator(self, model):
         env = EnvironmentModel.default(0, model.o_dim)
-        h = build_dephasing_hamiltonian(env, model.so_layout())
+        layout = model.so_layout()
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)), hermitian_flag=True)
         assert np.max(np.abs(h.entries)) == 0.0
 
     def test_commutes_with_pointer_projectors(self, model):
         env = EnvironmentModel.default(2, model.o_dim)
         layout = decoherence_layout(model, env)
-        h = build_dephasing_hamiltonian(env, layout)
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)), hermitian_flag=True)
         for j in range(model.o_dim):
             p = projector(layout, "O", j)
             np.testing.assert_allclose(
@@ -183,7 +185,7 @@ class TestDephasingHamiltonian:
         env = EnvironmentModel.default(1, model.o_dim)
         layout = CompositeLayout((("O", 3), (env_label(0), 2)))
         h = build_dephasing_hamiltonian(env, layout)
-        got = sorted(np.linalg.eigvalsh(h.entries))
+        got = sorted(h)
         expected = sorted(q * s for q in env.pointer_values for s in (1, -1))
         np.testing.assert_allclose(got, expected, atol=TOL_ALGEBRAIC)
 
@@ -222,6 +224,31 @@ class TestDecoherence:
         w0 = branch_weights(psi)
         out, _ = run_decoherence(psi, env, 0.83)
         np.testing.assert_allclose(branch_weights(out), w0, atol=TOL_ALGEBRAIC)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s_dim=st.integers(2, 4),
+        n_atoms=st.integers(0, 5),
+        t=st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_phase_vector_matches_dense_generator(self, seed, s_dim, n_atoms, t):
+        # Complex amplitudes with nonzero branches 1 and 2; reference: the
+        # dense sum_k g_k embed(q (x) sigma_z^(k)) through evolve_unitary.
+        rng = np.random.default_rng(seed)
+        amps = rng.uniform(0.1, 1.0, s_dim) * np.exp(2j * np.pi * rng.random(s_dim))
+        model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + 1)
+        env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.0, 2.0, n_atoms))
+        psi = attach_environment(run_premeasurement(s_state(*amps), model), env)
+        layout = psi.layout
+        h = np.zeros((layout.total_dim, layout.total_dim), complex)
+        for k in range(n_atoms):
+            q_sz = {"O": np.diag(env.pointer_values), env_label(k): np.diag([1.0, -1.0])}
+            h += env.couplings[k] * embed(layout, q_sz)
+        want = evolve_unitary(psi, LinearOperator(layout, h, hermitian_flag=True), t)
+        got, factor = run_decoherence(psi, env, t)
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+        assert abs(factor - offdiag_suppression(env, t)) <= 1e-10
 
     def test_monotone_suppression_in_atom_count(self, model):
         t = 0.2  # all g_k * t in (0, pi/4)
@@ -267,10 +294,9 @@ class TestReversal:
             env,
         )
         h_meas = build_meas_hamiltonian(model, layout)
-        h_env = build_dephasing_hamiltonian(env, layout)
         t_deco = 0.7
         state = evolve_unitary(psi0, h_meas, model.duration)
-        state = evolve_unitary(state, h_env, t_deco)
-        state = reverse_evolution(state, h_env, t_deco)
+        state, _ = run_decoherence(state, env, t_deco)
+        state, _ = run_decoherence(state, env, -t_deco)
         state = reverse_evolution(state, h_meas, model.duration)
         assert trace_distance(state.to_density(), psi0.to_density()) <= 1e-9

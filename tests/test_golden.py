@@ -6,13 +6,15 @@ reproduce both events files byte for byte, every summary float within 1e-12
 (relative above magnitude 1), and every other summary value exactly.
 
 The references were recorded before the pointer weights and the per-event
-sampling loop were each reduced to one shared implementation, which must not
-change any output. The ``complex`` and ``sdim3`` references of ``decohere``
-and ``two_observer`` (both amplitude sets carry a relative phase) pin checks
-that fail today ("matches the cosine product", "interference expectation
-nonzero"): both checks are phase-blind. Fixing them (ROADMAP item 5) changes
-those summaries, and that change re-records the references with
-``PYTHONPATH=src python3 tests/test_golden.py``.
+sampling loop were each reduced to one shared implementation, and before the
+dephasing generator became a phase vector; neither may change any output.
+The ``complex`` and ``sdim3`` references of ``decohere`` were re-recorded
+when its "matches the cosine product" check stopped being phase-blind: the
+simulated factor now divides out the relative phase of the branch amplitudes
+(events unchanged). The ``complex`` and ``sdim3`` references of
+``two_observer`` still pin its phase-blind "interference expectation
+nonzero" check, which fails today; fixing it (ROADMAP item 5) re-records
+them with ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
 import hashlib

@@ -201,11 +201,19 @@ class TestCli:
             MINIMAL.replace("premeasure", "decohere") + "n_times: 0\n",
             MINIMAL.replace("premeasure", "perception_timing") + "n_times: 0\n",
             "experiment: [unclosed\n",
+            MINIMAL + "delta_t: .inf\n",
+            MINIMAL.replace("premeasure", "decohere") + "t_max: .nan\n",
+            MINIMAL + "lambda: -.inf\n",
+            MINIMAL + "env: {coupling_range: [0.5, .inf]}\n",
+            MINIMAL + "env: {coupling_range: [.nan, 1.0]}\n",
+            MINIMAL.replace("[0.5477225575051661", "[.nan"),
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
             "delta_t_abc", "o_dim_abc", "coupling_range_abc", "negative_atoms",
             "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "malformed_yaml",
+            "delta_t_inf", "t_max_nan", "lambda_inf", "coupling_range_inf", "coupling_range_nan",
+            "amplitude_nan",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
