@@ -46,7 +46,6 @@ from .dual import (
     DualEventState,
     DualStatisticalState,
     ReductionBaselineState,
-    evolve_dual_statistical,
     evolve_event,
     event_rng,
     init_dual,

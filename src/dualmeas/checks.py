@@ -78,4 +78,4 @@ def _diagonal_h(layout):
     from .core import LinearOperator
 
     n = layout.total_dim
-    return LinearOperator(layout, np.diag(np.arange(n, dtype=complex)), hermitian_flag=True)
+    return LinearOperator(layout, np.diag(np.arange(n, dtype=complex)))

@@ -9,12 +9,13 @@ downstream code never has to re-check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-# Algebraic identities (Hermiticity, trace, idempotence, ...).
+# Algebraic identities (Hermiticity, trace, idempotence, ...). Invariant
+# checks read `not deviation <= TOL`, so a NaN deviation fails them.
 TOL_ALGEBRAIC = 1e-12
 # Round trips through eigendecompositions (evolve forward then back).
 TOL_ROUNDTRIP = 1e-10
@@ -105,7 +106,6 @@ class StateVector:
 
     layout: CompositeLayout
     amplitudes: np.ndarray
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         amps = _readonly(np.asarray(self.amplitudes).reshape(-1))
@@ -115,7 +115,7 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOL_ALGEBRAIC:
+        if not abs(norm - 1.0) <= TOL_ALGEBRAIC:
             raise InvariantError(f"state norm {norm} deviates from 1 beyond {TOL_ALGEBRAIC}")
 
     @classmethod
@@ -156,12 +156,13 @@ class DensityMatrix:
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise LayoutError(f"matrix shape {m.shape} != ({n}, {n})")
-        if np.max(np.abs(m - m.conj().T)) > TOL_ALGEBRAIC:
-            raise InvariantError("density matrix is not Hermitian within tolerance")
+        dev = np.max(np.abs(m - m.conj().T))
+        if not dev <= TOL_ALGEBRAIC:
+            raise InvariantError(f"density matrix deviates from Hermitian by {dev}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL_ALGEBRAIC:
+        if not abs(tr - 1.0) <= TOL_ALGEBRAIC:
             raise InvariantError(f"trace {tr} deviates from 1 beyond {TOL_ALGEBRAIC}")
-        if float(np.min(np.linalg.eigvalsh(m))) < -TOL_ALGEBRAIC:
+        if not float(np.min(np.linalg.eigvalsh(m))) >= -TOL_ALGEBRAIC:
             raise InvariantError("density matrix has a negative eigenvalue beyond tolerance")
 
     @classmethod
@@ -183,16 +184,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Square operator over a composite layout.
+    """Hermitian operator over a composite layout: a generator or an observable.
 
-    Hermitian operators cache their eigendecomposition (values are immutable,
-    so the cache is safe to share); repeated time evolution under one
-    generator costs a single diagonalization.
+    Its eigendecomposition is cached (values are immutable, so the cache is
+    safe to share); repeated time evolution under one generator costs a
+    single diagonalization.
     """
 
     layout: CompositeLayout
     entries: np.ndarray
-    hermitian_flag: bool = False
 
     def __post_init__(self):
         m = _readonly(np.asarray(self.entries))
@@ -200,19 +200,12 @@ class LinearOperator:
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise LayoutError(f"matrix shape {m.shape} != ({n}, {n})")
-        if self.hermitian_flag and np.max(np.abs(m - m.conj().T)) > TOL_ALGEBRAIC:
-            raise InvariantError("operator flagged Hermitian fails the Hermiticity check")
-
-    @classmethod
-    def from_matrix(cls, layout, m) -> "LinearOperator":
-        m = np.asarray(m, dtype=complex)
-        herm = bool(np.max(np.abs(m - m.conj().T)) <= TOL_ALGEBRAIC) if m.size else True
-        return cls(layout, m, hermitian_flag=herm)
+        dev = np.max(np.abs(m - m.conj().T))
+        if not dev <= TOL_ALGEBRAIC:
+            raise InvariantError(f"operator deviates from Hermitian by {dev}")
 
     @cached_property
     def _eigh(self):
-        if not self.hermitian_flag:
-            raise InvariantError("eigendecomposition requested for non-Hermitian operator")
         return np.linalg.eigh(self.entries)
 
     def unitary_at(self, t: float) -> np.ndarray:
@@ -235,26 +228,19 @@ def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray
     return reduce(np.kron, mats)
 
 
-def tensor_compose(parts):
-    """Kronecker product of states or of operators, in the listed order.
+def tensor_compose(parts) -> StateVector:
+    """Kronecker product of states, in the listed order.
 
-    The result layout is the concatenation of the part layouts; kinds must be
-    homogeneous (all states or all operators).
+    The result layout is the concatenation of the part layouts.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("tensor_compose needs at least one part")
     kinds = {type(p) for p in parts}
-    if kinds == {StateVector}:
-        layout = CompositeLayout(tuple(sum((p.layout.subsystems for p in parts), ())))
-        amps = reduce(np.kron, [p.amplitudes for p in parts])
-        return StateVector(layout, amps)
-    if kinds == {LinearOperator}:
-        layout = CompositeLayout(tuple(sum((p.layout.subsystems for p in parts), ())))
-        m = reduce(np.kron, [p.entries for p in parts])
-        herm = all(p.hermitian_flag for p in parts)
-        return LinearOperator(layout, m, hermitian_flag=herm)
-    raise TypeError(f"tensor_compose parts must be all states or all operators, got {kinds}")
+    if kinds != {StateVector}:
+        raise TypeError(f"tensor_compose parts must all be states, got {kinds}")
+    layout = CompositeLayout(tuple(sum((p.layout.subsystems for p in parts), ())))
+    return StateVector(layout, reduce(np.kron, [p.amplitudes for p in parts]))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -280,13 +266,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def evolve_unitary(state, H: LinearOperator, t: float):
     """Closed-system evolution by U = exp(-iHt); preserves norm and trace."""
-    if not H.hermitian_flag:
-        raise InvariantError("evolution generator must be Hermitian")
     if H.layout != state.layout:
         raise LayoutError("generator and state layouts differ")
     u = H.unitary_at(t)
     if isinstance(state, StateVector):
-        return StateVector(state.layout, u @ state.amplitudes, metadata=dict(state.metadata))
+        return StateVector(state.layout, u @ state.amplitudes)
     if isinstance(state, DensityMatrix):
         m = u @ state.entries @ u.conj().T
         # Re-symmetrize round-off so the constructor invariants hold exactly.
@@ -302,13 +286,11 @@ def projector(layout: CompositeLayout, subsystem: str, basis_index: int) -> Line
         raise LayoutError(f"basis index {basis_index} out of range for {subsystem!r} (dim {d})")
     p = np.zeros((d, d), dtype=complex)
     p[basis_index, basis_index] = 1.0
-    return LinearOperator(layout, embed(layout, {subsystem: p}), hermitian_flag=True)
+    return LinearOperator(layout, embed(layout, {subsystem: p}))
 
 
 def expectation(rho, A: LinearOperator) -> float:
-    """Tr(rho A) for Hermitian A; works on StateVector or DensityMatrix."""
-    if not A.hermitian_flag:
-        raise InvariantError("expectation requires a Hermitian observable")
+    """Tr(rho A); works on StateVector or DensityMatrix."""
     if A.layout != rho.layout:
         raise LayoutError("observable and state layouts differ")
     if isinstance(rho, StateVector):

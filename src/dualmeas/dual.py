@@ -12,7 +12,7 @@ the experiments that discriminate the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -133,16 +133,6 @@ def init_dual(rho0: DensityMatrix, event_id=0) -> DualEventState:
     return DualEventState(phi_d=rho0, phi_i=0, event_id=event_id, clock=0.0)
 
 
-def evolve_dual_statistical(theta: DualStatisticalState, H: LinearOperator, t: float) -> DualStatisticalState:
-    """Unitary evolution of the statistical component; probabilities recomputed.
-
-    When the generator acts trivially on the observer the probability mixture
-    is time-invariant; it only moves during measurement-like couplings.
-    """
-    eta = evolve_unitary(theta.eta_d, H, t)
-    return DualStatisticalState.from_density(eta)
-
-
 def perceive(event: DualEventState, rng: np.random.Generator) -> DualEventState:
     """Draw the perception record from the dynamical pointer weights.
 
@@ -220,8 +210,6 @@ def jump_forbidden(event: DualEventState, H: LinearOperator, t: float):
     True iff every off-diagonal entry vanishes, in which case the perception
     record must be held fixed through the evolution.
     """
-    if not H.hermitian_flag:
-        raise InvariantError("generator must be Hermitian")
     layout = event.phi_d.layout
     if H.layout != layout:
         raise LayoutError("generator layout differs from the event state")

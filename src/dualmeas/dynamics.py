@@ -12,7 +12,7 @@ observer is "O2"), environment atoms are "E0", "E1", ....
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,14 +147,14 @@ def build_meas_hamiltonian(model: MeasurementModel, layout: CompositeLayout, obs
         ladder[i + 1, 0] = 1.0
         ladder[0, i + 1] = 1.0
         h += model.coupling * embed(layout, {S_LABEL: s_proj, observer: ladder})
-    return LinearOperator(layout, h, hermitian_flag=True)
+    return LinearOperator(layout, h)
 
 
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
     """Entangle the system with a ready observer over one interaction window.
 
-    Returns sum_i a_i |s_i>|O_i> up to the per-branch phase recorded in the
-    output metadata (key ``branch_phase``).
+    Returns sum_i a_i |s_i>|O_i> up to the per-branch phase
+    ``model.branch_phase``.
     """
     if psi_s.layout.labels != (S_LABEL,):
         raise LayoutError(f"expected a bare system state on ({S_LABEL!r},), got {psi_s.layout.labels}")
@@ -162,10 +162,7 @@ def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVect
     o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
     psi0 = tensor_compose([psi_s, o_ready])
     h = build_meas_hamiltonian(model, layout)
-    out = evolve_unitary(psi0, h, model.duration)
-    meta = dict(out.metadata)
-    meta["branch_phase"] = model.branch_phase
-    return StateVector(layout, out.amplitudes, metadata=meta)
+    return evolve_unitary(psi0, h, model.duration)
 
 
 def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:
@@ -235,7 +232,7 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, t: float):
     input state's overlap (the |+> bath starts at overlap 1).
     """
     phases = np.exp(-1j * build_dephasing_hamiltonian(env, state.layout) * t)
-    out = StateVector(state.layout, phases * state.amplitudes, metadata=dict(state.metadata))
+    out = StateVector(state.layout, phases * state.amplitudes)
     z0 = _branch_env_overlap(state)
     return out, complex(_branch_env_overlap(out) * np.exp(-1j * np.angle(z0)))
 

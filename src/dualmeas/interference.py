@@ -32,8 +32,6 @@ class InterferenceObservable:
     branches: tuple[int, int]
 
     def __post_init__(self):
-        if not self.op.hermitian_flag:
-            raise InvariantError("interference observable must be Hermitian")
         if abs(np.trace(self.op.entries)) > 1e-12:
             raise InvariantError("interference observable must be traceless")
 
@@ -57,25 +55,13 @@ def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> Interfere
     o_flip[i, j] = 1.0
     half = embed(layout, {S_LABEL: s_flip, O_LABEL: o_flip})
     b = half + half.conj().T
-    return InterferenceObservable(
-        op=LinearOperator(layout, b, hermitian_flag=True), branches=(i, j)
-    )
+    return InterferenceObservable(op=LinearOperator(layout, b), branches=(i, j))
 
 
 def discriminate(rho, b: InterferenceObservable) -> float:
     """Expectation Tr(rho B): zero for branch mixtures, nonzero for coherent
     superpositions (2 Re(a_i a_j*) on the post-measurement pure state)."""
     return expectation(rho, b.op)
-
-
-def coherence_score(rho, layout: CompositeLayout) -> float:
-    """Sum of |B| expectations over all branch pairs (multi-branch systems)."""
-    s_d = layout.dim(S_LABEL)
-    total = 0.0
-    for i in range(1, s_d + 1):
-        for j in range(i + 1, s_d + 1):
-            total += abs(discriminate(rho, interference_operator(layout, (i, j))))
-    return total
 
 
 def pointer_incompatibility(layout: CompositeLayout, b: InterferenceObservable, pointer_values=None) -> float:

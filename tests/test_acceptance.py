@@ -207,9 +207,7 @@ def test_criterion_9_no_jump_rule(capsys):
     model = MeasurementModel.calibrated()
     layout = model.so_layout()
     psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), AMPS), model)
-    h_hold = LinearOperator.from_matrix(
-        layout, embed(layout, {O_LABEL: np.diag([0.0, 1.0, -1.0])})
-    )
+    h_hold = LinearOperator(layout, embed(layout, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
     ok = True
     for eid in range(20):
         ev = DualEventState(phi_d=psi.to_density(), phi_i=0, event_id=eid,

@@ -87,7 +87,7 @@ class TestTensorCompose:
 
     def test_mixed_kinds_rejected(self):
         psi = StateVector.basis(qubit(), {})
-        op = LinearOperator(qubit("B"), SX, hermitian_flag=True)
+        op = LinearOperator(qubit("B"), SX)
         with pytest.raises(TypeError):
             tensor_compose([psi, op])
 
@@ -162,14 +162,14 @@ class TestPartialTrace:
 class TestEvolveUnitary:
     def test_zero_generator(self):
         psi = StateVector.from_amplitudes(qubit(), [1, 1j], normalize=True)
-        h = LinearOperator(qubit(), np.zeros((2, 2)), hermitian_flag=True)
+        h = LinearOperator(qubit(), np.zeros((2, 2)))
         out = evolve_unitary(psi, h, 3.7)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
 
     def test_pauli_x_half_pi(self):
         # exp(-i (pi/2) sigma_x)|0> = -i|1>
         lam = 2.0
-        h = LinearOperator(qubit(), lam * SX, hermitian_flag=True)
+        h = LinearOperator(qubit(), lam * SX)
         out = evolve_unitary(StateVector.basis(qubit(), {}), h, math.pi / 2 / lam)
         np.testing.assert_allclose(out.amplitudes, [0, -1j], atol=1e-12)
 
@@ -178,17 +178,17 @@ class TestEvolveUnitary:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lay = CompositeLayout((("A", 2), ("B", 2)))
         rho = DensityMatrix(lay, (m @ m.conj().T) / np.trace(m @ m.conj().T).real)
-        h = LinearOperator(lay, np.kron(SX, SZ), hermitian_flag=True)
+        h = LinearOperator(lay, np.kron(SX, SZ))
         out = evolve_unitary(rho, h, 0.9)
         assert abs(np.trace(out.entries) - 1.0) <= TOL_ALGEBRAIC
 
     def test_non_hermitian_rejected(self):
-        h = LinearOperator(qubit(), np.array([[0, 1], [0, 0]], dtype=complex))
+        # A generator is Hermitian by construction: the constructor rejects it.
         with pytest.raises(InvariantError):
-            evolve_unitary(StateVector.basis(qubit(), {}), h, 1.0)
+            LinearOperator(qubit(), np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_layout_mismatch(self):
-        h = LinearOperator(qubit("A"), SX, hermitian_flag=True)
+        h = LinearOperator(qubit("A"), SX)
         with pytest.raises(LayoutError):
             evolve_unitary(StateVector.basis(qubit("B"), {}), h, 1.0)
 
@@ -196,7 +196,7 @@ class TestEvolveUnitary:
     @settings(max_examples=25, deadline=None)
     def test_reversibility(self, t):
         lay = CompositeLayout((("A", 2), ("B", 2)))
-        h = LinearOperator(lay, np.kron(SX, SZ) + 0.3 * np.kron(SZ, SX), hermitian_flag=True)
+        h = LinearOperator(lay, np.kron(SX, SZ) + 0.3 * np.kron(SZ, SX))
         psi = StateVector.from_amplitudes(lay, [1, 2, 3j, 0.5], normalize=True)
         back = evolve_unitary(evolve_unitary(psi, h, t), h, -t)
         assert trace_distance(back.to_density(), psi.to_density()) <= TOL_ROUNDTRIP
@@ -210,7 +210,7 @@ class TestEvolveUnitary:
                 StateVector.from_amplitudes(lay, [0, 0, 1, 1j], normalize=True),
             ],
         )
-        h = LinearOperator(lay, np.kron(SX, SX), hermitian_flag=True)
+        h = LinearOperator(lay, np.kron(SX, SX))
         out = evolve_unitary(rho, h, 1.23)
         assert abs(out.purity() - rho.purity()) <= TOL_ROUNDTRIP
 
@@ -238,21 +238,21 @@ class TestProjector:
 class TestExpectation:
     def test_identity(self):
         rho = StateVector.basis(qubit(), {}).to_density()
-        ident = LinearOperator(qubit(), np.eye(2), hermitian_flag=True)
+        ident = LinearOperator(qubit(), np.eye(2))
         assert abs(expectation(rho, ident) - 1.0) <= TOL_ALGEBRAIC
 
     def test_eigenstate(self):
         rho = StateVector.basis(qubit(), {}).to_density()
-        assert abs(expectation(rho, LinearOperator(qubit(), SZ, hermitian_flag=True)) - 1.0) <= TOL_ALGEBRAIC
+        assert abs(expectation(rho, LinearOperator(qubit(), SZ)) - 1.0) <= TOL_ALGEBRAIC
 
     def test_traceless_on_maximally_mixed(self):
         rho = DensityMatrix(qubit(), np.eye(2) / 2)
-        assert abs(expectation(rho, LinearOperator(qubit(), SX, hermitian_flag=True))) <= TOL_ALGEBRAIC
+        assert abs(expectation(rho, LinearOperator(qubit(), SX))) <= TOL_ALGEBRAIC
 
     def test_non_hermitian_rejected(self):
-        rho = DensityMatrix(qubit(), np.eye(2) / 2)
+        # An observable is Hermitian by construction: the constructor rejects it.
         with pytest.raises(InvariantError):
-            expectation(rho, LinearOperator(qubit(), np.array([[0, 1], [0, 0]], complex)))
+            LinearOperator(qubit(), np.array([[0, 1], [0, 0]], complex))
 
 
 class TestTraceDistance:
@@ -284,3 +284,16 @@ class TestInvariantEnforcement:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvariantError):
             DensityMatrix(qubit(), np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StateVector(qubit(), [math.nan, 0.8]),
+            lambda: DensityMatrix(qubit(), [[math.nan, 0], [0, 1]]),
+            lambda: LinearOperator(qubit(), [[math.nan, 0], [0, 1]]),
+        ],
+        ids=["state", "density", "operator"],
+    )
+    def test_nan_entry_rejected(self, build):
+        with pytest.raises(InvariantError):
+            build()

@@ -12,6 +12,7 @@ from dualmeas.core import (
     LinearOperator,
     StateVector,
     embed,
+    evolve_unitary,
     expectation,
     projector,
     tensor_compose,
@@ -30,7 +31,6 @@ from dualmeas.dual import (
     ReductionBaselineState,
     draw_index,
     event_rng,
-    evolve_dual_statistical,
     evolve_event,
     init_dual,
     jump_forbidden,
@@ -40,6 +40,7 @@ from dualmeas.dual import (
     sample_perception_time,
     undo_dual,
 )
+from dualmeas.harness import Scenario, run
 
 MODEL = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 SO = MODEL.so_layout()
@@ -110,25 +111,30 @@ class TestInitDual:
             DualEventState(phi_d=ready_density(), phi_i=3)
 
 
+def evolve_statistical(theta, h, t):
+    """Unitary evolution of the statistical component, probabilities recomputed."""
+    return DualStatisticalState.from_density(evolve_unitary(theta.eta_d, h, t))
+
+
 class TestStatisticalEvolution:
     def test_system_only_generator_keeps_probs_fixed(self):
         theta = DualStatisticalState.from_density(ready_density())
         h_s = np.array([[0.0, 1.0], [1.0, 0.0]])
-        h = LinearOperator.from_matrix(SO, embed(SO, {S_LABEL: h_s}))
-        out = evolve_dual_statistical(theta, h, 0.7)
+        h = LinearOperator(SO, embed(SO, {S_LABEL: h_s}))
+        out = evolve_statistical(theta, h, 0.7)
         assert np.allclose(out.perception_probs, theta.perception_probs, atol=1e-12)
 
     def test_full_measurement_transfers_weights(self):
         theta = DualStatisticalState.from_density(ready_density())
         h = build_meas_hamiltonian(MODEL, SO)
-        out = evolve_dual_statistical(theta, h, MODEL.duration)
+        out = evolve_statistical(theta, h, MODEL.duration)
         assert np.allclose(out.perception_probs, [0.0, 0.3, 0.7], atol=1e-12)
 
     def test_half_duration_rabi_weight(self):
         # at lambda*t = pi/4 each branch has transferred sin^2(pi/4) = 1/2
         theta = DualStatisticalState.from_density(ready_density((1.0, 0.0)))
         h = build_meas_hamiltonian(MODEL, SO)
-        out = evolve_dual_statistical(theta, h, MODEL.duration / 2)
+        out = evolve_statistical(theta, h, MODEL.duration / 2)
         assert abs(out.perception_probs[1] - 0.5) < 1e-12
 
     def test_inconsistent_probs_rejected(self):
@@ -209,20 +215,20 @@ def _swap_generator(layout):
     b1 = branch_state(layout, 1).amplitudes
     b2 = branch_state(layout, 2).amplitudes
     m = (math.pi / 2) * (np.outer(b1, b2.conj()) + np.outer(b2, b1.conj()))
-    return LinearOperator.from_matrix(layout, m)
+    return LinearOperator(layout, m)
 
 
 class TestNoJumpRule:
     def test_identity_evolution_forbids_jumps(self):
         ev = perceive(measured_event(), event_rng(31, 0))
-        h = LinearOperator.from_matrix(SO, np.zeros((SO.total_dim, SO.total_dim)))
+        h = LinearOperator(SO, np.zeros((SO.total_dim, SO.total_dim)))
         forbidden, p = jump_forbidden(ev, h, 1.0)
         assert forbidden
         assert np.allclose(p, np.eye(2), atol=1e-12)
 
     def test_pointer_commuting_generator_forbids_jumps(self):
         ev = perceive(measured_event(), event_rng(32, 0))
-        h = LinearOperator.from_matrix(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
+        h = LinearOperator(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
         forbidden, _ = jump_forbidden(ev, h, 2.3)
         assert forbidden
 
@@ -236,7 +242,7 @@ class TestNoJumpRule:
 
     def test_evolve_event_holds_record_when_forbidden(self):
         ev = perceive(measured_event(), event_rng(34, 0))
-        h = LinearOperator.from_matrix(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
+        h = LinearOperator(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
         out, flags = evolve_event(ev, h, 0.8)
         assert out.phi_i == ev.phi_i
         assert flags == []
@@ -293,6 +299,21 @@ class TestUndo:
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("amplitudes", [AMPS, (math.sqrt(0.3), 1j * math.sqrt(0.7))])
+    def test_event_chain_matches_undo_runner(self, amplitudes):
+        # The undo runner draws (j_old, j_new) from precomputed pointer
+        # weights; the event-level chain is the reference for every event.
+        seed = 20260826
+        sc = Scenario(experiment="undo", amplitudes=np.array(amplitudes), seed=seed, n_events=64)
+        h = build_meas_hamiltonian(MODEL, SO)
+        for rec in run(sc)[1]:
+            rng = event_rng(seed, rec.event_id)
+            ev = init_dual(ready_density(amplitudes), event_id=rec.event_id)
+            ev = perceive(evolve_event(ev, h, MODEL.duration)[0], rng)
+            j_old = ev.phi_i
+            ev = evolve_event(undo_dual(ev, MODEL), h, MODEL.duration)[0]
+            assert (j_old, perceive(ev, rng).phi_i) == (rec.history[0][1], rec.final_j)
+
 
 class TestReductionBaseline:
     def test_collapsed_state_is_an_eigenstate(self):
@@ -334,7 +355,7 @@ class TestObjectivity:
     def test_ensemble_state_equals_event_average(self):
         h = build_meas_hamiltonian(MODEL, SO)
         theta = DualStatisticalState.from_density(ready_density())
-        theta = evolve_dual_statistical(theta, h, MODEL.duration)
+        theta = evolve_statistical(theta, h, MODEL.duration)
         ev = measured_event()
         assert np.max(np.abs(theta.eta_d.entries - ev.phi_d.entries)) < 1e-12
         assert np.allclose(theta.perception_probs, ev.perception_weights(), atol=1e-12)

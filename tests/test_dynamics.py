@@ -144,7 +144,7 @@ class TestPremeasurement:
 
     def test_branch_phase_metadata(self, model):
         out = run_premeasurement(s_state(1, 0), model)
-        phase = out.metadata["branch_phase"]
+        phase = model.branch_phase
         # dividing the phase out recovers the phase-free entangled form
         target = StateVector.basis(model.so_layout(), {"S": 0, "O": 1})
         np.testing.assert_allclose(out.amplitudes / phase, target.amplitudes, atol=1e-12)
@@ -157,7 +157,7 @@ class TestPremeasurement:
         q_s = np.diag([1.0 + 0j, -1.0 + 0j])
         before = float(np.real(psi_s.amplitudes.conj() @ q_s @ psi_s.amplitudes))
         out = run_premeasurement(psi_s, model)
-        q_full = LinearOperator(layout, embed(layout, {"S": q_s}), hermitian_flag=True)
+        q_full = LinearOperator(layout, embed(layout, {"S": q_s}))
         after = expectation(out.to_density(), q_full)
         assert abs(before - after) <= TOL_ALGEBRAIC
 
@@ -166,13 +166,13 @@ class TestDephasingHamiltonian:
     def test_no_atoms_zero_operator(self, model):
         env = EnvironmentModel.default(0, model.o_dim)
         layout = model.so_layout()
-        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)), hermitian_flag=True)
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)))
         assert np.max(np.abs(h.entries)) == 0.0
 
     def test_commutes_with_pointer_projectors(self, model):
         env = EnvironmentModel.default(2, model.o_dim)
         layout = decoherence_layout(model, env)
-        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)), hermitian_flag=True)
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)))
         for j in range(model.o_dim):
             p = projector(layout, "O", j)
             np.testing.assert_allclose(
@@ -245,7 +245,7 @@ class TestDecoherence:
         for k in range(n_atoms):
             q_sz = {"O": np.diag(env.pointer_values), env_label(k): np.diag([1.0, -1.0])}
             h += env.couplings[k] * embed(layout, q_sz)
-        want = evolve_unitary(psi, LinearOperator(layout, h, hermitian_flag=True), t)
+        want = evolve_unitary(psi, LinearOperator(layout, h), t)
         got, factor = run_decoherence(psi, env, t)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
         assert abs(factor - offdiag_suppression(env, t)) <= 1e-10

@@ -11,10 +11,13 @@ dephasing generator became a phase vector; neither may change any output.
 The ``complex`` and ``sdim3`` references of ``decohere`` were re-recorded
 when its "matches the cosine product" check stopped being phase-blind: the
 simulated factor now divides out the relative phase of the branch amplitudes
-(events unchanged). The ``complex`` and ``sdim3`` references of
-``two_observer`` still pin its phase-blind "interference expectation
-nonzero" check, which fails today; fixing it (ROADMAP item 5) re-records
-them with ``PYTHONPATH=src python3 tests/test_golden.py``.
+(events unchanged). Those of ``two_observer`` were re-recorded when its
+"interference expectation nonzero" check started reading the phase-free
+coherence 2|rho_12| instead of <B> = 2 Re(rho_12) (events unchanged).
+
+``PYTHONPATH=src python3 tests/test_golden.py NAME ...`` re-records only the
+named cases and leaves every other entry byte-identical; with no names it
+re-records every case.
 """
 
 import hashlib
@@ -124,14 +127,20 @@ def test_diff_tolerates_only_float_rounding():
     assert _diff([1.0], [1.0, 2.0]) != []
 
 
-def record() -> None:
-    """Re-record every reference from the current code."""
+def record(names=()) -> None:
+    """Re-record the named references (every reference when none is named)
+    from the current code; the other entries keep their recorded values."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}; have {', '.join(sorted(CASES))}")
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8")) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
-        refs = {name: _outputs(doc, Path(tmp) / name) for name, doc in CASES.items()}
+        for name in names or CASES:
+            refs[name] = _outputs(CASES[name], Path(tmp) / name)
     REFERENCES.parent.mkdir(exist_ok=True)
     REFERENCES.write_text(json.dumps(refs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(refs)} cases to {REFERENCES}", file=sys.stderr)
+    print(f"recorded {len(names or CASES)} case(s) to {REFERENCES}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

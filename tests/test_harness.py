@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmeas.cli import main
 from dualmeas.harness import (
+    EXPERIMENTS,
     EventRecord,
     Scenario,
     ScenarioError,
@@ -124,6 +127,23 @@ class TestRunner:
         assert all(c["passed"] for c in summary.checks), summary.checks
         assert len(records) == sc.n_events
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @given(
+        s_dim=st.integers(2, 4),
+        weights=st.lists(st.floats(1.0, 4.0), min_size=4, max_size=4),
+        phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_every_runner_passes_its_checks(self, experiment, s_dim, weights, phases, seed):
+        # Every |a_i|^2 is at least 1/13: the 4-sigma frequency check is a
+        # normal approximation and needs each branch well populated at 500 events.
+        amps = np.sqrt(weights[:s_dim]) * np.exp(1j * np.array(phases[:s_dim]))
+        sc = Scenario(experiment=experiment, amplitudes=amps / np.linalg.norm(amps), seed=seed,
+                      n_events=500, s_dim=s_dim, o_dim=s_dim + 1, env_atoms=3, n_times=51)
+        summary, _ = run(sc)
+        assert all(c["passed"] for c in summary.checks), summary.checks
+
     def test_decohere_checks_pass(self):
         sc = parse_scenario(
             MINIMAL.replace("premeasure", "decohere")
@@ -207,13 +227,15 @@ class TestCli:
             MINIMAL + "env: {coupling_range: [0.5, .inf]}\n",
             MINIMAL + "env: {coupling_range: [.nan, 1.0]}\n",
             MINIMAL.replace("[0.5477225575051661", "[.nan"),
+            MINIMAL.replace("premeasure", "two_observer") + "o_dim: 50\n",
+            MINIMAL + "o_dim: 3000\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
             "delta_t_abc", "o_dim_abc", "coupling_range_abc", "negative_atoms",
             "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "malformed_yaml",
             "delta_t_inf", "t_max_nan", "lambda_inf", "coupling_range_inf", "coupling_range_nan",
-            "amplitude_nan",
+            "amplitude_nan", "two_observer_over_dense_cap", "o_dim_over_dense_cap",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):

@@ -26,8 +26,6 @@ from dualmeas.dynamics import (
 )
 from dualmeas.dual import event_rng, perceive, DualEventState
 from dualmeas.interference import (
-    InterferenceObservable,
-    coherence_score,
     discriminate,
     interference_operator,
     pointer_incompatibility,
@@ -73,8 +71,8 @@ class TestOperatorStructure:
     def test_non_hermitian_wrapper_rejected(self):
         m = np.zeros((SO.total_dim, SO.total_dim), dtype=complex)
         m[0, 1] = 1.0
-        with pytest.raises(InvariantError):
-            InterferenceObservable(op=LinearOperator(SO, m), branches=(1, 2))
+        with pytest.raises(InvariantError):  # rejected by the operator constructor
+            LinearOperator(SO, m)
 
 
 class TestDiscrimination:
@@ -111,26 +109,6 @@ class TestDiscrimination:
         psi = post_measurement((1 / math.sqrt(2), 1 / math.sqrt(2)))
         b = interference_operator(SO)
         assert discriminate(psi, b) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestCoherenceScore:
-    def test_pure_two_branch(self):
-        psi = post_measurement((math.sqrt(0.3), math.sqrt(0.7)))
-        assert coherence_score(psi.to_density(), SO) == pytest.approx(
-            2 * math.sqrt(0.21), abs=1e-12
-        )
-
-    def test_mixture_scores_zero(self):
-        assert coherence_score(branch_mixture((0.3, 0.7)), SO) < 1e-12
-
-    def test_three_branch_sums_pairs(self):
-        model = MeasurementModel.calibrated(s_dim=3, o_dim=4)
-        layout = model.so_layout()
-        a = np.sqrt([0.2, 0.3, 0.5])
-        psi_s = StateVector.from_amplitudes(model.s_layout(), a)
-        psi = run_premeasurement(psi_s, model)
-        expected = 2 * (a[0] * a[1] + a[0] * a[2] + a[1] * a[2])
-        assert coherence_score(psi.to_density(), layout) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPointerIncompatibility:
