@@ -48,6 +48,7 @@ from .dual import (
     ReductionBaselineState,
     evolve_event,
     event_rng,
+    event_uniforms,
     init_dual,
     jump_forbidden,
     perceive,
@@ -63,7 +64,7 @@ from .interference import (
     pointer_incompatibility,
 )
 from .harness import (
-    EventRecord,
+    EventColumns,
     RunSummary,
     Scenario,
     ScenarioError,

@@ -44,10 +44,11 @@ READY_WEIGHT_TOL = 1e-9
 JUMP_TOL = 1e-12
 
 
-def draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """One categorical draw by inverse transform on the cumulative weights."""
+def draw_index(weights: np.ndarray, u):
+    """Categorical draws by inverse transform on the cumulative weights: one
+    index per uniform in *u*, a scalar or an array."""
     cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return np.searchsorted(cum, u * cum[-1], side="right")
 
 
 def event_rng(seed: int, event_id: int) -> np.random.Generator:
@@ -58,6 +59,41 @@ def event_rng(seed: int, event_id: int) -> np.random.Generator:
     and still draw identical numbers.
     """
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=event_id << 128))
+
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x, by 32-bit halves."""
+    m_lo, m_hi = np.uint64(m) & _MASK32, np.uint64(m) >> _HALF
+    x_lo, x_hi = x & _MASK32, x >> _HALF
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    cross = (lo_lo >> _HALF) + (hi_lo & _MASK32) + lo_hi
+    return x_hi * m_hi + (hi_lo >> _HALF) + (cross >> _HALF), x * np.uint64(m)
+
+
+def event_uniforms(seed: int, n_events: int) -> np.ndarray:
+    """Row ``eid`` holds the first four ``event_rng(seed, eid).random()``
+    draws, for every event ``eid < n_events``; enough for any runner.
+
+    Each row is one Philox4x64-10 block, computed for all events at once:
+    numpy advances the counter before its first block, so event ``eid``
+    encrypts the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
+    """
+    eid = np.arange(n_events, dtype=np.uint64)
+    c0, c1, c2, c3 = np.ones_like(eid), np.zeros_like(eid), eid, np.zeros_like(eid)
+    k0, k1 = int(seed), 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 = (k1 + _PHILOX_W[1]) % 2**64
+    return (np.stack([c0, c1, c2, c3], axis=1) >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -145,7 +181,7 @@ def perceive(event: DualEventState, rng: np.random.Generator) -> DualEventState:
         raise InvariantError(
             f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}"
         )
-    return replace(event, phi_i=draw_index(w, rng))
+    return replace(event, phi_i=int(draw_index(w, rng.random())))
 
 
 @dataclass(frozen=True)
@@ -194,12 +230,13 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     return PerceptionTimePdf(times=grid, density=c_p * raw(grid), normalization=c_p)
 
 
-def sample_perception_time(pdf: PerceptionTimePdf, rng: np.random.Generator) -> float:
-    """Inverse-transform draw from a tabulated perception-time density."""
+def sample_perception_time(pdf: PerceptionTimePdf, u):
+    """Inverse-transform draws from a tabulated perception-time density: one
+    time per uniform in *u*, a scalar or an array, from one trapezoid CDF."""
     t, f = pdf.times, np.clip(pdf.density, 0.0, None)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
     cdf /= cdf[-1]
-    return float(np.interp(rng.random(), cdf, t))
+    return np.interp(u, cdf, t)
 
 
 def jump_forbidden(event: DualEventState, H: LinearOperator, t: float):
@@ -275,6 +312,6 @@ def reduction_baseline(psi_s: StateVector, rng: np.random.Generator) -> Reductio
     discriminating prediction against the dual model.
     """
     w = np.abs(psi_s.amplitudes) ** 2
-    i = draw_index(w / w.sum(), rng)
+    i = int(draw_index(w / w.sum(), rng.random()))
     collapsed = StateVector.basis(psi_s.layout, {S_LABEL: i})
     return ReductionBaselineState(collapsed_index=i + 1, s_state=collapsed)

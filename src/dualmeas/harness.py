@@ -15,6 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -35,8 +36,8 @@ from .core import (
 from .dual import (
     draw_index,
     event_rng,
+    event_uniforms,
     perception_time_pdf,
-    reduction_baseline,
     sample_perception_time,
 )
 from .dynamics import (
@@ -112,6 +113,8 @@ class Scenario:
         for name, x in finite.items():
             if not np.all(np.isfinite(x)):
                 raise ScenarioError(f"{name} must be finite")
+        if self.delta_t <= 0:  # before model() divides by it
+            raise ScenarioError("delta_t must be > 0")
         if amps.shape[0] != self.s_dim:
             raise ScenarioError(
                 f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}"
@@ -197,6 +200,10 @@ def _parse_amplitude(x, pos):
 
 
 def _convert(kind, value, key):
+    # int() would truncate 2.7 to 2 and read true as 1; a count must be integral.
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ScenarioError(f"{key}: expected int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -269,26 +276,36 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
-@dataclass
-class EventRecord:
-    """Per-event outcome log."""
+@dataclass(frozen=True)
+class EventColumns:
+    """Per-event outcome logs of one run, stored as columns.
 
-    event_id: int
-    history: list  # [(timestamp, perceived_j), ...], timestamps non-decreasing
-    flags: list = field(default_factory=list)
+    Row k is event ``event_ids[k]``; its history is the pairs
+    ``(times[k, i], indices[k, i])`` of perceived index j at each timestamp,
+    with timestamps non-decreasing along the row. Every event carries *flags*.
+    """
+
+    event_ids: np.ndarray  # (n,)
+    times: np.ndarray  # (n, k)
+    indices: np.ndarray  # (n, k)
+    flags: tuple = ()
 
     def __post_init__(self):
-        ts = [t for t, _ in self.history]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        if self.times.shape != self.indices.shape or len(self.times) != len(self.event_ids):
+            raise InvariantError("event columns must have one row per event")
+        if np.any(np.diff(self.times, axis=1) < 0):
             raise InvariantError("event history timestamps must be non-decreasing")
 
-    @property
-    def t_perceive(self):
-        return self.history[0][0] if self.history else None
+    def __len__(self):
+        return len(self.event_ids)
 
     @property
-    def final_j(self):
-        return self.history[-1][1] if self.history else None
+    def t_perceive(self) -> np.ndarray:
+        return self.times[:, 0]
+
+    @property
+    def final_j(self) -> np.ndarray:
+        return self.indices[:, -1]
 
 
 @dataclass
@@ -361,7 +378,7 @@ def _correlation(a, b):
 
 
 def run(scenario: Scenario):
-    """Execute one scenario; returns ``(RunSummary, [EventRecord, ...])``.
+    """Execute one scenario; returns ``(RunSummary, EventColumns)``.
 
     Deterministic given (scenario, seed): every random draw comes from a
     counter-based substream keyed by the seed and the event id.
@@ -387,16 +404,13 @@ def run(scenario: Scenario):
     return summary, records
 
 
-def _sample(scenario: Scenario, draw, flags=()) -> list:
-    """The per-event loop of every runner.
-
-    Event ``eid`` draws only from its own substream ``event_rng(seed, eid)``;
-    ``draw(eid, rng)`` returns that event's history.
-    """
-    return [
-        EventRecord(event_id=eid, history=draw(eid, event_rng(scenario.seed, eid)), flags=list(flags))
-        for eid in range(scenario.n_events)
-    ]
+def _columns(scenario: Scenario, history, flags=()) -> EventColumns:
+    """Records of every event from history steps ``(t, j)``; each entry is a
+    per-event column or one value shared by all events."""
+    n = scenario.n_events
+    times, indices = (np.column_stack([np.broadcast_to(step[i], n) for step in history])
+                      for i in (0, 1))
+    return EventColumns(np.arange(n), times, indices, tuple(flags))
 
 
 def _matched_mixture(scenario: Scenario) -> DensityMatrix:
@@ -431,13 +445,11 @@ def _run_premeasure(scenario: Scenario):
         grid = np.linspace(0.0, scenario.delta_t, 201)
         pdf = perception_time_pdf(model, scenario.amplitudes, grid)
 
-    def draw(eid, rng):
-        j = draw_index(weights, rng)
-        t_p = sample_perception_time(pdf, rng) if pdf is not None else scenario.delta_t
-        return [(t_p, j)]
-
-    records = _sample(scenario, draw)
-    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
+    u = event_uniforms(scenario.seed, scenario.n_events)
+    j = draw_index(weights, u[:, 0])
+    t_p = sample_perception_time(pdf, u[:, 1]) if pdf is not None else scenario.delta_t
+    records = _columns(scenario, [(t_p, j)])
+    freqs = _frequencies(j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -483,26 +495,17 @@ def _run_undo(scenario: Scenario):
     # dual.init_dual -> evolve_event -> perceive -> undo_dual -> evolve_event
     # -> perceive does, which tests hold as the reference.
     weights = branch_weights(psi)
-    old_base, new_base = [], []
     t1 = scenario.delta_t
     t2 = 3.0 * scenario.delta_t  # measure, reverse, re-measure
-
-    def draw(eid, rng):
-        j_old = draw_index(weights, rng)
-        j_new = draw_index(weights, rng)
-        base = reduction_baseline(psi_s, rng)
-        old_base.append(base.collapsed_index)
-        # Textbook collapse: undoing erases the record but re-measurement of
-        # the already-collapsed system restores the identical value.
-        new_base.append(base.collapsed_index)
-        return [(t1, j_old), (2 * t1, 0), (t2, j_new)]
-
-    records = _sample(scenario, draw, flags=("undo",))
-    old_dual = [r.history[0][1] for r in records]
-    new_dual = [r.final_j for r in records]
+    u = event_uniforms(scenario.seed, scenario.n_events)
+    old_dual, new_dual = draw_index(weights, u[:, 0]), draw_index(weights, u[:, 1])
+    records = _columns(scenario, [(t1, old_dual), (2 * t1, 0), (t2, new_dual)], flags=("undo",))
 
     corr_dual = _correlation(old_dual, new_dual)
-    corr_base = 1.0 if old_base == new_base else _correlation(old_base, new_base)
+    # Textbook collapse (dual.reduction_baseline): undoing erases the record,
+    # but re-measuring the collapsed system returns its index with certainty,
+    # so the baseline's outcome persists in every event.
+    corr_base = 1.0
     freqs = _frequencies(new_dual, model.o_dim, scenario.n_events)
 
     # 0.02 is the reference bound at 1e4 events; smaller runs get the
@@ -567,14 +570,14 @@ def _run_two_observer(scenario: Scenario):
 
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
 
-    def draw(eid, rng):
-        j1 = draw_index(marginal, rng)
-        row = joint[j1]
-        return [(t1, j1), (t2, draw_index(row / row.sum(), rng))]
-
-    records = _sample(scenario, draw)
-    js1 = [r.history[0][1] for r in records]
-    agree = sum(r.history[0][1] == r.final_j for r in records)
+    u = event_uniforms(scenario.seed, scenario.n_events)
+    js1 = draw_index(marginal, u[:, 0])
+    js2 = np.empty_like(js1)
+    for j1 in np.unique(js1):
+        row, events = joint[j1], js1 == j1
+        js2[events] = draw_index(row / row.sum(), u[events, 1])
+    records = _columns(scenario, [(t1, js1), (t2, js2)])
+    agree = int(np.sum(js1 == js2))
 
     freqs = _frequencies(js1, o_dim, scenario.n_events)
     a = scenario.amplitudes
@@ -631,8 +634,9 @@ def _run_decohere(scenario: Scenario):
 
     # Perception statistics are untouched by dephasing.
     weights = branch_weights(psi_full)
-    records = _sample(scenario, lambda eid, rng: [(scenario.delta_t, draw_index(weights, rng))])
-    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
+    j = draw_index(weights, event_uniforms(scenario.seed, scenario.n_events)[:, 0])
+    records = _columns(scenario, [(scenario.delta_t, j)])
+    freqs = _frequencies(j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -686,12 +690,10 @@ def _run_perception_timing(scenario: Scenario):
     integral = float(simpson(pdf.density, x=pdf.times))
     weights = branch_weights(run_premeasurement(scenario.system_state(), model))
 
-    def draw(eid, rng):
-        j = draw_index(weights, rng)
-        return [(sample_perception_time(pdf, rng), j)]
-
-    records = _sample(scenario, draw)
-    freqs = _frequencies([r.final_j for r in records], model.o_dim, scenario.n_events)
+    u = event_uniforms(scenario.seed, scenario.n_events)
+    j = draw_index(weights, u[:, 0])
+    records = _columns(scenario, [(sample_perception_time(pdf, u[:, 1]), j)])
+    freqs = _frequencies(j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -712,7 +714,7 @@ def _run_perception_timing(scenario: Scenario):
     ), records
 
 
-def emit(summary: RunSummary, records, out_dir, fmt="json"):
+def emit(summary: RunSummary, records: EventColumns, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
     re-runs of the same (scenario, seed)."""
     import os
@@ -727,21 +729,17 @@ def emit(summary: RunSummary, records, out_dir, fmt="json"):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["event_id", "t_perceive", "j", "flags"])
-        for rec in records:
-            writer.writerow(
-                [rec.event_id, repr(rec.t_perceive), rec.final_j, ";".join(rec.flags)]
-            )
+        writer.writerows(zip(records.event_ids.tolist(), map(repr, records.t_perceive.tolist()),
+                             records.final_j.tolist(), repeat(";".join(records.flags))))
         with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(buf.getvalue())
     else:
         events_path = os.path.join(out_dir, "events.json")
         payload = [
-            {
-                "event_id": rec.event_id,
-                "history": [[t, j] for t, j in rec.history],
-                "flags": rec.flags,
-            }
-            for rec in records
+            {"event_id": eid, "history": [list(step) for step in zip(ts, js)],
+             "flags": list(records.flags)}
+            for eid, ts, js in zip(records.event_ids.tolist(), records.times.tolist(),
+                                   records.indices.tolist())
         ]
         with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2)

@@ -5,12 +5,10 @@ Each test covers one numbered criterion and prints a single pass/fail line
 """
 
 import math
-import sys
 import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from dualmeas.core import (
     CompositeLayout,
@@ -18,13 +16,11 @@ from dualmeas.core import (
     StateVector,
     evolve_unitary,
     tensor_compose,
-    trace_distance,
 )
 from dualmeas.dual import (
     DualEventState,
     event_rng,
     evolve_event,
-    init_dual,
     perceive,
     perception_time_pdf,
 )

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmeas.core import (
     CompositeLayout,
-    DensityMatrix,
     InvariantError,
     LinearOperator,
     StateVector,
@@ -31,6 +32,7 @@ from dualmeas.dual import (
     ReductionBaselineState,
     draw_index,
     event_rng,
+    event_uniforms,
     evolve_event,
     init_dual,
     jump_forbidden,
@@ -65,17 +67,17 @@ class TestDrawIndex:
     def test_deterministic_on_point_mass(self):
         rng = event_rng(1, 0)
         w = np.array([0.0, 1.0, 0.0])
-        assert all(draw_index(w, rng) == 1 for _ in range(20))
+        assert all(draw_index(w, rng.random()) == 1 for _ in range(20))
 
     def test_never_draws_zero_weight(self):
         rng = event_rng(2, 0)
         w = np.array([0.0, 0.5, 0.5])
-        assert all(draw_index(w, rng) != 0 for _ in range(200))
+        assert all(draw_index(w, rng.random()) != 0 for _ in range(200))
 
     def test_frequencies_track_weights(self):
         rng = event_rng(3, 0)
         w = np.array([0.2, 0.3, 0.5])
-        draws = np.array([draw_index(w, rng) for _ in range(20000)])
+        draws = np.array([draw_index(w, rng.random()) for _ in range(20000)])
         freq = np.bincount(draws, minlength=3) / draws.size
         # 4 sigma on 20000 samples for p=0.5 is ~0.014
         assert np.max(np.abs(freq - w)) < 0.015
@@ -90,6 +92,16 @@ class TestEventRng:
 
     def test_distinct_events_differ(self):
         assert not np.array_equal(event_rng(7, 0).random(4), event_rng(7, 1).random(4))
+
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+           n=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_kernel_matches_event_rng(self, seed, n):
+        # Small event ids suffice: after the first round every operand of the
+        # 128-bit multiply is full-width.
+        rows = event_uniforms(seed, n)
+        for eid in range(n):
+            assert np.array_equal(rows[eid], event_rng(seed, eid).random(4))
 
 
 class TestInitDual:
@@ -176,7 +188,7 @@ class TestPerceive:
         # routes must consume the stream identically
         ev = measured_event()
         w = ev.perception_weights()
-        assert perceive(ev, event_rng(13, 42)).phi_i == draw_index(w, event_rng(13, 42))
+        assert perceive(ev, event_rng(13, 42)).phi_i == draw_index(w, event_rng(13, 42).random())
 
 
 class TestPerceptionTiming:
@@ -204,7 +216,7 @@ class TestPerceptionTiming:
         grid = np.linspace(0.0, MODEL.duration, 501)
         pdf = perception_time_pdf(MODEL, AMPS, grid)
         rng = event_rng(21, 0)
-        ts = np.array([sample_perception_time(pdf, rng) for _ in range(20000)])
+        ts = np.array([sample_perception_time(pdf, rng.random()) for _ in range(20000)])
         # P(t < duration/2) = sin^2(lam*duration/2) = 1/2 for the calibrated model
         assert abs(np.mean(ts < MODEL.duration / 2) - 0.5) < 0.015
         assert ts.min() >= 0.0 and ts.max() <= MODEL.duration
@@ -306,13 +318,14 @@ class TestUndo:
         seed = 20260826
         sc = Scenario(experiment="undo", amplitudes=np.array(amplitudes), seed=seed, n_events=64)
         h = build_meas_hamiltonian(MODEL, SO)
-        for rec in run(sc)[1]:
-            rng = event_rng(seed, rec.event_id)
-            ev = init_dual(ready_density(amplitudes), event_id=rec.event_id)
+        records = run(sc)[1]
+        for eid, js in zip(records.event_ids.tolist(), records.indices.tolist()):
+            rng = event_rng(seed, eid)
+            ev = init_dual(ready_density(amplitudes), event_id=eid)
             ev = perceive(evolve_event(ev, h, MODEL.duration)[0], rng)
             j_old = ev.phi_i
             ev = evolve_event(undo_dual(ev, MODEL), h, MODEL.duration)[0]
-            assert (j_old, perceive(ev, rng).phi_i) == (rec.history[0][1], rec.final_j)
+            assert (j_old, perceive(ev, rng).phi_i) == (js[0], js[-1])
 
 
 class TestReductionBaseline:

@@ -1,17 +1,23 @@
 """Tests for scenario parsing, the experiment runner, emission, and the CLI."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmeas.cli import main
 from dualmeas.harness import (
     EXPERIMENTS,
-    EventRecord,
+    EventColumns,
     Scenario,
     ScenarioError,
     emit,
@@ -74,6 +80,11 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="YAML"):
             parse_scenario("experiment: [unclosed\n")
 
+    def test_integral_float_counts_accepted(self):
+        sc = parse_scenario(MINIMAL.replace("n_events: 200", "n_events: 1.0e+5") + "o_dim: 3.0\n")
+        assert (sc.n_events, sc.o_dim) == (100000, 3)
+        assert isinstance(sc.n_events, int)
+
     def test_lambda_override(self):
         sc = parse_scenario(MINIMAL + "lambda: 0.25\n")
         assert sc.model().coupling == 0.25
@@ -89,12 +100,12 @@ class TestEventRecord:
         from dualmeas.core import InvariantError
 
         with pytest.raises(InvariantError):
-            EventRecord(event_id=0, history=[(2.0, 1), (1.0, 2)])
+            EventColumns(np.array([0]), np.array([[2.0, 1.0]]), np.array([[1, 2]]))
 
     def test_properties(self):
-        rec = EventRecord(event_id=0, history=[(1.0, 1), (2.0, 0), (3.0, 2)])
-        assert rec.t_perceive == 1.0
-        assert rec.final_j == 2
+        rec = EventColumns(np.array([0]), np.array([[1.0, 2.0, 3.0]]), np.array([[1, 0, 2]]))
+        assert rec.t_perceive[0] == 1.0
+        assert rec.final_j[0] == 2
 
 
 class TestRunner:
@@ -108,7 +119,7 @@ class TestRunner:
         s1, r1 = run(parse_scenario(MINIMAL))
         s2, r2 = run(parse_scenario(MINIMAL))
         assert s1.to_dict() == s2.to_dict()
-        assert [rec.history for rec in r1] == [rec.history for rec in r2]
+        assert np.array_equal(r1.times, r2.times) and np.array_equal(r1.indices, r2.indices)
 
     def test_seed_changes_outcomes(self):
         sc = parse_scenario(MINIMAL)
@@ -117,7 +128,7 @@ class TestRunner:
         s1, r1 = run(sc)
         s2, r2 = run(replace(sc, seed=8))
         assert s1.fingerprint != s2.fingerprint
-        assert [rec.history for rec in r1] != [rec.history for rec in r2]
+        assert not np.array_equal(r1.indices, r2.indices)
 
     @pytest.mark.parametrize("experiment", ["undo", "two_observer", "reduction_compare",
                                             "perception_timing"])
@@ -184,6 +195,20 @@ class TestEmission:
         assert len(doc["fingerprint"]) == 16
 
 
+# A valid scenario that sets every key but lambda (so the coupling follows
+# delta_t), and the values the fuzz test puts in place of a key. No value in
+# the pool is large enough to start a long run.
+FUZZ_BASE = {
+    "amplitudes": [0.6, 0.8], "seed": 7, "n_events": 200, "s_dim": 2, "o_dim": 3,
+    "delta_t": 1.0, "env": {"n_atoms": 2, "coupling_range": [0.5, 1.5]},
+    "t_max": 1.0, "n_times": 5, "perception_mode": "sample", "output": {"format": "csv"},
+}
+FUZZ_KEYS = ["experiment", "lambda", *FUZZ_BASE, "env.n_atoms", "env.coupling_range",
+             "output.format"]
+FUZZ_POOL = [0, -1, 0.0, 2.5, math.nan, math.inf, True, None, "a", [], {}, [1, 2]]
+DROP = "<drop>"
+
+
 class TestCli:
     def _write(self, tmp_path, body=MINIMAL):
         p = tmp_path / "scenario.yaml"
@@ -229,6 +254,13 @@ class TestCli:
             MINIMAL.replace("[0.5477225575051661", "[.nan"),
             MINIMAL.replace("premeasure", "two_observer") + "o_dim: 50\n",
             MINIMAL + "o_dim: 3000\n",
+            MINIMAL + "delta_t: 0\n",
+            MINIMAL.replace("n_events: 200", "n_events: 2.7"),
+            MINIMAL.replace("n_events: 200", "n_events: true"),
+            MINIMAL + "s_dim: 2.5\n",
+            MINIMAL + "o_dim: 3.9\n",
+            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 1.5}\n",
+            MINIMAL.replace("premeasure", "decohere") + "n_times: 10.5\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -236,6 +268,8 @@ class TestCli:
             "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "malformed_yaml",
             "delta_t_inf", "t_max_nan", "lambda_inf", "coupling_range_inf", "coupling_range_nan",
             "amplitude_nan", "two_observer_over_dense_cap", "o_dim_over_dense_cap",
+            "delta_t_zero", "n_events_fraction", "n_events_bool", "s_dim_fraction",
+            "o_dim_fraction", "n_atoms_fraction", "n_times_fraction",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
@@ -245,6 +279,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+
+    @given(
+        experiment=st.sampled_from(EXPERIMENTS),
+        edits=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_POOL + [DROP]),
+                              min_size=1, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fuzzed_scenario_exits_cleanly(self, experiment, edits):
+        doc = {"experiment": experiment, **copy.deepcopy(FUZZ_BASE)}
+        for key in sorted(edits):
+            *parents, leaf = key.split(".")
+            target = doc.get(parents[0]) if parents else doc
+            if not isinstance(target, dict):
+                continue  # the parent mapping was itself replaced or dropped
+            if edits[key] is DROP:
+                target.pop(leaf, None)
+            else:
+                target[leaf] = edits[key]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            argv = ["--scenario", str(path), "--out", str(Path(tmp) / "out"), "--events", "20"]
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from dualmeas.core import (
-    CompositeLayout,
     DensityMatrix,
     InvariantError,
     LayoutError,
     LinearOperator,
     StateVector,
-    tensor_compose,
 )
 from dualmeas.dynamics import (
-    O_LABEL,
-    S_LABEL,
     EnvironmentModel,
     MeasurementModel,
     branch_state,
