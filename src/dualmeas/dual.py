@@ -38,6 +38,9 @@ from .dynamics import (
     reverse_evolution,
 )
 
+# Events per block of event_uniforms and of the events writer: bounds the
+# temporaries of both, whatever the run's size.
+EVENT_BLOCK = 1 << 14
 # A perception weight below this is treated as "branch absent".
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
@@ -80,20 +83,24 @@ def event_uniforms(seed: int, n_events: int) -> np.ndarray:
     """Row ``eid`` holds the first four ``event_rng(seed, eid).random()``
     draws, for every event ``eid < n_events``; enough for any runner.
 
-    Each row is one Philox4x64-10 block, computed for all events at once:
-    numpy advances the counter before its first block, so event ``eid``
-    encrypts the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
+    Each row is one Philox4x64-10 block, computed for EVENT_BLOCK events at
+    a time: numpy advances the counter before its first block, so event
+    ``eid`` encrypts the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
     """
-    eid = np.arange(n_events, dtype=np.uint64)
-    c0, c1, c2, c3 = np.ones_like(eid), np.zeros_like(eid), eid, np.zeros_like(eid)
-    k0, k1 = int(seed), 0
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0 = (k0 + _PHILOX_W[0]) % 2**64
-        k1 = (k1 + _PHILOX_W[1]) % 2**64
-    return (np.stack([c0, c1, c2, c3], axis=1) >> np.uint64(11)) * 2.0**-53
+    out = np.empty((n_events, 4))
+    for lo in range(0, n_events, EVENT_BLOCK):
+        eid = np.arange(lo, min(lo + EVENT_BLOCK, n_events), dtype=np.uint64)
+        c0, c1, c2, c3 = np.ones_like(eid), np.zeros_like(eid), eid, np.zeros_like(eid)
+        k0, k1 = int(seed), 0
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 = (k1 + _PHILOX_W[1]) % 2**64
+        for i, c in enumerate((c0, c1, c2, c3)):
+            out[lo:lo + len(eid), i] = (c >> np.uint64(11)) * 2.0**-53
+    return out
 
 
 @dataclass(frozen=True)

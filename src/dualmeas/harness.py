@@ -8,14 +8,12 @@ outputs are byte-identical across repeated runs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 import yaml
@@ -34,6 +32,7 @@ from .core import (
     trace_distance,
 )
 from .dual import (
+    EVENT_BLOCK,
     draw_index,
     event_rng,
     event_uniforms,
@@ -108,7 +107,7 @@ class Scenario:
             raise ScenarioError("n_times must be >= 2")
         if self.env_atoms < 0:
             raise ScenarioError("env n_atoms must be >= 0")
-        finite = {"delta_t": self.delta_t, "t_max": self.t_max, "lambda": self.coupling or 0.0,
+        finite = {"delta_t": self.delta_t, "t_max": self.t_max,
                   "env coupling_range": self.env_coupling_range, "amplitudes": amps}
         for name, x in finite.items():
             if not np.all(np.isfinite(x)):
@@ -130,12 +129,16 @@ class Scenario:
         if self.out_format not in ("json", "csv"):
             raise ScenarioError(f"output format must be json or csv, got {self.out_format!r}")
         if self.perception_mode not in ("fire_at_end", "sample"):
-            raise ScenarioError(f"perception_mode must be fire_at_end or sample")
+            raise ScenarioError(
+                f"perception_mode must be fire_at_end or sample, got {self.perception_mode!r}")
         lo, hi = self.env_coupling_range
         if not (0 <= lo <= hi):
             raise ScenarioError("env coupling_range must satisfy 0 <= low <= high")
-        # Constructing the models validates dimension constraints up front.
-        self.model()
+        # Constructing the models validates dimension constraints up front. The
+        # default coupling pi / (2 delta_t) overflows for a subnormal delta_t.
+        coupling = self.model().coupling
+        if not math.isfinite(coupling):
+            raise ScenarioError(f"lambda must be finite, got {coupling!r}")
         # The layout the experiment builds: S x O, S x O x O2 for two_observer,
         # S x O x 2**n_atoms for decohere; the capped shift still exceeds the
         # cap when n_atoms does, without building a huge integer.
@@ -282,7 +285,8 @@ class EventColumns:
 
     Row k is event ``event_ids[k]``; its history is the pairs
     ``(times[k, i], indices[k, i])`` of perceived index j at each timestamp,
-    with timestamps non-decreasing along the row. Every event carries *flags*.
+    with timestamps finite and non-decreasing along the row. Every event
+    carries *flags*.
     """
 
     event_ids: np.ndarray  # (n,)
@@ -291,10 +295,13 @@ class EventColumns:
     flags: tuple = ()
 
     def __post_init__(self):
-        if self.times.shape != self.indices.shape or len(self.times) != len(self.event_ids):
-            raise InvariantError("event columns must have one row per event")
+        if (self.times.shape != self.indices.shape or len(self.times) != len(self.event_ids)
+                or self.times.ndim != 2 or self.times.shape[1] == 0):
+            raise InvariantError("event columns must have one row per event, of >= 1 steps")
         if np.any(np.diff(self.times, axis=1) < 0):
             raise InvariantError("event history timestamps must be non-decreasing")
+        if not np.all(np.isfinite(self.times)):  # emit would write nan where json writes NaN
+            raise InvariantError("event history timestamps must be finite")
 
     def __len__(self):
         return len(self.event_ids)
@@ -716,32 +723,47 @@ def _run_perception_timing(scenario: Scenario):
 
 def emit(summary: RunSummary, records: EventColumns, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
-    re-runs of the same (scenario, seed)."""
-    import os
-
+    re-runs of the same (scenario, seed). The events file has the bytes of
+    ``json.dump(indent=2)`` or ``csv.writer``, written EVENT_BLOCK events at a
+    time from one row template, with each run-constant column formatted in."""
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    n, flags = len(records), list(records.flags)
     if fmt == "csv":
-        events_path = os.path.join(out_dir, "events.csv")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["event_id", "t_perceive", "j", "flags"])
-        writer.writerows(zip(records.event_ids.tolist(), map(repr, records.t_perceive.tolist()),
-                             records.final_j.tolist(), repeat(";".join(records.flags))))
-        with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
+        text = ";".join(flags)
+        if any(c in text for c in ',"\r\n'):  # quoted as csv.QUOTE_MINIMAL does
+            text = '"' + text.replace('"', '""') + '"'
+        start, sep, end = "event_id,t_perceive,j,flags\n", "", ""
+        head, parts = "", [",", records.t_perceive, ",", records.final_j, f",{text}\n"]
     else:
-        events_path = os.path.join(out_dir, "events.json")
-        payload = [
-            {"event_id": eid, "history": [list(step) for step in zip(ts, js)],
-             "flags": list(records.flags)}
-            for eid, ts, js in zip(records.event_ids.tolist(), records.times.tolist(),
-                                   records.indices.tolist())
-        ]
-        with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        start, sep, end = ("[\n", ",\n", "\n]\n") if n else ("[]\n", "", "")
+        head, parts = '  {\n    "event_id": ', [',\n    "history": [']
+        for i, (t, j) in enumerate(zip(records.times.T, records.indices.T)):
+            parts += ["," * (i > 0) + "\n      [\n        ", t, ",\n        ", j, "\n      ]"]
+        text = json.dumps(flags, indent=2).replace("\n", "\n    ")
+        parts.append(f'\n    ],\n    "flags": {text}\n  }}')
+    # A row is head + core % values + tail. Only core, from the event id to the
+    # last column that varies, goes through %, so flag text needs no escaping.
+    core, tail, columns = "%d", "", [records.event_ids]
+    for part in parts:  # template text, or a column; %r is float.__repr__, as json uses
+        if isinstance(part, str):
+            tail += part
+            continue
+        spec = "%r" if part.dtype.kind == "f" else "%d"
+        # -0.0 == 0.0, but the two print differently
+        if n and np.all(part == part[0]) and np.all(np.signbit(part) == np.signbit(part[0])):
+            tail += spec % part[0].item()
+        else:
+            core, tail = core + tail + spec, ""
+            columns.append(part)
+    events_path = os.path.join(out_dir, "events.csv" if fmt == "csv" else "events.json")
+    with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(start)
+        for lo in range(0, n, EVENT_BLOCK):
+            rows = zip(*(c[lo:lo + EVENT_BLOCK].tolist() for c in columns))
+            fh.write(sep * (lo > 0) + head + (tail + sep + head).join(map(core.__mod__, rows)) + tail)
+        fh.write(end)
     return [summary_path, events_path]

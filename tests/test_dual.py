@@ -27,6 +27,7 @@ from dualmeas.dynamics import (
     run_premeasurement,
 )
 from dualmeas.dual import (
+    EVENT_BLOCK,
     DualEventState,
     DualStatisticalState,
     ReductionBaselineState,
@@ -102,6 +103,13 @@ class TestEventRng:
         rows = event_uniforms(seed, n)
         for eid in range(n):
             assert np.array_equal(rows[eid], event_rng(seed, eid).random(4))
+
+    @pytest.mark.parametrize("n", [EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1])
+    def test_blocks_match_event_rng(self, n):
+        rows = event_uniforms(2**64 - 1, n)
+        assert rows.shape == (n, 4)
+        for eid in range(n):
+            assert np.array_equal(rows[eid], event_rng(2**64 - 1, eid).random(4))
 
 
 class TestInitDual:

@@ -2,22 +2,27 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmeas.cli import main
+from dualmeas.core import InvariantError
+from dualmeas.dual import EVENT_BLOCK
 from dualmeas.harness import (
     EXPERIMENTS,
     EventColumns,
+    RunSummary,
     Scenario,
     ScenarioError,
     emit,
@@ -97,10 +102,20 @@ class TestParsing:
 
 class TestEventRecord:
     def test_rejects_decreasing_timestamps(self):
-        from dualmeas.core import InvariantError
-
         with pytest.raises(InvariantError):
             EventColumns(np.array([0]), np.array([[2.0, 1.0]]), np.array([[1, 2]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 0)])
+    def test_rejects_rows_without_steps(self, shape):
+        # t_perceive and final_j read the first and last step of every row.
+        with pytest.raises(InvariantError):
+            EventColumns(np.arange(2), np.zeros(shape), np.zeros(shape, dtype=int))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timestamps(self, t):
+        # emit would write nan/inf where json.dump writes NaN/Infinity.
+        with pytest.raises(InvariantError):
+            EventColumns(np.array([0, 1]), np.array([[1.0], [t]]), np.array([[1], [2]]))
 
     def test_properties(self):
         rec = EventColumns(np.array([0]), np.array([[1.0, 2.0, 3.0]]), np.array([[1, 0, 2]]))
@@ -166,6 +181,27 @@ class TestRunner:
         assert len(summary.offdiag_curve["times"]) == 10
 
 
+def _per_event_dump(records: EventColumns, fmt: str) -> str:
+    """The events file from one dict per event through ``json.dump(indent=2)``,
+    or one ``csv.writer`` row per event: the reference for emit's writer."""
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["event_id", "t_perceive", "j", "flags"])
+        writer.writerows(zip(records.event_ids.tolist(), map(repr, records.t_perceive.tolist()),
+                             records.final_j.tolist(), repeat(";".join(records.flags))))
+    else:
+        payload = [
+            {"event_id": eid, "history": [list(step) for step in zip(ts, js)],
+             "flags": list(records.flags)}
+            for eid, ts, js in zip(records.event_ids.tolist(), records.times.tolist(),
+                                   records.indices.tolist())
+        ]
+        json.dump(payload, buf, indent=2)
+        buf.write("\n")
+    return buf.getvalue()
+
+
 class TestEmission:
     def test_byte_identical_across_reruns(self, tmp_path):
         sc = parse_scenario(MINIMAL)
@@ -185,6 +221,40 @@ class TestEmission:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[2] in ("1", "2")
+
+    @given(
+        n=st.one_of(st.sampled_from([0, 1, EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1,
+                                     2 * EVENT_BLOCK + 1]), st.integers(0, 40)),
+        constant=st.lists(st.booleans(), min_size=3, max_size=3),
+        floats=st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2])
+                        | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        k=st.integers(1, 3),
+        flags=st.sampled_from([(), ("undo",), ("a", "b"), ("50%", 'x,"y"')]),
+        fmt=st.sampled_from(["json", "csv"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2 * EVENT_BLOCK + 1, constant=[False, True, False], floats=[0.5, 1e300], k=3,
+             flags=("undo",), fmt="json", seed=0)
+    @example(n=2 * EVENT_BLOCK + 1, constant=[False] * 3, floats=[0.1 + 0.2, 5e-324], k=1,
+             flags=("a", "b"), fmt="csv", seed=0)
+    @example(n=8, constant=[False] * 3, floats=[-0.0, 0.0], k=2, flags=(), fmt="json", seed=0)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_blockwise_writer_matches_per_event_dump(self, n, constant, floats, k, flags, fmt,
+                                                     seed):
+        # Explicit examples pin three blocks in each format and a column
+        # that mixes 0.0 and -0.0, which compare equal but print differently.
+        rng = np.random.default_rng(seed)
+
+        def columns(pool):  # k columns, each one value repeated or one value per event
+            return np.stack([np.resize(rng.choice(pool, 1 if c else n), n) for c in constant[:k]],
+                            axis=1)
+
+        times = np.maximum.accumulate(columns(floats), axis=1)  # non-decreasing histories
+        records = EventColumns(np.arange(n), times, columns([-1, 0, 2, 2**40]), flags)
+        summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
+        with tempfile.TemporaryDirectory() as tmp:
+            _, events_path = emit(summary, records, tmp, fmt=fmt)
+            assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
 
     def test_summary_json_is_sorted_and_loadable(self, tmp_path):
         summary, records = run(parse_scenario(MINIMAL))
@@ -261,6 +331,7 @@ class TestCli:
             MINIMAL + "o_dim: 3.9\n",
             MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 1.5}\n",
             MINIMAL.replace("premeasure", "decohere") + "n_times: 10.5\n",
+            MINIMAL + "delta_t: 1.0e-320\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -269,7 +340,7 @@ class TestCli:
             "delta_t_inf", "t_max_nan", "lambda_inf", "coupling_range_inf", "coupling_range_nan",
             "amplitude_nan", "two_observer_over_dense_cap", "o_dim_over_dense_cap",
             "delta_t_zero", "n_events_fraction", "n_events_bool", "s_dim_fraction",
-            "o_dim_fraction", "n_atoms_fraction", "n_times_fraction",
+            "o_dim_fraction", "n_atoms_fraction", "n_times_fraction", "delta_t_subnormal",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
