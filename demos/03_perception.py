@@ -1,9 +1,9 @@
-"""Dual event-states: one definite outcome per event, no collapse anywhere.
+"""The dual state: one definite outcome per event, no collapse anywhere.
 
-Each event carries a dynamical density matrix (always unitary) and a private
-perception record drawn once from the pointer weights. Sampling many events
-reproduces the Born frequencies; the perception-time density shows when
-inside the measurement window the record fires.
+All events share one dynamical density matrix (always unitary); each event
+holds a private perception record drawn once from the pointer weights.
+Sampling many events reproduces the Born frequencies; the perception-time
+density shows when inside the measurement window the record fires.
 """
 
 import math
@@ -11,13 +11,11 @@ import math
 import numpy as np
 
 from dualmeas import (
+    DualState,
     MeasurementModel,
     StateVector,
     build_meas_hamiltonian,
-    event_rng,
-    evolve_event,
-    init_dual,
-    perceive,
+    event_uniforms,
     perception_time_pdf,
     tensor_compose,
 )
@@ -33,13 +31,9 @@ rho0 = tensor_compose([
 ]).to_density()
 h = build_meas_hamiltonian(model, layout)
 
-seed = 7
-counts = np.zeros(model.o_dim, dtype=int)
-for eid in range(2000):
-    ev = init_dual(rho0, event_id=eid)
-    ev, _ = evolve_event(ev, h, model.duration)
-    ev = perceive(ev, event_rng(seed, eid))
-    counts[ev.phi_i] += 1
+seed, n = 7, 2000
+state = DualState(rho0, n).evolve(h, model.duration).perceive(event_uniforms(seed, n)[:, 0])
+counts = np.bincount(state.final_j, minlength=model.o_dim)
 print("perceived-index frequencies:", np.round(counts / counts.sum(), 4))
 print("Born weights:               ", [0.0, 0.3, 0.7])
 

@@ -27,6 +27,5 @@ print(f"agreement rate:         {summary.correlations['agreement_rate']:.4f}")
 print(f"interference at t1<t<t2: {summary.b_values['between_measurements']:.6f}")
 print(f"pure-state value 2|a1 a2|: {2 * math.sqrt(0.3 * 0.7):.6f}")
 print("first few joint records (t, perceived j):")
-ids, times, indices = records.event_ids[:5].tolist(), records.times.tolist(), records.indices.tolist()
-for eid, ts, js in zip(ids, times, indices):
-    print(f"  event {eid}: {list(zip(ts, js))}")
+for eid in range(5):
+    print(f"  event {eid}: {[(t, int(js[eid])) for t, js in records.steps]}")

@@ -43,19 +43,14 @@ from .restriction import (
     restricted_state,
 )
 from .dual import (
-    DualEventState,
-    DualStatisticalState,
+    DualState,
     ReductionBaselineState,
-    evolve_event,
     event_rng,
     event_uniforms,
-    init_dual,
     jump_forbidden,
-    perceive,
     perception_time_pdf,
     reduction_baseline,
     sample_perception_time,
-    undo_dual,
 )
 from .interference import (
     InterferenceObservable,
@@ -64,7 +59,6 @@ from .interference import (
     pointer_incompatibility,
 )
 from .harness import (
-    EventColumns,
     RunSummary,
     Scenario,
     ScenarioError,

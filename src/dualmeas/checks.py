@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .core import CompositeLayout, StateVector
-from .dual import DualEventState, jump_forbidden
+from .core import CompositeLayout, LinearOperator, StateVector
+from .dual import jump_forbidden
 from .dynamics import MeasurementModel, S_LABEL, run_premeasurement
 from .harness import Scenario, run
 from .interference import interference_operator, pointer_incompatibility
@@ -53,8 +53,7 @@ def run_all(verbose=True) -> bool:
     model = MeasurementModel.calibrated()
     psi = StateVector(CompositeLayout(((S_LABEL, 2),)), np.array([SQ03, SQ07], complex))
     post = run_premeasurement(psi, model)
-    ev = DualEventState(phi_d=post.to_density(), phi_i=1, clock=model.duration)
-    forbidden, _ = jump_forbidden(ev, _diagonal_h(post.layout), 1.0)
+    forbidden, _ = jump_forbidden(_diagonal_h(post.layout), 1.0)
     results.append(("no-jump rule holds for a branch-preserving generator", forbidden, None))
 
     b = interference_operator(post.layout)
@@ -75,7 +74,5 @@ def run_all(verbose=True) -> bool:
 
 def _diagonal_h(layout):
     """Branch-preserving generator: diagonal in the joint pointer basis."""
-    from .core import LinearOperator
-
     n = layout.total_dim
     return LinearOperator(layout, np.diag(np.arange(n, dtype=complex)))

@@ -1,13 +1,13 @@
-"""Dual event-states: unitary dynamics paired with stochastic perception.
+"""The dual state L_T = H (x) L_V: unitary dynamics paired with perception.
 
-An event-state carries two components. The dynamical component is an
-ordinary density matrix that always evolves unitarily, including through a
-measurement; the perception component is a single pointer-basis index drawn
-per event from the dynamical weights. Perception never back-reacts on the
-dynamical component, so an external observer sees unbroken Schrodinger
-evolution while the internal observer registers one definite outcome per
-event. A textbook collapse comparator (`reduction_baseline`) is provided for
-the experiments that discriminate the two.
+The dynamical component is one state in H, shared by every event of an
+ensemble, that always evolves unitarily, including through a measurement.
+The perception component is, per event, a pointer-basis index drawn from the
+dynamical weights: the record V^O = |O_j><O_j| in L_V. Perception never
+back-reacts on the dynamical component, so an external observer sees unbroken
+Schrodinger evolution while the internal observer registers one definite
+outcome per event. A textbook collapse comparator (`reduction_baseline`) is
+provided for the experiments that discriminate the two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     CompositeLayout,
     DensityMatrix,
     InvariantError,
-    LayoutError,
     LinearOperator,
     StateVector,
     evolve_unitary,
@@ -104,54 +103,6 @@ def event_uniforms(seed: int, n_events: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DualEventState:
-    """One event: dynamical density matrix + perception record.
-
-    ``phi_i`` indexes the observer pointer basis; 0 means "no information"
-    (the ready state). The dynamical component ``phi_d`` is never collapsed.
-    """
-
-    phi_d: DensityMatrix
-    phi_i: int
-    event_id: int = 0
-    clock: float = 0.0
-
-    def __post_init__(self):
-        o_dim = self.phi_d.layout.dim(O_LABEL)
-        if not 0 <= self.phi_i < o_dim:
-            raise InvariantError(f"perception index {self.phi_i} outside pointer basis 0..{o_dim - 1}")
-
-    def perception_weights(self) -> np.ndarray:
-        """P_j = Tr(P_j phi_d) over the pointer basis, clipped and renormalized."""
-        return branch_weights(self.phi_d)
-
-
-@dataclass(frozen=True)
-class DualStatisticalState:
-    """Ensemble-level pair: statistical state + perception probability mixture."""
-
-    eta_d: DensityMatrix
-    perception_probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.perception_probs, dtype=float)
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "perception_probs", p)
-        o_dim = self.eta_d.layout.dim(O_LABEL)
-        if p.shape != (o_dim,):
-            raise InvariantError(f"perception_probs length {p.shape} != observer dim {o_dim}")
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-12:
-            raise InvariantError("perception probabilities must be nonnegative and sum to 1")
-        if np.max(np.abs(branch_weights(self.eta_d) - p)) > 1e-10:
-            raise InvariantError("perception_probs inconsistent with Tr(P_j eta_d)")
-
-    @classmethod
-    def from_density(cls, eta_d: DensityMatrix) -> "DualStatisticalState":
-        return cls(eta_d, branch_weights(eta_d))
-
-
-@dataclass(frozen=True)
 class ReductionBaselineState:
     """Textbook collapse comparator: the system is irreversibly projected."""
 
@@ -164,31 +115,6 @@ class ReductionBaselineState:
         expected[self.collapsed_index - 1] = 1.0
         if np.max(np.abs(np.abs(amps) - np.abs(expected))) > 1e-12:
             raise InvariantError("s_state must be the eigenstate matching collapsed_index")
-
-
-def init_dual(rho0: DensityMatrix, event_id=0) -> DualEventState:
-    """Start an event with the observer in its ready state and no information."""
-    ready_weight = branch_weights(rho0)[0]
-    if ready_weight < 1.0 - READY_WEIGHT_TOL:
-        raise InvariantError(
-            f"observer must start in the ready state (weight {ready_weight:.3g} < 1)"
-        )
-    return DualEventState(phi_d=rho0, phi_i=0, event_id=event_id, clock=0.0)
-
-
-def perceive(event: DualEventState, rng: np.random.Generator) -> DualEventState:
-    """Draw the perception record from the dynamical pointer weights.
-
-    The dynamical component is left untouched: only the observer's private
-    record changes. Requires the measurement to have completed (no residual
-    ready-state weight).
-    """
-    w = event.perception_weights()
-    if w[0] > READY_WEIGHT_TOL:
-        raise InvariantError(
-            f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}"
-        )
-    return replace(event, phi_i=int(draw_index(w, rng.random())))
 
 
 @dataclass(frozen=True)
@@ -246,69 +172,115 @@ def sample_perception_time(pdf: PerceptionTimePdf, u):
     return np.interp(u, cdf, t)
 
 
-def jump_forbidden(event: DualEventState, H: LinearOperator, t: float):
+def jump_forbidden(H: LinearOperator, t: float):
     """No-spontaneous-jump rule between post-measurement branches.
 
     Computes the transition matrix P'_ij = |<Psi_i| U(t) |Psi_j>|^2 over the
-    branch states |s_i>|O_i>. Returns ``(forbidden, P')`` where forbidden is
-    True iff every off-diagonal entry vanishes, in which case the perception
-    record must be held fixed through the evolution.
+    branch states |s_i>|O_i> of the generator's layout. Returns
+    ``(forbidden, P')`` where forbidden is True iff every off-diagonal entry
+    vanishes, in which case the perception records must be held fixed.
     """
-    layout = event.phi_d.layout
-    if H.layout != layout:
-        raise LayoutError("generator layout differs from the event state")
-    s_dim = layout.dim(S_LABEL)
-    u = H.unitary_at(t)
-    branches = [branch_state(layout, i).amplitudes for i in range(1, s_dim + 1)]
-    p = np.empty((s_dim, s_dim))
-    for a, bra in enumerate(branches):
-        for b, ket in enumerate(branches):
-            p[a, b] = abs(np.vdot(bra, u @ ket)) ** 2
-    offdiag = p - np.diag(np.diag(p))
-    return bool(np.max(offdiag) <= JUMP_TOL), p
+    layout = H.layout
+    branches = np.array([branch_state(layout, i).amplitudes
+                         for i in range(1, layout.dim(S_LABEL) + 1)])
+    p = np.abs(branches.conj() @ H.unitary_at(t) @ branches.T) ** 2
+    return bool(np.max(p - np.diag(np.diag(p))) <= JUMP_TOL), p
 
 
-def evolve_event(event: DualEventState, H: LinearOperator, t: float, rng=None):
-    """Advance one event; the perception record obeys the no-jump rule.
+@dataclass(frozen=True)
+class DualState:
+    """The dual state of ``n_events`` events: one dynamical state, per-event records.
 
-    Returns ``(event, flags)``. If the record is set and the evolution mixes
-    branches, the record is resampled from the post-evolution weights using
-    *rng* and the event is flagged "re-perception" (treated as a fresh
-    effective measurement).
+    ``phi_d``, a StateVector or DensityMatrix at time ``clock``, is shared by
+    every event and never collapsed. Each event's history is the record
+    steps ``(t, j)``: pointer index j perceived at time t, each of t and j
+    one scalar shared by every event or an ``(n_events,)`` column. Index 0
+    means "no information" (the ready state), as it does before the first
+    step. Every event carries *flags*.
     """
-    flags = []
-    phi_d = evolve_unitary(event.phi_d, H, t)
-    out = replace(event, phi_d=phi_d, clock=event.clock + t)
-    if event.phi_i != 0:
-        forbidden, _ = jump_forbidden(event, H, t)
-        if not forbidden:
-            if rng is None:
-                raise InvariantError(
-                    "branch-mixing evolution with a set perception record needs an rng "
-                    "to resample the record"
-                )
-            out = perceive(out, rng)
-            flags.append("re-perception")
-    return out, flags
 
+    phi_d: StateVector | DensityMatrix
+    n_events: int
+    clock: float = 0.0
+    flags: tuple = ()
+    steps: tuple = ()
 
-def undo_dual(event: DualEventState, model: MeasurementModel) -> DualEventState:
-    """Exact reversal of the measurement: dynamics rewound, record erased.
+    @property
+    def t_perceive(self):
+        """Time of each event's first record."""
+        return self.steps[0][0]
 
-    A later re-measurement draws a fresh record statistically independent of
-    the erased one; this is where the dual model departs from the textbook
-    collapse comparator.
-    """
-    if event.phi_i == 0:
-        raise InvariantError("nothing to undo: no perception record is set")
-    h = build_meas_hamiltonian(model, event.phi_d.layout)
-    phi_d = reverse_evolution(event.phi_d, h, model.duration)
-    if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
-        raise InvariantError(
-            "reversal did not return the observer to its ready state; "
-            "the event state was not a post-measurement state of this model"
-        )
-    return replace(event, phi_d=phi_d, phi_i=0, clock=event.clock + model.duration)
+    @property
+    def final_j(self):
+        """Each event's current record: 0 (no information) before the first step."""
+        return self.steps[-1][1] if self.steps else 0
+
+    def record(self, t, j) -> DualState:
+        """Append the step (t, j) to every event's history."""
+        if any(np.shape(x) not in ((), (self.n_events,)) for x in (t, j)):
+            raise InvariantError(f"a record step is one value or one per event ({self.n_events})")
+        if not np.all(np.isfinite(t)):  # emit would write nan where json writes NaN
+            raise InvariantError("event history timestamps must be finite")
+        if self.steps and np.any(t < self.steps[-1][0]):
+            raise InvariantError("event history timestamps must be non-decreasing")
+        o_dim = self.phi_d.layout.dim(O_LABEL)
+        if np.any(j < 0) or np.any(j >= o_dim):
+            raise InvariantError(f"perception index outside pointer basis 0..{o_dim - 1}")
+        return replace(self, steps=self.steps + ((t, j),))
+
+    def perceive(self, u, t=None) -> DualState:
+        """Record, at time *t* (default: the clock), one draw from the pointer
+        weights of ``phi_d`` per uniform in *u*, a scalar or a column.
+
+        The dynamical component is left untouched: only the observers'
+        private records change. Requires the measurement to have completed
+        (no residual ready-state weight).
+        """
+        w = branch_weights(self.phi_d)
+        if w[0] > READY_WEIGHT_TOL:
+            raise InvariantError(
+                f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}"
+            )
+        return self.record(self.clock if t is None else t, draw_index(w, u))
+
+    def evolve(self, H: LinearOperator, t: float, u=None) -> DualState:
+        """Advance ``phi_d`` by exp(-iHt); the records obey the no-jump rule.
+
+        If a record is set and the evolution mixes branches, every record is
+        redrawn from the post-evolution weights with the uniforms *u*, and
+        the events are flagged "re-perception" (a fresh effective
+        measurement).
+        """
+        out = replace(self, phi_d=evolve_unitary(self.phi_d, H, t), clock=self.clock + t)
+        if not np.any(self.final_j) or jump_forbidden(H, t)[0]:
+            return out
+        if u is None:
+            raise InvariantError(
+                "branch-mixing evolution with a set perception record needs uniforms "
+                "to redraw the record"
+            )
+        return replace(out, flags=out.flags + ("re-perception",)).perceive(u)
+
+    def undo(self, model: MeasurementModel) -> DualState:
+        """Exact reversal of the measurement: dynamics rewound, records erased
+        (the step ``(clock, 0)``), events flagged "undo".
+
+        A later re-measurement draws fresh records statistically independent
+        of the erased ones; this is where the dual model departs from the
+        textbook collapse comparator.
+        """
+        if not np.any(self.final_j):
+            raise InvariantError("nothing to undo: no perception record is set")
+        h = build_meas_hamiltonian(model, self.phi_d.layout)
+        phi_d = reverse_evolution(self.phi_d, h, model.duration)
+        if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
+            raise InvariantError(
+                "reversal did not return the observer to its ready state; "
+                "the state was not a post-measurement state of this model"
+            )
+        out = replace(self, phi_d=phi_d, clock=self.clock + model.duration,
+                      flags=self.flags + ("undo",))
+        return out.record(out.clock, 0)
 
 
 def reduction_baseline(psi_s: StateVector, rng: np.random.Generator) -> ReductionBaselineState:

@@ -33,6 +33,7 @@ from .core import (
 )
 from .dual import (
     EVENT_BLOCK,
+    DualState,
     draw_index,
     event_rng,
     event_uniforms,
@@ -50,7 +51,6 @@ from .dynamics import (
     build_meas_hamiltonian,
     decoherence_layout,
     offdiag_suppression,
-    reverse_evolution,
     run_decoherence,
     run_premeasurement,
 )
@@ -279,42 +279,6 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
-@dataclass(frozen=True)
-class EventColumns:
-    """Per-event outcome logs of one run, stored as columns.
-
-    Row k is event ``event_ids[k]``; its history is the pairs
-    ``(times[k, i], indices[k, i])`` of perceived index j at each timestamp,
-    with timestamps finite and non-decreasing along the row. Every event
-    carries *flags*.
-    """
-
-    event_ids: np.ndarray  # (n,)
-    times: np.ndarray  # (n, k)
-    indices: np.ndarray  # (n, k)
-    flags: tuple = ()
-
-    def __post_init__(self):
-        if (self.times.shape != self.indices.shape or len(self.times) != len(self.event_ids)
-                or self.times.ndim != 2 or self.times.shape[1] == 0):
-            raise InvariantError("event columns must have one row per event, of >= 1 steps")
-        if np.any(np.diff(self.times, axis=1) < 0):
-            raise InvariantError("event history timestamps must be non-decreasing")
-        if not np.all(np.isfinite(self.times)):  # emit would write nan where json writes NaN
-            raise InvariantError("event history timestamps must be finite")
-
-    def __len__(self):
-        return len(self.event_ids)
-
-    @property
-    def t_perceive(self) -> np.ndarray:
-        return self.times[:, 0]
-
-    @property
-    def final_j(self) -> np.ndarray:
-        return self.indices[:, -1]
-
-
 @dataclass
 class RunSummary:
     """Aggregate results plus the per-scenario physics checks."""
@@ -385,7 +349,7 @@ def _correlation(a, b):
 
 
 def run(scenario: Scenario):
-    """Execute one scenario; returns ``(RunSummary, EventColumns)``.
+    """Execute one scenario; returns ``(RunSummary, DualState)``.
 
     Deterministic given (scenario, seed): every random draw comes from a
     counter-based substream keyed by the seed and the event id.
@@ -409,15 +373,6 @@ def run(scenario: Scenario):
         **fields,
     )
     return summary, records
-
-
-def _columns(scenario: Scenario, history, flags=()) -> EventColumns:
-    """Records of every event from history steps ``(t, j)``; each entry is a
-    per-event column or one value shared by all events."""
-    n = scenario.n_events
-    times, indices = (np.column_stack([np.broadcast_to(step[i], n) for step in history])
-                      for i in (0, 1))
-    return EventColumns(np.arange(n), times, indices, tuple(flags))
 
 
 def _matched_mixture(scenario: Scenario) -> DensityMatrix:
@@ -453,10 +408,9 @@ def _run_premeasure(scenario: Scenario):
         pdf = perception_time_pdf(model, scenario.amplitudes, grid)
 
     u = event_uniforms(scenario.seed, scenario.n_events)
-    j = draw_index(weights, u[:, 0])
-    t_p = sample_perception_time(pdf, u[:, 1]) if pdf is not None else scenario.delta_t
-    records = _columns(scenario, [(t_p, j)])
-    freqs = _frequencies(j, model.o_dim, scenario.n_events)
+    t_p = sample_perception_time(pdf, u[:, 1]) if pdf is not None else None
+    records = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0], t=t_p)
+    freqs = _frequencies(records.final_j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -489,24 +443,19 @@ def _run_premeasure(scenario: Scenario):
 
 def _run_undo(scenario: Scenario):
     model = scenario.model()
-    psi_s = scenario.system_state()
-    psi = run_premeasurement(psi_s, model)
+    psi = run_premeasurement(scenario.system_state(), model)
     ready = np.eye(model.o_dim, 1, dtype=complex).ravel()
     rho0 = StateVector(psi.layout, np.kron(scenario.amplitudes, ready)).to_density()
-    h = build_meas_hamiltonian(model, psi.layout)
-    rho_undone = reverse_evolution(psi, h, model.duration).to_density()
-    recovery = trace_distance(rho_undone, rho0)
-
-    # Perception never back-reacts, so the dynamical chain is shared by all
-    # events; only the two perception draws differ. They consume the stream as
-    # dual.init_dual -> evolve_event -> perceive -> undo_dual -> evolve_event
-    # -> perceive does, which tests hold as the reference.
     weights = branch_weights(psi)
-    t1 = scenario.delta_t
-    t2 = 3.0 * scenario.delta_t  # measure, reverse, re-measure
+
+    # Measure, reverse, re-measure. Perception never back-reacts, so the
+    # dynamical chain is shared by all events; only the two draws differ.
     u = event_uniforms(scenario.seed, scenario.n_events)
-    old_dual, new_dual = draw_index(weights, u[:, 0]), draw_index(weights, u[:, 1])
-    records = _columns(scenario, [(t1, old_dual), (2 * t1, 0), (t2, new_dual)], flags=("undo",))
+    undone = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0]).undo(model)
+    recovery = trace_distance(undone.phi_d.to_density(), rho0)
+    h = build_meas_hamiltonian(model, psi.layout)
+    records = undone.evolve(h, model.duration).perceive(u[:, 1])
+    old_dual, new_dual = records.steps[0][1], records.final_j
 
     corr_dual = _correlation(old_dual, new_dual)
     # Textbook collapse (dual.reduction_baseline): undoing erases the record,
@@ -583,12 +532,12 @@ def _run_two_observer(scenario: Scenario):
     for j1 in np.unique(js1):
         row, events = joint[j1], js1 == j1
         js2[events] = draw_index(row / row.sum(), u[events, 1])
-    records = _columns(scenario, [(t1, js1), (t2, js2)])
+    records = DualState(psi_t2, scenario.n_events, clock=t2).record(t1, js1).record(t2, js2)
     agree = int(np.sum(js1 == js2))
 
     freqs = _frequencies(js1, o_dim, scenario.n_events)
     a = scenario.amplitudes
-    floor = 2.0 * abs(a[0] * a[1]) - 1e-10 if model.s_dim >= 2 else 0.0
+    floor = 2.0 * abs(a[0] * a[1]) - 1e-10
     checks = [
         {
             "name": "second observer's perceived index equals the first's in every event",
@@ -641,9 +590,9 @@ def _run_decohere(scenario: Scenario):
 
     # Perception statistics are untouched by dephasing.
     weights = branch_weights(psi_full)
-    j = draw_index(weights, event_uniforms(scenario.seed, scenario.n_events)[:, 0])
-    records = _columns(scenario, [(scenario.delta_t, j)])
-    freqs = _frequencies(j, model.o_dim, scenario.n_events)
+    u = event_uniforms(scenario.seed, scenario.n_events)
+    records = DualState(psi_full, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0])
+    freqs = _frequencies(records.final_j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -695,12 +644,13 @@ def _run_perception_timing(scenario: Scenario):
     grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
     integral = float(simpson(pdf.density, x=pdf.times))
-    weights = branch_weights(run_premeasurement(scenario.system_state(), model))
+    psi = run_premeasurement(scenario.system_state(), model)
+    weights = branch_weights(psi)
 
     u = event_uniforms(scenario.seed, scenario.n_events)
-    j = draw_index(weights, u[:, 0])
-    records = _columns(scenario, [(sample_perception_time(pdf, u[:, 1]), j)])
-    freqs = _frequencies(j, model.o_dim, scenario.n_events)
+    t_p = sample_perception_time(pdf, u[:, 1])
+    records = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0], t=t_p)
+    freqs = _frequencies(records.final_j, model.o_dim, scenario.n_events)
 
     checks = [
         {
@@ -721,17 +671,19 @@ def _run_perception_timing(scenario: Scenario):
     ), records
 
 
-def emit(summary: RunSummary, records: EventColumns, out_dir, fmt="json"):
+def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
     re-runs of the same (scenario, seed). The events file has the bytes of
     ``json.dump(indent=2)`` or ``csv.writer``, written EVENT_BLOCK events at a
-    time from one row template, with each run-constant column formatted in."""
+    time from one row template, with every scalar step formatted in."""
+    if not records.steps:
+        raise InvariantError("an event record needs at least one step")
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    n, flags = len(records), list(records.flags)
+    n, flags = records.n_events, list(records.flags)
     if fmt == "csv":
         text = ";".join(flags)
         if any(c in text for c in ',"\r\n'):  # quoted as csv.QUOTE_MINIMAL does
@@ -741,21 +693,21 @@ def emit(summary: RunSummary, records: EventColumns, out_dir, fmt="json"):
     else:
         start, sep, end = ("[\n", ",\n", "\n]\n") if n else ("[]\n", "", "")
         head, parts = '  {\n    "event_id": ', [',\n    "history": [']
-        for i, (t, j) in enumerate(zip(records.times.T, records.indices.T)):
+        for i, (t, j) in enumerate(records.steps):
             parts += ["," * (i > 0) + "\n      [\n        ", t, ",\n        ", j, "\n      ]"]
         text = json.dumps(flags, indent=2).replace("\n", "\n    ")
         parts.append(f'\n    ],\n    "flags": {text}\n  }}')
     # A row is head + core % values + tail. Only core, from the event id to the
-    # last column that varies, goes through %, so flag text needs no escaping.
-    core, tail, columns = "%d", "", [records.event_ids]
-    for part in parts:  # template text, or a column; %r is float.__repr__, as json uses
+    # last column, goes through %, so flag text needs no escaping.
+    core, tail, columns = "%d", "", []
+    for part in parts:  # template text, a scalar step or a column
         if isinstance(part, str):
             tail += part
             continue
-        spec = "%r" if part.dtype.kind == "f" else "%d"
-        # -0.0 == 0.0, but the two print differently
-        if n and np.all(part == part[0]) and np.all(np.signbit(part) == np.signbit(part[0])):
-            tail += spec % part[0].item()
+        part = np.asarray(part)
+        spec = "%r" if part.dtype.kind == "f" else "%d"  # %r is float.__repr__, as json uses
+        if part.ndim == 0:
+            tail += spec % part.item()
         else:
             core, tail = core + tail + spec, ""
             columns.append(part)
@@ -763,7 +715,8 @@ def emit(summary: RunSummary, records: EventColumns, out_dir, fmt="json"):
     with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(start)
         for lo in range(0, n, EVENT_BLOCK):
-            rows = zip(*(c[lo:lo + EVENT_BLOCK].tolist() for c in columns))
+            hi = min(lo + EVENT_BLOCK, n)
+            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
             fh.write(sep * (lo > 0) + head + (tail + sep + head).join(map(core.__mod__, rows)) + tail)
         fh.write(end)
     return [summary_path, events_path]

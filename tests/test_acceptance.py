@@ -17,13 +17,7 @@ from dualmeas.core import (
     evolve_unitary,
     tensor_compose,
 )
-from dualmeas.dual import (
-    DualEventState,
-    event_rng,
-    evolve_event,
-    perceive,
-    perception_time_pdf,
-)
+from dualmeas.dual import DualState, event_uniforms, perception_time_pdf
 from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
@@ -162,7 +156,7 @@ def test_criterion_7_two_observer_agreement(capsys):
     floor = 2.0 * abs(AMPS[0] * AMPS[1]) - 1e-10
     ok = rate == 1.0 and b_mid >= floor
     _report(capsys, 7, "two-observer agreement with intact coherence", ok,
-            f"agreement={rate:.4f} over {len(records)} events, "
+            f"agreement={rate:.4f} over {records.n_events} events, "
             f"b_mid={b_mid:.6f} >= {floor:.6f}")
 
 
@@ -192,8 +186,8 @@ def test_criterion_8_conservation_suite(capsys):
 
     # eigenstate inputs perceive deterministically
     psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), (0.0, 1.0)), model)
-    post = DualEventState(phi_d=psi.to_density(), phi_i=0, clock=model.duration)
-    deterministic = all(perceive(post, event_rng(SEED, k)).phi_i == 2 for k in range(100))
+    post = DualState(psi.to_density(), 100, clock=model.duration)
+    deterministic = bool(np.all(post.perceive(event_uniforms(SEED, 100)[:, 0]).final_j == 2))
     ok = ok and deterministic
     details.append(f"eigenstate deterministic={deterministic}")
     _report(capsys, 8, "conservation and calibration invariants", ok, ", ".join(details))
@@ -204,15 +198,12 @@ def test_criterion_9_no_jump_rule(capsys):
     layout = model.so_layout()
     psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), AMPS), model)
     h_hold = LinearOperator(layout, embed(layout, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
-    ok = True
-    for eid in range(20):
-        ev = DualEventState(phi_d=psi.to_density(), phi_i=0, event_id=eid,
-                            clock=model.duration)
-        ev = perceive(ev, event_rng(SEED, eid))
-        j0 = ev.phi_i
-        for _ in range(100):
-            ev, flags = evolve_event(ev, h_hold, 0.05)
-            ok = ok and ev.phi_i == j0 and not flags
+    state = DualState(psi.to_density(), 20, clock=model.duration)
+    state = state.perceive(event_uniforms(SEED, 20)[:, 0])
+    steps, ok = state.steps, True
+    for _ in range(100):
+        state = state.evolve(h_hold, 0.05)
+        ok = ok and state.steps is steps and not state.flags
     _report(capsys, 9, "perception record constant under branch-preserving evolution", ok,
             "20 events x 100 steps")
 

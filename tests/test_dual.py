@@ -1,4 +1,4 @@
-"""Tests for the dual event-state layer: perception sampling, timing, undo."""
+"""Tests for the dual state: perception sampling, timing, the no-jump rule, undo."""
 
 import math
 
@@ -23,25 +23,21 @@ from dualmeas.dynamics import (
     S_LABEL,
     MeasurementModel,
     branch_state,
+    branch_weights,
     build_meas_hamiltonian,
     run_premeasurement,
 )
 from dualmeas.dual import (
     EVENT_BLOCK,
-    DualEventState,
-    DualStatisticalState,
+    DualState,
     ReductionBaselineState,
     draw_index,
     event_rng,
     event_uniforms,
-    evolve_event,
-    init_dual,
     jump_forbidden,
-    perceive,
     perception_time_pdf,
     reduction_baseline,
     sample_perception_time,
-    undo_dual,
 )
 from dualmeas.harness import Scenario, run
 
@@ -56,12 +52,10 @@ def ready_density(amplitudes=AMPS, model=MODEL):
     return tensor_compose([psi_s, o_ready]).to_density()
 
 
-def measured_event(amplitudes=AMPS, event_id=0):
+def measured(amplitudes=AMPS, n=1):
+    """The post-measurement dual state of *n* events, before any record."""
     psi_s = StateVector.from_amplitudes(MODEL.s_layout(), amplitudes)
-    psi = run_premeasurement(psi_s, MODEL)
-    ev = init_dual(ready_density(amplitudes), event_id=event_id)
-    return DualEventState(phi_d=psi.to_density(), phi_i=ev.phi_i,
-                          event_id=event_id, clock=MODEL.duration)
+    return DualState(run_premeasurement(psi_s, MODEL).to_density(), n, clock=MODEL.duration)
 
 
 class TestDrawIndex:
@@ -113,90 +107,73 @@ class TestEventRng:
 
 
 class TestInitDual:
-    def test_ready_start_accepted(self):
-        ev = init_dual(ready_density())
-        assert ev.phi_i == 0
-        assert ev.clock == 0.0
+    """A fresh dual state holds no information until its first record."""
 
-    def test_rejects_excited_observer(self):
-        psi = tensor_compose([
-            StateVector.from_amplitudes(MODEL.s_layout(), AMPS),
-            StateVector.basis(CompositeLayout(((O_LABEL, 3),)), {O_LABEL: 1}),
-        ])
-        with pytest.raises(InvariantError):
-            init_dual(psi.to_density())
+    def test_ready_start_accepted(self):
+        state = DualState(ready_density(), 1)
+        assert state.final_j == 0 and state.steps == ()
+        assert state.clock == 0.0
 
     def test_rejects_out_of_range_record(self):
         with pytest.raises(InvariantError):
-            DualEventState(phi_d=ready_density(), phi_i=3)
-
-
-def evolve_statistical(theta, h, t):
-    """Unitary evolution of the statistical component, probabilities recomputed."""
-    return DualStatisticalState.from_density(evolve_unitary(theta.eta_d, h, t))
+            DualState(ready_density(), 1).record(0.0, 3)
 
 
 class TestStatisticalEvolution:
+    """The ensemble's perception probabilities are the pointer weights of the
+    unitarily evolved statistical state."""
+
     def test_system_only_generator_keeps_probs_fixed(self):
-        theta = DualStatisticalState.from_density(ready_density())
         h_s = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = LinearOperator(SO, embed(SO, {S_LABEL: h_s}))
-        out = evolve_statistical(theta, h, 0.7)
-        assert np.allclose(out.perception_probs, theta.perception_probs, atol=1e-12)
+        out = evolve_unitary(ready_density(), h, 0.7)
+        assert np.allclose(branch_weights(out), branch_weights(ready_density()), atol=1e-12)
 
     def test_full_measurement_transfers_weights(self):
-        theta = DualStatisticalState.from_density(ready_density())
         h = build_meas_hamiltonian(MODEL, SO)
-        out = evolve_statistical(theta, h, MODEL.duration)
-        assert np.allclose(out.perception_probs, [0.0, 0.3, 0.7], atol=1e-12)
+        out = evolve_unitary(ready_density(), h, MODEL.duration)
+        assert np.allclose(branch_weights(out), [0.0, 0.3, 0.7], atol=1e-12)
 
     def test_half_duration_rabi_weight(self):
         # at lambda*t = pi/4 each branch has transferred sin^2(pi/4) = 1/2
-        theta = DualStatisticalState.from_density(ready_density((1.0, 0.0)))
         h = build_meas_hamiltonian(MODEL, SO)
-        out = evolve_statistical(theta, h, MODEL.duration / 2)
-        assert abs(out.perception_probs[1] - 0.5) < 1e-12
-
-    def test_inconsistent_probs_rejected(self):
-        with pytest.raises(InvariantError):
-            DualStatisticalState(ready_density(), np.array([0.0, 0.3, 0.7]))
+        out = evolve_unitary(ready_density((1.0, 0.0)), h, MODEL.duration / 2)
+        assert abs(branch_weights(out)[1] - 0.5) < 1e-12
 
 
 class TestPerceive:
     def test_requires_completed_measurement(self):
-        ev = init_dual(ready_density())
         with pytest.raises(InvariantError):
-            perceive(ev, event_rng(0, 0))
+            DualState(ready_density(), 1).perceive(0.5)
 
     def test_record_set_dynamics_untouched(self):
-        ev = measured_event()
-        out = perceive(ev, event_rng(11, 0))
-        assert out.phi_i in (1, 2)
-        assert np.array_equal(out.phi_d.entries, ev.phi_d.entries)
+        state = measured(n=8)
+        out = state.perceive(event_uniforms(11, 8)[:, 0])
+        assert set(out.final_j.tolist()) <= {1, 2}
+        assert len(out.steps) == 1 and out.t_perceive == MODEL.duration
+        assert np.array_equal(out.phi_d.entries, state.phi_d.entries)
 
     def test_eigenstate_input_is_deterministic(self):
-        ev = measured_event(amplitudes=(0.0, 1.0))
-        for k in range(30):
-            assert perceive(ev, event_rng(5, k)).phi_i == 2
+        out = measured(amplitudes=(0.0, 1.0), n=30).perceive(event_uniforms(5, 30)[:, 0])
+        assert np.all(out.final_j == 2)
 
     def test_zero_weight_branch_never_drawn(self):
-        ev = measured_event(amplitudes=(1.0, 0.0))
-        for k in range(30):
-            assert perceive(ev, event_rng(6, k)).phi_i == 1
+        out = measured(amplitudes=(1.0, 0.0), n=30).perceive(event_uniforms(6, 30)[:, 0])
+        assert np.all(out.final_j == 1)
 
     def test_frequencies_match_born_weights(self):
-        ev = measured_event()
-        draws = np.array([perceive(ev, event_rng(12, k)).phi_i for k in range(5000)])
+        draws = measured(n=5000).perceive(event_uniforms(12, 5000)[:, 0]).final_j
         freq = np.bincount(draws, minlength=3) / draws.size
         assert abs(freq[1] - 0.3) < 0.03
         assert abs(freq[2] - 0.7) < 0.03
 
     def test_perceive_matches_fast_path_draw(self):
-        # the harness precomputes weights and calls draw_index directly; both
-        # routes must consume the stream identically
-        ev = measured_event()
-        w = ev.perception_weights()
-        assert perceive(ev, event_rng(13, 42)).phi_i == draw_index(w, event_rng(13, 42).random())
+        # event k of the batched draw is the first draw of its own stream
+        state = measured(n=50)
+        w = branch_weights(state.phi_d)
+        js = state.perceive(event_uniforms(13, 50)[:, 0]).final_j
+        assert js.tolist() == [draw_index(w, event_rng(13, k).random()) for k in range(50)]
+        assert state.perceive(event_rng(13, 42).random()).final_j == js[42]
 
 
 class TestPerceptionTiming:
@@ -238,58 +215,84 @@ def _swap_generator(layout):
     return LinearOperator(layout, m)
 
 
+def _pointer_diagonal_generator(layout):
+    """Generator diagonal in the pointer basis: it keeps every branch, up to a phase."""
+    return LinearOperator(layout, embed(layout, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
+
+
 class TestNoJumpRule:
     def test_identity_evolution_forbids_jumps(self):
-        ev = perceive(measured_event(), event_rng(31, 0))
         h = LinearOperator(SO, np.zeros((SO.total_dim, SO.total_dim)))
-        forbidden, p = jump_forbidden(ev, h, 1.0)
+        forbidden, p = jump_forbidden(h, 1.0)
         assert forbidden
         assert np.allclose(p, np.eye(2), atol=1e-12)
 
     def test_pointer_commuting_generator_forbids_jumps(self):
-        ev = perceive(measured_event(), event_rng(32, 0))
-        h = LinearOperator(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
-        forbidden, _ = jump_forbidden(ev, h, 2.3)
+        forbidden, _ = jump_forbidden(_pointer_diagonal_generator(SO), 2.3)
         assert forbidden
 
     def test_branch_swap_breaks_rule(self):
-        ev = perceive(measured_event(), event_rng(33, 0))
-        forbidden, p = jump_forbidden(ev, _swap_generator(SO), 1.0)
+        forbidden, p = jump_forbidden(_swap_generator(SO), 1.0)
         assert not forbidden
         # at this angle the swap is complete
         assert abs(p[0, 1] - 1.0) < 1e-12
         assert abs(p[1, 0] - 1.0) < 1e-12
 
-    def test_evolve_event_holds_record_when_forbidden(self):
-        ev = perceive(measured_event(), event_rng(34, 0))
-        h = LinearOperator(SO, embed(SO, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
-        out, flags = evolve_event(ev, h, 0.8)
-        assert out.phi_i == ev.phi_i
-        assert flags == []
-        assert out.clock == pytest.approx(ev.clock + 0.8)
+    def test_evolve_holds_record_when_forbidden(self):
+        state = measured(n=8).perceive(event_uniforms(34, 8)[:, 0])
+        out = state.evolve(_pointer_diagonal_generator(SO), 0.8)
+        assert out.steps is state.steps
+        assert out.flags == ()
+        assert out.clock == pytest.approx(state.clock + 0.8)
 
-    def test_evolve_event_resamples_when_branches_mix(self):
-        ev = perceive(measured_event(), event_rng(35, 0))
-        out, flags = evolve_event(ev, _swap_generator(SO), 0.5, rng=event_rng(35, 1))
-        assert "re-perception" in flags
-        assert out.phi_i in (1, 2)
+    def test_evolve_resamples_when_branches_mix(self):
+        u = event_uniforms(35, 8)
+        state = measured(n=8).perceive(u[:, 0])
+        out = state.evolve(_swap_generator(SO), 0.5, u=u[:, 1])
+        assert out.flags == ("re-perception",)
+        assert len(out.steps) == 2
+        assert set(out.final_j.tolist()) <= {1, 2}
 
-    def test_evolve_event_branch_mix_without_rng_raises(self):
-        ev = perceive(measured_event(), event_rng(36, 0))
+    def test_evolve_branch_mix_without_uniforms_raises(self):
+        state = measured().perceive(0.5)
         with pytest.raises(InvariantError):
-            evolve_event(ev, _swap_generator(SO), 0.5)
+            state.evolve(_swap_generator(SO), 0.5)
+
+    @given(t=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0)),
+           diag=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_evolve_over_branch_swap_angles(self, t, diag, seed):
+        # The swap turns branch 1 into branch 2 by the angle pi*t/2, so it
+        # mixes them except at even t; a pointer-diagonal generator never does.
+        u = event_uniforms(seed, 16)
+        state = measured(n=16).perceive(u[:, 0])
+        held = state.evolve(LinearOperator(SO, np.diag(diag)), t)
+        assert held.steps is state.steps and held.flags == ()
+        h = _swap_generator(SO)
+        if jump_forbidden(h, t)[0]:
+            out = state.evolve(h, t)
+            assert out.steps is state.steps and out.flags == ()
+            return
+        with pytest.raises(InvariantError):
+            state.evolve(h, t)
+        out = state.evolve(h, t, u=u[:, 1])
+        assert out.flags == ("re-perception",)
+        w = branch_weights(evolve_unitary(state.phi_d, h, t))
+        assert out.steps[-1][0] == state.clock + t
+        assert np.array_equal(out.final_j, draw_index(w, u[:, 1]))
 
 
 class TestUndo:
     def test_requires_a_record(self):
-        ev = measured_event()
         with pytest.raises(InvariantError):
-            undo_dual(ev, MODEL)
+            measured().undo(MODEL)
 
     def test_restores_ready_state_and_erases_record(self):
-        ev = perceive(measured_event(), event_rng(41, 0))
-        out = undo_dual(ev, MODEL)
-        assert out.phi_i == 0
+        state = measured(n=4).perceive(event_uniforms(41, 4)[:, 0])
+        out = state.undo(MODEL)
+        assert out.final_j == 0 and out.flags == ("undo",)
+        assert out.steps[-1] == (2 * MODEL.duration, 0)
         ready = expectation(out.phi_d, projector(SO, O_LABEL, 0))
         assert ready == pytest.approx(1.0, abs=1e-10)
         # system amplitudes are back too
@@ -297,43 +300,32 @@ class TestUndo:
         assert np.max(np.abs(out.phi_d.entries - rho0.entries)) < 1e-10
 
     def test_rejects_non_postmeasurement_state(self):
-        ev = DualEventState(phi_d=ready_density(), phi_i=1)
+        state = DualState(ready_density(), 1).record(0.0, 1)
         with pytest.raises(InvariantError):
-            undo_dual(ev, MODEL)
+            state.undo(MODEL)
 
     def test_redraw_is_independent_of_erased_record(self):
         h = build_meas_hamiltonian(MODEL, SO)
         n = 4000
-        old = np.empty(n, dtype=int)
-        new = np.empty(n, dtype=int)
-        for k in range(n):
-            rng = event_rng(42, k)
-            ev = init_dual(ready_density(), event_id=k)
-            ev, _ = evolve_event(ev, h, MODEL.duration)
-            ev = perceive(ev, rng)
-            old[k] = ev.phi_i
-            ev = undo_dual(ev, MODEL)
-            ev, _ = evolve_event(ev, h, MODEL.duration)
-            new[k] = perceive(ev, rng).phi_i
-        x, y = old.astype(float), new.astype(float)
+        u = event_uniforms(42, n)
+        state = DualState(ready_density(), n).evolve(h, MODEL.duration).perceive(u[:, 0])
+        out = state.undo(MODEL).evolve(h, MODEL.duration).perceive(u[:, 1])
+        x, y = state.final_j.astype(float), out.final_j.astype(float)
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n)
 
     @pytest.mark.parametrize("amplitudes", [AMPS, (math.sqrt(0.3), 1j * math.sqrt(0.7))])
     def test_event_chain_matches_undo_runner(self, amplitudes):
-        # The undo runner draws (j_old, j_new) from precomputed pointer
-        # weights; the event-level chain is the reference for every event.
+        # Stream order: each event's erased and fresh records are the first
+        # and second draws of its own stream, from the premeasured weights.
         seed = 20260826
         sc = Scenario(experiment="undo", amplitudes=np.array(amplitudes), seed=seed, n_events=64)
-        h = build_meas_hamiltonian(MODEL, SO)
+        w = branch_weights(run_premeasurement(sc.system_state(), sc.model()))
         records = run(sc)[1]
-        for eid, js in zip(records.event_ids.tolist(), records.indices.tolist()):
-            rng = event_rng(seed, eid)
-            ev = init_dual(ready_density(amplitudes), event_id=eid)
-            ev = perceive(evolve_event(ev, h, MODEL.duration)[0], rng)
-            j_old = ev.phi_i
-            ev = evolve_event(undo_dual(ev, MODEL), h, MODEL.duration)[0]
-            assert (j_old, perceive(ev, rng).phi_i) == (js[0], js[-1])
+        j_old, j_new = records.steps[0][1].tolist(), records.final_j.tolist()
+        for eid in range(sc.n_events):
+            r = event_rng(seed, eid)
+            assert (j_old[eid], j_new[eid]) == (draw_index(w, r.random()), draw_index(w, r.random()))
 
 
 class TestReductionBaseline:
@@ -366,17 +358,13 @@ class TestReductionBaseline:
 class TestObjectivity:
     def test_dynamics_identical_with_and_without_perception(self):
         h = build_meas_hamiltonian(MODEL, SO)
-        a = init_dual(ready_density(), event_id=0)
-        b = init_dual(ready_density(), event_id=0)
-        a, _ = evolve_event(a, h, MODEL.duration)
-        b, _ = evolve_event(b, h, MODEL.duration)
-        b = perceive(b, event_rng(61, 0))
+        a = DualState(ready_density(), 1).evolve(h, MODEL.duration)
+        b = DualState(ready_density(), 1).evolve(h, MODEL.duration).perceive(0.5)
         assert np.array_equal(a.phi_d.entries, b.phi_d.entries)
 
     def test_ensemble_state_equals_event_average(self):
         h = build_meas_hamiltonian(MODEL, SO)
-        theta = DualStatisticalState.from_density(ready_density())
-        theta = evolve_statistical(theta, h, MODEL.duration)
-        ev = measured_event()
-        assert np.max(np.abs(theta.eta_d.entries - ev.phi_d.entries)) < 1e-12
-        assert np.allclose(theta.perception_probs, ev.perception_weights(), atol=1e-12)
+        eta = evolve_unitary(ready_density(), h, MODEL.duration)
+        state = measured()
+        assert np.max(np.abs(eta.entries - state.phi_d.entries)) < 1e-12
+        assert np.allclose(branch_weights(eta), branch_weights(state.phi_d), atol=1e-12)

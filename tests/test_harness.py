@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmeas.cli import main
-from dualmeas.core import InvariantError
-from dualmeas.dual import EVENT_BLOCK
+from dualmeas.core import InvariantError, StateVector
+from dualmeas.dual import EVENT_BLOCK, DualState
+from dualmeas.dynamics import MeasurementModel, run_premeasurement
 from dualmeas.harness import (
     EXPERIMENTS,
-    EventColumns,
     RunSummary,
     Scenario,
     ScenarioError,
@@ -100,41 +100,62 @@ class TestParsing:
         assert load_scenario(p).seed == 7
 
 
+def _dual(n):
+    """Dual state of *n* events after one calibrated measurement, with no steps."""
+    model = MeasurementModel.calibrated()
+    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), (0.6, 0.8)), model)
+    return DualState(psi, n, clock=model.duration)
+
+
 class TestEventRecord:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(InvariantError):
-            EventColumns(np.array([0]), np.array([[2.0, 1.0]]), np.array([[1, 2]]))
-
-    @pytest.mark.parametrize("shape", [(2,), (2, 0)])
-    def test_rejects_rows_without_steps(self, shape):
-        # t_perceive and final_j read the first and last step of every row.
+            _dual(1).record(2.0, 1).record(1.0, 2)
         with pytest.raises(InvariantError):
-            EventColumns(np.arange(2), np.zeros(shape), np.zeros(shape, dtype=int))
+            _dual(2).record(np.array([0.0, 2.0]), 1).record(np.array([3.0, 1.0]), 2)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rejects_rows_without_steps(self, tmp_path, fmt):
+        # t_perceive and final_j read the first and last step of every row.
+        summary = RunSummary(experiment="premeasure", seed=0, n_events=2, frequencies={})
+        with pytest.raises(InvariantError):
+            emit(summary, _dual(2), tmp_path, fmt=fmt)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (3, 0)])
+    def test_rejects_steps_that_are_not_one_value_per_event(self, shape):
+        with pytest.raises(InvariantError):
+            _dual(3).record(np.zeros(shape), 1)
+        with pytest.raises(InvariantError):
+            _dual(3).record(1.0, np.ones(shape, dtype=int))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_timestamps(self, t):
         # emit would write nan/inf where json.dump writes NaN/Infinity.
         with pytest.raises(InvariantError):
-            EventColumns(np.array([0, 1]), np.array([[1.0], [t]]), np.array([[1], [2]]))
+            _dual(2).record(np.array([1.0, t]), np.array([1, 2]))
+        with pytest.raises(InvariantError):
+            _dual(2).record(t, 1)
 
     def test_properties(self):
-        rec = EventColumns(np.array([0]), np.array([[1.0, 2.0, 3.0]]), np.array([[1, 0, 2]]))
-        assert rec.t_perceive[0] == 1.0
-        assert rec.final_j[0] == 2
+        rec = _dual(1).record(1.0, 1).record(2.0, 0).record(3.0, 2)
+        assert rec.t_perceive == 1.0
+        assert rec.final_j == 2
 
 
 class TestRunner:
     def test_premeasure_checks_pass(self):
         summary, records = run(parse_scenario(MINIMAL))
         assert all(c["passed"] for c in summary.checks)
-        assert len(records) == 200
+        assert records.n_events == 200
         assert summary.frequencies[0] == 0.0
 
     def test_run_is_deterministic(self):
         s1, r1 = run(parse_scenario(MINIMAL))
         s2, r2 = run(parse_scenario(MINIMAL))
         assert s1.to_dict() == s2.to_dict()
-        assert np.array_equal(r1.times, r2.times) and np.array_equal(r1.indices, r2.indices)
+        assert len(r1.steps) == len(r2.steps)
+        for step1, step2 in zip(r1.steps, r2.steps):
+            assert all(np.array_equal(a, b) for a, b in zip(step1, step2))
 
     def test_seed_changes_outcomes(self):
         sc = parse_scenario(MINIMAL)
@@ -143,7 +164,7 @@ class TestRunner:
         s1, r1 = run(sc)
         s2, r2 = run(replace(sc, seed=8))
         assert s1.fingerprint != s2.fingerprint
-        assert not np.array_equal(r1.indices, r2.indices)
+        assert not np.array_equal(r1.final_j, r2.final_j)
 
     @pytest.mark.parametrize("experiment", ["undo", "two_observer", "reduction_compare",
                                             "perception_timing"])
@@ -151,7 +172,7 @@ class TestRunner:
         sc = parse_scenario(MINIMAL.replace("premeasure", experiment))
         summary, records = run(sc)
         assert all(c["passed"] for c in summary.checks), summary.checks
-        assert len(records) == sc.n_events
+        assert records.n_events == sc.n_events
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     @given(
@@ -181,21 +202,21 @@ class TestRunner:
         assert len(summary.offdiag_curve["times"]) == 10
 
 
-def _per_event_dump(records: EventColumns, fmt: str) -> str:
+def _per_event_dump(records: DualState, fmt: str) -> str:
     """The events file from one dict per event through ``json.dump(indent=2)``,
     or one ``csv.writer`` row per event: the reference for emit's writer."""
+    n, flags = records.n_events, list(records.flags)
+    ts, js = ([np.broadcast_to(step[i], n).tolist() for step in records.steps] for i in (0, 1))
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["event_id", "t_perceive", "j", "flags"])
-        writer.writerows(zip(records.event_ids.tolist(), map(repr, records.t_perceive.tolist()),
-                             records.final_j.tolist(), repeat(";".join(records.flags))))
+        writer.writerows(zip(range(n), map(repr, ts[0]), js[-1], repeat(";".join(flags))))
     else:
         payload = [
-            {"event_id": eid, "history": [list(step) for step in zip(ts, js)],
-             "flags": list(records.flags)}
-            for eid, ts, js in zip(records.event_ids.tolist(), records.times.tolist(),
-                                   records.indices.tolist())
+            {"event_id": eid, "history": [[t[eid], j[eid]] for t, j in zip(ts, js)],
+             "flags": flags}
+            for eid in range(n)
         ]
         json.dump(payload, buf, indent=2)
         buf.write("\n")
@@ -243,14 +264,18 @@ class TestEmission:
                                                      seed):
         # Explicit examples pin three blocks in each format and a column
         # that mixes 0.0 and -0.0, which compare equal but print differently.
+        # Steps are built directly: record() would reject the indices -1 and 2**40.
         rng = np.random.default_rng(seed)
-
-        def columns(pool):  # k columns, each one value repeated or one value per event
-            return np.stack([np.resize(rng.choice(pool, 1 if c else n), n) for c in constant[:k]],
-                            axis=1)
-
-        times = np.maximum.accumulate(columns(floats), axis=1)  # non-decreasing histories
-        records = EventColumns(np.arange(n), times, columns([-1, 0, 2, 2**40]), flags)
+        indices = [-1, 0, 2, 2**40]
+        steps, floor = [], -math.inf  # every event's latest time so far
+        for c in constant[:k]:
+            if c:  # a scalar step: one value shared by every event
+                t, j = max(rng.choice(floats), np.max(floor, initial=-math.inf)), rng.choice(indices)
+            else:
+                t, j = np.maximum(rng.choice(floats, n), floor), rng.choice(indices, n)
+            steps.append((t, j))
+            floor = t
+        records = DualState(_dual(1).phi_d, n, flags=flags, steps=tuple(steps))
         summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
         with tempfile.TemporaryDirectory() as tmp:
             _, events_path = emit(summary, records, tmp, fmt=fmt)

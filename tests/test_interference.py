@@ -20,7 +20,7 @@ from dualmeas.dynamics import (
     run_decoherence,
     run_premeasurement,
 )
-from dualmeas.dual import event_rng, perceive, DualEventState
+from dualmeas.dual import DualState, event_rng
 from dualmeas.interference import (
     discriminate,
     interference_operator,
@@ -145,8 +145,8 @@ class TestDecoherenceDamping:
 class TestPerceptionInvariance:
     def test_expectation_unchanged_by_perceive(self):
         psi = post_measurement((math.sqrt(0.3), math.sqrt(0.7)))
-        ev = DualEventState(phi_d=psi.to_density(), phi_i=0, clock=MODEL.duration)
+        state = DualState(psi.to_density(), 1, clock=MODEL.duration)
         b = interference_operator(SO)
-        before = discriminate(ev.phi_d, b)
-        after = discriminate(perceive(ev, event_rng(71, 0)).phi_d, b)
+        before = discriminate(state.phi_d, b)
+        after = discriminate(state.perceive(event_rng(71, 0).random()).phi_d, b)
         assert before == after
