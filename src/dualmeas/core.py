@@ -208,10 +208,15 @@ class LinearOperator:
     def _eigh(self):
         return np.linalg.eigh(self.entries)
 
-    def unitary_at(self, t: float) -> np.ndarray:
-        """exp(-i * self * t) via the cached Hermitian eigendecomposition."""
+    def unitary_at(self, t) -> np.ndarray:
+        """exp(-i * self * t) via the cached Hermitian eigendecomposition.
+
+        A scalar *t* gives one (n, n) matrix; a 1-d time grid gives the
+        (len(t), n, n) stack, each slice bit-identical to the scalar form.
+        """
         w, v = self._eigh
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
+        return (v * phase[..., None, :]) @ v.conj().T
 
 
 def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray:

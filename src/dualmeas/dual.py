@@ -44,6 +44,9 @@ EVENT_BLOCK = 1 << 14
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
 JUMP_TOL = 1e-12
+# Complex entries per stack of unitaries in perception_time_pdf: a whole
+# window at small layouts, one time per block at the dense cap.
+_PDF_BLOCK = 1 << 20
 
 
 def draw_index(weights: np.ndarray, u):
@@ -134,8 +137,10 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     then scaled so it integrates to 1 over [0, duration].
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty time grid")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"time grid must be a non-empty 1-d array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid must be finite")
     if model.duration <= 0:
         raise ValueError("non-positive measurement duration")
     layout = model.so_layout()
@@ -144,13 +149,19 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     psi0 = tensor_compose([psi_s, o_ready])
     h = build_meas_hamiltonian(model, layout)
     projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
+    block = max(1, _PDF_BLOCK // layout.total_dim**2)
 
     def raw(ts):
+        # A block of times at once: psi(t) from the stack of unitaries, then
+        # <psi| P H |psi> as (1, n) @ (n, 1) products. These give the bits of
+        # np.vdot on each time alone; np.sum(conj * x) does not, and the
+        # sampled perception times depend on those bits.
         out = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            psi_t = evolve_unitary(psi0, h, t).amplitudes
-            h_psi = h.entries @ psi_t
-            out[k] = sum(2.0 * np.imag(np.vdot(psi_t, p @ h_psi)) for p in projs)
+        for lo in range(0, len(ts), block):
+            psi = h.unitary_at(ts[lo:lo + block]) @ psi0.amplitudes
+            h_psi = h.entries @ psi[..., None]
+            bra = psi.conj()[:, None, :]
+            out[lo:lo + block] = sum(2.0 * np.imag((bra @ (p @ h_psi))[:, 0, 0]) for p in projs)
         return out
 
     # Normalize on an internal dense window so c_p does not depend on the

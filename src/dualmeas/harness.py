@@ -676,6 +676,8 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     re-runs of the same (scenario, seed). The events file has the bytes of
     ``json.dump(indent=2)`` or ``csv.writer``, written EVENT_BLOCK events at a
     time from one row template, with every scalar step formatted in."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown events format {fmt!r}; expected 'json' or 'csv'")
     if not records.steps:
         raise InvariantError("an event record needs at least one step")
     os.makedirs(out_dir, exist_ok=True)
@@ -711,7 +713,7 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
         else:
             core, tail = core + tail + spec, ""
             columns.append(part)
-    events_path = os.path.join(out_dir, "events.csv" if fmt == "csv" else "events.json")
+    events_path = os.path.join(out_dir, f"events.{fmt}")
     with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(start)
         for lo in range(0, n, EVENT_BLOCK):

@@ -201,6 +201,33 @@ class TestEvolveUnitary:
         back = evolve_unitary(evolve_unitary(psi, h, t), h, -t)
         assert trace_distance(back.to_density(), psi.to_density()) <= TOL_ROUNDTRIP
 
+    @given(
+        n=st.integers(1, 8),
+        ts=st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_slices_match_scalar_bits(self, n, ts, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = LinearOperator(CompositeLayout((("A", n),)), m + m.conj().T)
+        ts = np.array(ts)
+        stack = h.unitary_at(ts)
+        assert stack.shape == (len(ts), n, n)
+        for k, t in enumerate(ts):
+            # compared as raw bits: equal values with a different sign of zero fail
+            assert np.array_equal(stack[k].view(np.uint64), h.unitary_at(t).view(np.uint64))
+
+    def test_scalar_time_gives_one_matrix(self):
+        h = LinearOperator(qubit(), SX + 0.5 * SZ)
+        w, v = np.linalg.eigh(h.entries)
+        for t in (0.7, -2, np.float64(1.5)):
+            u = h.unitary_at(t)
+            assert u.shape == (2, 2)
+            want = (v * np.exp(-1j * w * t)) @ v.conj().T
+            assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+        assert h.unitary_at([0.7]).shape == (1, 2, 2)
+
     def test_purity_invariant(self):
         lay = CompositeLayout((("A", 2), ("B", 2)))
         rho = DensityMatrix.mixture(

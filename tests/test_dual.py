@@ -1,12 +1,14 @@
 """Tests for the dual state: perception sampling, timing, the no-jump rule, undo."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dualmeas import dual
 from dualmeas.core import (
     CompositeLayout,
     InvariantError,
@@ -176,7 +178,67 @@ class TestPerceive:
         assert state.perceive(event_rng(13, 42).random()).final_j == js[42]
 
 
+def _per_point_pdf(model, amplitudes, grid):
+    """``(density, normalization)`` of perception_time_pdf as computed before it
+    evaluated blocks of times: one evolve_unitary call per time point."""
+    from scipy.integrate import simpson
+
+    layout = model.so_layout()
+    psi_s = StateVector.from_amplitudes(model.s_layout(), amplitudes)
+    o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
+    psi0 = tensor_compose([psi_s, o_ready])
+    h = build_meas_hamiltonian(model, layout)
+    projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
+
+    def raw(ts):
+        out = np.empty(len(ts))
+        for k, t in enumerate(ts):
+            psi_t = evolve_unitary(psi0, h, t).amplitudes
+            h_psi = h.entries @ psi_t
+            out[k] = sum(2.0 * np.imag(np.vdot(psi_t, p @ h_psi)) for p in projs)
+        return out
+
+    dense_t = np.linspace(0.0, model.duration, 2001)
+    c_p = 1.0 / float(simpson(raw(dense_t), x=dense_t))
+    return c_p * raw(np.asarray(grid, dtype=float)), c_p
+
+
 class TestPerceptionTiming:
+    @given(
+        s_dim=st.integers(2, 4),
+        extra_o=st.integers(1, 3),
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        delta_t=st.floats(0.05, 5.0),
+        angle=st.floats(0.1, 3.0),  # lambda * delta_t, below pi so the outflow integrates > 0
+        n_times=st.integers(1, 300),
+        span=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+        block=st.sampled_from([None, 1, 7]),
+    )
+    @example(s_dim=2, extra_o=1, parts=[0.5] * 8, delta_t=1.0, angle=math.pi / 2, n_times=201,
+             span=(0.0, 1.0), block=7)
+    @settings(max_examples=15, deadline=None)
+    def test_density_matches_per_point_bits(self, s_dim, extra_o, parts, delta_t, angle,
+                                            n_times, span, block):
+        amps = np.array(parts[:s_dim]) + 1j * np.array(parts[4:4 + s_dim])
+        assume(np.linalg.norm(amps) > 0.1)
+        amps /= np.linalg.norm(amps)
+        model = MeasurementModel(s_dim=s_dim, o_dim=s_dim + extra_o, coupling=angle / delta_t,
+                                 duration=delta_t)
+        grid = delta_t * np.linspace(*span, n_times)
+        # A small block constant makes both the internal window and the
+        # caller's grid cross block boundaries.
+        size = dual._PDF_BLOCK if block is None else block * model.so_layout().total_dim ** 2
+        with patch.object(dual, "_PDF_BLOCK", size):
+            pdf = perception_time_pdf(model, amps, grid)
+        density, c_p = _per_point_pdf(model, amps, grid)
+        assert np.array_equal(pdf.density.view(np.uint64), density.view(np.uint64))
+        assert pdf.normalization.hex() == c_p.hex()
+
+    @pytest.mark.parametrize("grid", [[], 0.5, [[0.1, 0.2]], [0.0, math.nan], [math.inf]])
+    def test_malformed_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="time grid"):
+            perception_time_pdf(MODEL, AMPS, grid)
+
     def test_density_normalizes_to_one(self):
         from scipy.integrate import simpson
 

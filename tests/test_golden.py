@@ -8,6 +8,9 @@ reproduce both events files byte for byte, every summary float within 1e-12
 The references were recorded before the pointer weights and the per-event
 sampling loop were each reduced to one shared implementation, and before the
 dephasing generator became a phase vector; neither may change any output.
+The ``perception_timing-odim5`` reference (two pointer states that carry no
+branch) was recorded before the perception-time density was evaluated a
+block of times at a time, which may not change any output either.
 The ``complex`` and ``sdim3`` references of ``decohere`` were re-recorded
 when its "matches the cosine product" check stopped being phase-blind: the
 simulated factor now divides out the relative phase of the branch amplitudes
@@ -66,6 +69,11 @@ def _cases() -> dict:
                "n_events": 40000}
         doc.update(SIZES.get(experiment, {}))
         cases[f"{experiment}_blocks-real"] = doc
+    # Two pointer states that carry no branch still enter the outflow sum.
+    cases["perception_timing-odim5"] = {
+        "experiment": "perception_timing", "amplitudes": AMPLITUDES["real"], "seed": SEED,
+        "n_events": 500, "o_dim": 5, **SIZES["perception_timing"],
+    }
     return cases
 
 

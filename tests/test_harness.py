@@ -281,6 +281,12 @@ class TestEmission:
             _, events_path = emit(summary, records, tmp, fmt=fmt)
             assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
 
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        summary, records = run(parse_scenario(MINIMAL))
+        with pytest.raises(ValueError, match="'xml'"):
+            emit(summary, records, tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
+
     def test_summary_json_is_sorted_and_loadable(self, tmp_path):
         summary, records = run(parse_scenario(MINIMAL))
         paths = emit(summary, records, tmp_path, fmt="json")
