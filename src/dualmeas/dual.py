@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import (
     CompositeLayout,
@@ -76,9 +75,29 @@ def _mulhilo(m: int, x: np.ndarray):
     """High and low 64-bit words of the 128-bit products m * x, by 32-bit halves."""
     m_lo, m_hi = np.uint64(m) & _MASK32, np.uint64(m) >> _HALF
     x_lo, x_hi = x & _MASK32, x >> _HALF
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
-    cross = (lo_lo >> _HALF) + (hi_lo & _MASK32) + lo_hi
-    return x_hi * m_hi + (hi_lo >> _HALF) + (cross >> _HALF), x * np.uint64(m)
+    # Sums go into these arrays: a fresh block-sized array can cost an mmap
+    # and its page faults, about a third of the kernel's time in a new process.
+    cross = x_hi * m_lo
+    hi = cross >> _HALF
+    cross &= _MASK32
+    cross += (x_lo * m_lo) >> _HALF
+    cross += np.multiply(x_lo, m_hi, out=x_lo)
+    hi += np.multiply(x_hi, m_hi, out=x_hi)
+    hi += cross >> _HALF
+    return hi, x * np.uint64(m)
+
+
+def _philox(seed: int, c0: np.ndarray, c2: np.ndarray):
+    """The four Philox4x64-10 output words of the counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``."""
+    c1 = c3 = np.zeros_like(c0)
+    k0, k1 = int(seed), 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 = (k1 + _PHILOX_W[1]) % 2**64
+    return c0, c1, c2, c3
 
 
 def event_uniforms(seed: int, n_events: int) -> np.ndarray:
@@ -92,17 +111,45 @@ def event_uniforms(seed: int, n_events: int) -> np.ndarray:
     out = np.empty((n_events, 4))
     for lo in range(0, n_events, EVENT_BLOCK):
         eid = np.arange(lo, min(lo + EVENT_BLOCK, n_events), dtype=np.uint64)
-        c0, c1, c2, c3 = np.ones_like(eid), np.zeros_like(eid), eid, np.zeros_like(eid)
-        k0, k1 = int(seed), 0
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-            k0 = (k0 + _PHILOX_W[0]) % 2**64
-            k1 = (k1 + _PHILOX_W[1]) % 2**64
-        for i, c in enumerate((c0, c1, c2, c3)):
+        for i, c in enumerate(_philox(seed, np.ones_like(eid), eid)):
             out[lo:lo + len(eid), i] = (c >> np.uint64(11)) * 2.0**-53
     return out
+
+
+def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
+    ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
+    c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    words = np.stack(_philox(seed, c0, np.full_like(c0, stream)), axis=1).ravel()[:n]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def simpson(y, x) -> float:
+    """Composite Simpson rule on a strictly increasing 1-d grid, in the operations
+    (so the bits) of ``scipy.integrate.simpson`` 1.17.1: Cartwright's correction
+    for the last interval of an even grid, the trapezoid for two points."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    h, n = np.diff(x), len(x)
+    if x.ndim != 1 or y.shape != x.shape or n < 2 or not np.all(h > 0):
+        raise ValueError("simpson needs a strictly increasing 1-d grid x of >= 2 points")
+
+    def basic(stop):
+        h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+        hsum, h0divh1 = h0 + h1, h0 / h1
+        return np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                    + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                    + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2:
+        return float(basic(n - 2))
+    if n == 2:
+        return float(0.0 + 0.5 * h[-1] * (y[-1] + y[-2]))
+    # On 1-element slices, not scalars: numpy rounds ``**`` on them as scipy does.
+    h0, h1 = h[-2:-1], h[-1:]
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = 1 * h1 ** 3 / (6 * h0 * (h0 + h1))
+    end = alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(basic(n - 3) + end[0] + 0.0)
 
 
 @dataclass(frozen=True)
@@ -167,7 +214,7 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     # Normalize on an internal dense window so c_p does not depend on the
     # caller's grid resolution.
     dense_t = np.linspace(0.0, model.duration, 2001)
-    integral = float(simpson(raw(dense_t), x=dense_t))
+    integral = simpson(raw(dense_t), dense_t)
     if integral <= 0:
         raise InvariantError("perception outflow integrates to a non-positive value")
     c_p = 1.0 / integral

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.integrate import simpson
 
 from . import __version__
 from .core import (
@@ -35,10 +34,12 @@ from .dual import (
     EVENT_BLOCK,
     DualState,
     draw_index,
-    event_rng,
+    event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
     event_uniforms,
     perception_time_pdf,
+    philox_uniforms,
     sample_perception_time,
+    simpson,
 )
 from .dynamics import (
     O2_LABEL,
@@ -157,11 +158,10 @@ class Scenario:
         return StateVector(CompositeLayout(((S_LABEL, self.s_dim),)), self.amplitudes)
 
     def environment(self) -> EnvironmentModel:
-        """Environment with couplings drawn from the configured range using a
-        dedicated substream of the scenario seed (recorded in the summary)."""
+        """Environment with couplings drawn from the configured range on substream
+        1 << 62 of the scenario seed (recorded in the summary), disjoint from every event's."""
         lo, hi = self.env_coupling_range
-        rng = event_rng(self.seed, 1 << 62)  # disjoint from all event substreams
-        g = lo + (hi - lo) * rng.random(self.env_atoms)
+        g = lo + (hi - lo) * philox_uniforms(self.seed, 1 << 62, self.env_atoms)
         return EnvironmentModel.default(self.env_atoms, self.o_dim, couplings=g)
 
     def canonical_dict(self) -> dict:
@@ -643,7 +643,7 @@ def _run_perception_timing(scenario: Scenario):
     model = scenario.model()
     grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
-    integral = float(simpson(pdf.density, x=pdf.times))
+    integral = simpson(pdf.density, pdf.times)
     psi = run_premeasurement(scenario.system_state(), model)
     weights = branch_weights(psi)
 

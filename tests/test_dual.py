@@ -38,8 +38,10 @@ from dualmeas.dual import (
     event_uniforms,
     jump_forbidden,
     perception_time_pdf,
+    philox_uniforms,
     reduction_baseline,
     sample_perception_time,
+    simpson,
 )
 from dualmeas.harness import Scenario, run
 
@@ -106,6 +108,50 @@ class TestEventRng:
         assert rows.shape == (n, 4)
         for eid in range(n):
             assert np.array_equal(rows[eid], event_rng(2**64 - 1, eid).random(4))
+
+    @pytest.mark.parametrize("seed", [0, 7, 20260826, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 1 << 62])
+    def test_stream_draws_match_event_rng(self, seed, stream):
+        for n in (0, 1, 3, 4, 5, 8, 9, 17):
+            u = philox_uniforms(seed, stream, n)
+            assert u.shape == (n,)
+            assert np.array_equal(u, event_rng(seed, stream).random(n))
+
+
+def _random_grid(rng, n):
+    """A strictly increasing grid of *n* points with uneven spacings."""
+    return np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 5.0)
+
+
+class TestSimpson:
+    """dual.simpson gives the bits of scipy.integrate.simpson."""
+
+    @staticmethod
+    def _assert_same_bits(y, x):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        assert simpson(y, x).hex() == float(scipy_integrate.simpson(y, x=x)).hex()
+
+    @pytest.mark.parametrize("n", [*range(2, 61), 201, 2000, 2001])
+    def test_matches_scipy_bits(self, n):
+        rng = np.random.default_rng(n)
+        for x in (np.linspace(0.0, 1.0, n), np.linspace(-3.0, 7.5, n),
+                  *(_random_grid(rng, n) for _ in range(20))):
+            self._assert_same_bits(rng.normal(size=n), x)
+            self._assert_same_bits(np.sin(3.0 * x), x)
+
+    @given(y=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_bits_on_any_samples(self, y, seed):
+        y = np.array(y)
+        self._assert_same_bits(y, np.linspace(0.0, 2.0, len(y)))
+        self._assert_same_bits(y, _random_grid(np.random.default_rng(seed), len(y)))
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0, 0.0],
+                                   [0.0, math.nan, 1.0], [0.0], [[0.0, 1.0]]])
+    def test_grid_not_strictly_increasing_rejected(self, x):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simpson(np.ones(np.shape(x)), x)
 
 
 class TestInitDual:

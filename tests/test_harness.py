@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from itertools import repeat
 from pathlib import Path
@@ -427,3 +429,32 @@ class TestCli:
     def test_check_mode_exit_zero(self, capsys):
         assert main(["--check"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+# Runs every experiment at a small size through run + emit in a fresh
+# interpreter, then prints the heavy modules the process has loaded.
+_STARTUP_PROBE = """
+import sys, tempfile
+import dualmeas, dualmeas.cli
+from dualmeas.harness import EXPERIMENTS, emit, parse_scenario, run
+extra = {"decohere": "env: {n_atoms: 2}\\nn_times: 5\\n", "perception_timing": "n_times: 101\\n"}
+bodies = [f"experiment: {e}\\nn_events: 30\\n" + extra.get(e, "") for e in EXPERIMENTS]
+bodies.append("experiment: premeasure\\nn_events: 30\\nperception_mode: sample\\n")
+with tempfile.TemporaryDirectory() as tmp:
+    for k, body in enumerate(bodies):
+        sc = parse_scenario("amplitudes: [0.6, 0.8]\\nseed: 5\\n" + body)
+        summary, records = run(sc)
+        assert all(c["passed"] for c in summary.checks), body
+        emit(summary, records, f"{tmp}/{k}", fmt="csv" if k % 2 else "json")
+print(" ".join(m for m in sys.modules if m in ("scipy", "numpy.random")
+               or m.startswith(("scipy.", "numpy.random."))))
+"""
+
+
+class TestStartup:
+    def test_runs_load_neither_scipy_nor_numpy_random(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
