@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .core import InvariantError, LayoutError
-from .harness import NumericalInvariantError, ScenarioError, emit, load_scenario, run
+from .harness import ScenarioError, emit, load_scenario, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
 
     try:
         summary, records = run(scenario)
-    except (NumericalInvariantError, InvariantError, LayoutError) as e:
+    except (InvariantError, LayoutError) as e:
         print(f"dualmeas: numerical invariant breach: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

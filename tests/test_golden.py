@@ -18,6 +18,11 @@ simulated factor now divides out the relative phase of the branch amplitudes
 "interference expectation nonzero" check started reading the phase-free
 coherence 2|rho_12| instead of <B> = 2 Re(rho_12) (events unchanged).
 
+The ``degenerate`` references (amplitudes ``[1, 0]``) pin a run with one
+empty branch: the frequency check's p in {0, 1} branch and the ``null``
+correlation of ``undo``. ``decohere-degenerate`` records a failing "matches
+the cosine product" check, as the code stood when it was recorded.
+
 ``PYTHONPATH=src python3 tests/test_golden.py NAME ...`` re-records only the
 named cases and leaves every other entry byte-identical; with no names it
 re-records every case.
@@ -42,6 +47,7 @@ AMPLITUDES = {
     "real": [math.sqrt(0.3), math.sqrt(0.7)],
     "complex": [math.sqrt(0.3), [0.0, math.sqrt(0.7)]],
     "sdim3": [math.sqrt(0.2), [0.0, math.sqrt(0.3)], -math.sqrt(0.5)],
+    "degenerate": [1, 0],
 }
 # Small sizes so the whole file runs in a few seconds; 51 grid points is
 # about the fewest that keep the perception-time integral within 1e-6 of 1.

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualmeas import harness
 from dualmeas.cli import main
 from dualmeas.core import InvariantError, StateVector
 from dualmeas.dual import EVENT_BLOCK, DualState
@@ -96,6 +98,14 @@ class TestParsing:
         sc = parse_scenario(MINIMAL + "lambda: 0.25\n")
         assert sc.model().coupling == 0.25
 
+    def test_dimensions_default_from_the_amplitudes(self):
+        # The same defaults whether the scenario comes from YAML or is built directly.
+        amps = np.array([0.6, 0.0, 0.8])
+        direct = Scenario(experiment="premeasure", amplitudes=amps, seed=1)
+        parsed = parse_scenario("experiment: premeasure\namplitudes: [0.6, 0.0, 0.8]\nseed: 1\n")
+        assert (direct.s_dim, direct.o_dim) == (parsed.s_dim, parsed.o_dim) == (3, 4)
+        assert direct.canonical_dict() == parsed.canonical_dict()
+
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text(MINIMAL)
@@ -161,8 +171,6 @@ class TestRunner:
 
     def test_seed_changes_outcomes(self):
         sc = parse_scenario(MINIMAL)
-        from dataclasses import replace
-
         s1, r1 = run(sc)
         s2, r2 = run(replace(sc, seed=8))
         assert s1.fingerprint != s2.fingerprint
@@ -202,6 +210,38 @@ class TestRunner:
         assert all(c["passed"] for c in summary.checks), summary.checks
         assert len(summary.env_couplings) == 3
         assert len(summary.offdiag_curve["times"]) == 10
+
+
+TIMING = MINIMAL.replace("premeasure", "perception_timing") + "n_times: {}\n"
+
+
+class TestPerceptionTimingCheck:
+    """The "integrates to 1" check allows the grid's own Simpson error."""
+
+    def test_coarse_grid_of_the_exact_density_passes(self):
+        summary, _ = run(parse_scenario(TIMING.format(21)))
+        check = summary.checks[0]
+        assert check["passed"], check
+        assert abs(check["value"] - 1.0) > 1e-6  # beyond the fixed bound
+
+    @pytest.mark.parametrize("n_times", [21, 50, 51, 201])
+    def test_scaled_density_fails(self, monkeypatch, n_times):
+        # 50 points is the default grid: an even grid, where the estimate
+        # still integrates the whole window.
+        exact = harness.perception_time_pdf
+
+        def scaled(*args):
+            pdf = exact(*args)
+            return replace(pdf, density=1.001 * pdf.density)
+
+        monkeypatch.setattr(harness, "perception_time_pdf", scaled)
+        summary, _ = run(parse_scenario(TIMING.format(n_times)))
+        assert not summary.checks[0]["passed"], summary.checks[0]
+
+    def test_two_point_grid_keeps_the_fixed_bound(self):
+        summary, _ = run(parse_scenario(TIMING.format(2)))
+        assert abs(summary.checks[0]["value"] - 1.0) > 1e-6
+        assert not summary.checks[0]["passed"]
 
 
 def _per_event_dump(records: DualState, fmt: str) -> str:
@@ -365,6 +405,12 @@ class TestCli:
             MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 1.5}\n",
             MINIMAL.replace("premeasure", "decohere") + "n_times: 10.5\n",
             MINIMAL + "delta_t: 1.0e-320\n",
+            MINIMAL + "1: 2\n",
+            MINIMAL + "env: {1: 2}\n",
+            MINIMAL + "env.n_atoms: 3\n",
+            MINIMAL + "output: {path: null}\n",
+            MINIMAL + "output: {path: 5}\n",
+            MINIMAL + "output: {format: 1}\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -374,6 +420,8 @@ class TestCli:
             "amplitude_nan", "two_observer_over_dense_cap", "o_dim_over_dense_cap",
             "delta_t_zero", "n_events_fraction", "n_events_bool", "s_dim_fraction",
             "o_dim_fraction", "n_atoms_fraction", "n_times_fraction", "delta_t_subnormal",
+            "non_string_key", "non_string_env_key", "dotted_top_level_key", "output_path_null",
+            "output_path_number", "output_format_number",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
