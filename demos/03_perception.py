@@ -10,29 +10,15 @@ import math
 
 import numpy as np
 
-from dualmeas import (
-    DualState,
-    MeasurementModel,
-    StateVector,
-    build_meas_hamiltonian,
-    event_uniforms,
-    perception_time_pdf,
-    tensor_compose,
-)
-from dualmeas.core import CompositeLayout
-from dualmeas.dynamics import O_LABEL
+from dualmeas import DualState, MeasurementModel, event_uniforms, perception_time_pdf
 
 model = MeasurementModel.calibrated()
-layout = model.so_layout()
 amps = (math.sqrt(0.3), math.sqrt(0.7))
-rho0 = tensor_compose([
-    StateVector.from_amplitudes(model.s_layout(), amps),
-    StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {}),
-]).to_density()
-h = build_meas_hamiltonian(model, layout)
+rho0 = model.input_state(amps).to_density()
 
 seed, n = 7, 2000
-state = DualState(rho0, n).evolve(h, model.duration).perceive(event_uniforms(seed, n)[:, 0])
+state = DualState(rho0, n).evolve(model.hamiltonian, model.duration)
+state = state.perceive(event_uniforms(seed, n)[:, 0])
 counts = np.bincount(state.final_j, minlength=model.o_dim)
 print("perceived-index frequencies:", np.round(counts / counts.sum(), 4))
 print("Born weights:               ", [0.0, 0.3, 0.7])

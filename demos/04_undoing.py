@@ -4,8 +4,8 @@ Because the joint dynamics stays unitary, the measurement interaction can be
 rewound exactly. The observer's record is erased with it, and a repeat
 measurement draws a fresh outcome with no memory of the old one. A textbook
 collapse would instead leave the system in an eigenstate, so the repeated
-outcome would always match. Correlating old and new outcomes over many
-events separates the two predictions.
+outcome would always match. Over many events, the dual model's old/new
+correlation vanishes while the collapse model's outcome persists every time.
 """
 
 import math
@@ -25,7 +25,7 @@ summary, records = run(scenario)
 c = summary.correlations
 print(f"recovery trace distance after undo: {c['recovery_trace_distance']:.2e}")
 print(f"dual model     old/new correlation: {c['dual_old_new']:+.4f}")
-print(f"collapse model old/new correlation: {c['baseline_old_new']:+.4f}")
+print(f"collapse model persistence rate:    {c['baseline_old_new']:.4f}")
 print(f"interference expectation, dual:     {summary.b_values['dual']:.6f}")
 print(f"interference expectation, baseline: {summary.b_values['reduction_baseline']:.6f}")
 for chk in summary.checks:

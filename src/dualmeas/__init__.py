@@ -44,7 +44,6 @@ from .restriction import (
 )
 from .dual import (
     DualState,
-    ReductionBaselineState,
     event_rng,
     event_uniforms,
     jump_forbidden,

@@ -6,8 +6,10 @@ The perception component is, per event, a pointer-basis index drawn from the
 dynamical weights: the record V^O = |O_j><O_j| in L_V. Perception never
 back-reacts on the dynamical component, so an external observer sees unbroken
 Schrodinger evolution while the internal observer registers one definite
-outcome per event. A textbook collapse comparator (`reduction_baseline`) is
-provided for the experiments that discriminate the two.
+outcome per event. Undoing the measurement erases the record, and a repeat
+measurement draws afresh. The textbook collapse comparator
+(`reduction_baseline`) runs the same chain on each event's collapsed branch
+instead, so its outcome survives the undo.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    CompositeLayout,
     DensityMatrix,
     InvariantError,
     LinearOperator,
     StateVector,
     evolve_unitary,
     projector,
-    tensor_compose,
 )
 from .dynamics import (
     O_LABEL,
@@ -32,7 +32,6 @@ from .dynamics import (
     MeasurementModel,
     branch_state,
     branch_weights,
-    build_meas_hamiltonian,
     reverse_evolution,
 )
 
@@ -153,21 +152,6 @@ def simpson(y, x) -> float:
 
 
 @dataclass(frozen=True)
-class ReductionBaselineState:
-    """Textbook collapse comparator: the system is irreversibly projected."""
-
-    collapsed_index: int  # pointer index j in 1..s_dim
-    s_state: StateVector
-
-    def __post_init__(self):
-        amps = self.s_state.amplitudes
-        expected = np.zeros_like(amps)
-        expected[self.collapsed_index - 1] = 1.0
-        if np.max(np.abs(np.abs(amps) - np.abs(expected))) > 1e-12:
-            raise InvariantError("s_state must be the eigenstate matching collapsed_index")
-
-
-@dataclass(frozen=True)
 class PerceptionTimePdf:
     """Tabulated perception-time density over one measurement window."""
 
@@ -190,11 +174,7 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
         raise ValueError("time grid must be finite")
     if model.duration <= 0:
         raise ValueError("non-positive measurement duration")
-    layout = model.so_layout()
-    psi_s = StateVector.from_amplitudes(model.s_layout(), amplitudes)
-    o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
-    psi0 = tensor_compose([psi_s, o_ready])
-    h = build_meas_hamiltonian(model, layout)
+    layout, psi0, h = model.so_layout(), model.input_state(amplitudes), model.hamiltonian
     projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
     block = max(1, _PDF_BLOCK // layout.total_dim**2)
 
@@ -320,8 +300,9 @@ class DualState:
         return replace(out, flags=out.flags + ("re-perception",)).perceive(u)
 
     def undo(self, model: MeasurementModel) -> DualState:
-        """Exact reversal of the measurement: dynamics rewound, records erased
-        (the step ``(clock, 0)``), events flagged "undo".
+        """Exact reversal of the measurement: dynamics rewound under
+        ``model.hamiltonian`` (so ``phi_d`` lives on ``model.so_layout()``),
+        records erased (the step ``(clock, 0)``), events flagged "undo".
 
         A later re-measurement draws fresh records statistically independent
         of the erased ones; this is where the dual model departs from the
@@ -329,8 +310,7 @@ class DualState:
         """
         if not np.any(self.final_j):
             raise InvariantError("nothing to undo: no perception record is set")
-        h = build_meas_hamiltonian(model, self.phi_d.layout)
-        phi_d = reverse_evolution(self.phi_d, h, model.duration)
+        phi_d = reverse_evolution(self.phi_d, model.hamiltonian, model.duration)
         if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
             raise InvariantError(
                 "reversal did not return the observer to its ready state; "
@@ -341,14 +321,24 @@ class DualState:
         return out.record(out.clock, 0)
 
 
-def reduction_baseline(psi_s: StateVector, rng: np.random.Generator) -> ReductionBaselineState:
-    """Textbook collapse: project the system onto a random eigenstate.
+def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
+    """Textbook collapse comparator over an ensemble: each event's re-measured index.
 
-    Re-measuring the collapsed state reproduces the same outcome in every
-    event, including after an undo attempt; this persistence is the
-    discriminating prediction against the dual model.
+    Event e collapses S onto its record ``collapsed[e]`` in 1..s_dim, leaving
+    the branch |s_j>|O_j> with the record j. The events that share a
+    collapsed index j run one chain: undo, the measurement again, and
+    perceive a fresh record, one per uniform in the column *u*. The undo
+    rewinds the observer but not the collapse, so every event re-measures its
+    collapsed index; this persistence is the discriminating prediction
+    against the dual model. An event whose record is no system index is not
+    re-measured and gets -1.
     """
-    w = np.abs(psi_s.amplitudes) ** 2
-    i = int(draw_index(w / w.sum(), rng.random()))
-    collapsed = StateVector.basis(psi_s.layout, {S_LABEL: i})
-    return ReductionBaselineState(collapsed_index=i + 1, s_state=collapsed)
+    fresh = np.full_like(collapsed, -1)
+    for j in range(1, model.s_dim + 1):
+        events = collapsed == j
+        if not events.any():
+            continue
+        state = DualState(branch_state(model.so_layout(), j), np.count_nonzero(events),
+                          clock=model.duration).record(model.duration, j).undo(model)
+        fresh[events] = state.evolve(model.hamiltonian, model.duration).perceive(u[events]).final_j
+    return fresh

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,18 @@ class MeasurementModel:
     def so_layout(self) -> CompositeLayout:
         return CompositeLayout(((S_LABEL, self.s_dim), (O_LABEL, self.o_dim)))
 
+    @cached_property
+    def hamiltonian(self) -> LinearOperator:
+        """The measurement generator on ``so_layout()``, built (and so
+        diagonalized) once per model however many chains evolve under it."""
+        return build_meas_hamiltonian(self, self.so_layout())
+
+    def input_state(self, amplitudes) -> StateVector:
+        """The system state *amplitudes* beside a ready observer, S (x) |O_0>,
+        on ``so_layout()``."""
+        ready = np.eye(self.o_dim, 1, dtype=complex).ravel()
+        return StateVector(self.so_layout(), np.kron(np.asarray(amplitudes, dtype=complex), ready))
+
 
 @dataclass(frozen=True)
 class EnvironmentModel:
@@ -158,11 +171,7 @@ def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVect
     """
     if psi_s.layout.labels != (S_LABEL,):
         raise LayoutError(f"expected a bare system state on ({S_LABEL!r},), got {psi_s.layout.labels}")
-    layout = model.so_layout()
-    o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
-    psi0 = tensor_compose([psi_s, o_ready])
-    h = build_meas_hamiltonian(model, layout)
-    return evolve_unitary(psi0, h, model.duration)
+    return evolve_unitary(model.input_state(psi_s.amplitudes), model.hamiltonian, model.duration)
 
 
 def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:

@@ -38,6 +38,7 @@ from .dual import (
     event_uniforms,
     perception_time_pdf,
     philox_uniforms,
+    reduction_baseline,
     sample_perception_time,
     simpson,
 )
@@ -249,7 +250,7 @@ def parse_scenario(text: str) -> Scenario:
     flat = {}
     for key, value in doc.items():
         if key in ("env", "output"):
-            value = value or {}
+            value = {} if value is None else value
             if not isinstance(value, dict):
                 raise ScenarioError(f"{key}: expected a mapping")
             flat.update((f"{key}.{k}", v) for k, v in value.items())
@@ -404,21 +405,20 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
 
 def _run_undo(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
     psi = run_premeasurement(scenario.system_state(), model)
-    ready = np.eye(model.o_dim, 1, dtype=complex).ravel()
-    rho0 = StateVector(psi.layout, np.kron(scenario.amplitudes, ready)).to_density()
+    rho0 = model.input_state(scenario.amplitudes).to_density()
     weights = branch_weights(psi)
 
     # Measure, reverse, re-measure. Perception never back-reacts, so the
     # dynamical chain is shared by all events; only the two draws differ.
     undone = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0]).undo(model)
     recovery = trace_distance(undone.phi_d.to_density(), rho0)
-    h = build_meas_hamiltonian(model, psi.layout)
-    records = undone.evolve(h, model.duration).perceive(u[:, 1])
-    corr_dual = _correlation(records.steps[0][1], records.final_j)
-    # Textbook collapse (dual.reduction_baseline): undoing erases the record,
-    # but re-measuring the collapsed system returns its index with certainty,
-    # so the baseline's outcome persists in every event.
-    corr_base = 1.0
+    records = undone.evolve(model.hamiltonian, model.duration).perceive(u[:, 1])
+    collapsed = records.steps[0][1]
+    corr_dual = _correlation(collapsed, records.final_j)
+    # Textbook collapse on the same draws: the share of events whose
+    # re-measured outcome is the one they collapsed onto.
+    persisted = reduction_baseline(model, collapsed, u[:, 1]) == collapsed
+    persistence = np.count_nonzero(persisted) / scenario.n_events
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
 
     # 0.02 is the reference bound at 1e4 events; smaller runs get the
@@ -428,7 +428,7 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
         frequencies=freqs,
         correlations={
             "dual_old_new": corr_dual,
-            "baseline_old_new": corr_base,
+            "baseline_old_new": persistence,
             "recovery_trace_distance": recovery,
         },
         checks=[
@@ -436,8 +436,8 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
                    recovery <= TOL_ROUNDTRIP),
             _check("dual model: erased and fresh outcomes uncorrelated", corr_dual,
                    corr_dual is None or abs(corr_dual) < corr_bound),
-            _check("reduction baseline: outcome persists through undo", corr_base,
-                   corr_base == 1.0),
+            _check("reduction baseline: outcome persists through undo", persistence,
+                   persistence == 1.0),
             freq_check,
         ],
     ), records
@@ -473,9 +473,10 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, u: np.ndarray
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
     js1 = draw_index(marginal, u[:, 0])
     js2 = np.empty_like(js1)
-    for j1 in np.unique(js1):
-        row, events = joint[j1], js1 == j1
-        js2[events] = draw_index(row / row.sum(), u[events, 1])
+    for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
+        events = js1 == j1
+        if events.any():
+            js2[events] = draw_index(row / row.sum(), u[events, 1])
     records = DualState(psi_t2, scenario.n_events, clock=t2).record(t1, js1).record(t2, js2)
     agree = int(np.sum(js1 == js2))
     rate = agree / scenario.n_events

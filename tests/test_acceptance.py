@@ -117,7 +117,7 @@ def test_criterion_4_undoing_reversibility(capsys):
     base = summary.correlations["baseline_old_new"]
     ok = recovery <= 1e-10 and abs(corr) <= 0.02 and base == 1.0
     _report(capsys, 4, "undoing reversibility and outcome independence", ok,
-            f"recovery={recovery:.2e}, dual corr={corr:.4f}, baseline corr={base}")
+            f"recovery={recovery:.2e}, dual corr={corr:.4f}, collapse persistence={base}")
 
 
 def test_criterion_5_decoherence_law(capsys):

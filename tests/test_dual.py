@@ -12,6 +12,7 @@ from dualmeas import dual
 from dualmeas.core import (
     CompositeLayout,
     InvariantError,
+    LayoutError,
     LinearOperator,
     StateVector,
     embed,
@@ -32,7 +33,6 @@ from dualmeas.dynamics import (
 from dualmeas.dual import (
     EVENT_BLOCK,
     DualState,
-    ReductionBaselineState,
     draw_index,
     event_rng,
     event_uniforms,
@@ -407,6 +407,13 @@ class TestUndo:
         rho0 = ready_density()
         assert np.max(np.abs(out.phi_d.entries - rho0.entries)) < 1e-10
 
+    def test_reverses_only_the_model_layout(self):
+        # The reversal runs under model.hamiltonian, on so_layout() alone.
+        layout = CompositeLayout(((S_LABEL, 2), (O_LABEL, 3), ("O2", 3)))
+        state = DualState(branch_state(layout, 1), 1).record(1.0, 1)
+        with pytest.raises(LayoutError):
+            state.undo(MODEL)
+
     def test_rejects_non_postmeasurement_state(self):
         state = DualState(ready_density(), 1).record(0.0, 1)
         with pytest.raises(InvariantError):
@@ -436,31 +443,55 @@ class TestUndo:
             assert (j_old[eid], j_new[eid]) == (draw_index(w, r.random()), draw_index(w, r.random()))
 
 
+def collapse_records(amplitudes, n, seed):
+    """The model of *amplitudes*, each event's first dual record (the index
+    its textbook collapse projects onto) and its second uniform."""
+    model = MeasurementModel.calibrated(s_dim=len(amplitudes), o_dim=len(amplitudes) + 1)
+    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amplitudes), model)
+    u = event_uniforms(seed, n)
+    return model, DualState(psi, n, clock=model.duration).perceive(u[:, 0]).final_j, u[:, 1]
+
+
 class TestReductionBaseline:
+    """The collapse comparator on an ensemble's first records."""
+
     def test_collapsed_state_is_an_eigenstate(self):
-        psi = StateVector.from_amplitudes(MODEL.s_layout(), AMPS)
-        out = reduction_baseline(psi, event_rng(51, 0))
-        assert out.collapsed_index in (1, 2)
-        amps = out.s_state.amplitudes
-        assert abs(abs(amps[out.collapsed_index - 1]) - 1.0) < 1e-12
+        # Undone and measured again, each collapsed branch is back on the
+        # pointer eigenstate |s_j>|O_j>: the extreme nonzero uniforms of the
+        # 53-bit kernel both draw j.
+        model, collapsed, _ = collapse_records(AMPS, 64, 51)
+        for edge in (2.0**-53, 1.0 - 2.0**-53):
+            fresh = reduction_baseline(model, collapsed, np.full(64, edge))
+            assert np.array_equal(fresh, collapsed)
 
     def test_remeasurement_repeats_the_outcome(self):
-        psi = StateVector.from_amplitudes(MODEL.s_layout(), AMPS)
-        for k in range(50):
-            first = reduction_baseline(psi, event_rng(52, k))
-            again = reduction_baseline(first.s_state, event_rng(53, k))
-            assert again.collapsed_index == first.collapsed_index
+        for amplitudes in [AMPS,
+                           (math.sqrt(0.3), 1j * math.sqrt(0.7)),
+                           (math.sqrt(0.2), 1j * math.sqrt(0.3), -math.sqrt(0.5)),
+                           (1.0, 0.0)]:
+            model, collapsed, u = collapse_records(amplitudes, 3000, 52)
+            assert np.array_equal(reduction_baseline(model, collapsed, u), collapsed)
+            # Every branch with weight is collapsed onto by some event (and
+            # [1, 0] leaves its second group empty).
+            present = np.flatnonzero(np.abs(amplitudes)) + 1
+            assert set(collapsed.tolist()) == set(present.tolist())
 
     def test_outcome_frequencies_are_born(self):
-        psi = StateVector.from_amplitudes(MODEL.s_layout(), AMPS)
-        idx = np.array([reduction_baseline(psi, event_rng(54, k)).collapsed_index
-                        for k in range(5000)])
-        assert abs(np.mean(idx == 1) - 0.3) < 0.03
+        model, collapsed, u = collapse_records(AMPS, 5000, 54)
+        assert abs(np.mean(reduction_baseline(model, collapsed, u) == 1) - 0.3) < 0.03
+
+    def test_record_that_is_no_system_index_is_not_remeasured(self):
+        collapsed = np.array([0, 1, 2, 3, 2])
+        fresh = reduction_baseline(MODEL, collapsed, event_uniforms(55, 5)[:, 1])
+        assert fresh.tolist() == [-1, 1, 2, -1, 2]
 
     def test_mismatched_state_rejected(self):
-        psi = StateVector.from_amplitudes(MODEL.s_layout(), AMPS)
-        with pytest.raises(InvariantError):
-            ReductionBaselineState(collapsed_index=1, s_state=psi)
+        # Under a model that does not complete the transfer, the collapsed
+        # branch is not one of its post-measurement states, and the undo
+        # refuses it.
+        model = MeasurementModel(s_dim=2, o_dim=3, coupling=1.0, duration=1.0)
+        with pytest.raises(InvariantError, match="ready state"):
+            reduction_baseline(model, np.array([1, 2]), event_uniforms(53, 2)[:, 1])
 
 
 class TestObjectivity:

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from dualmeas import harness
 from dualmeas.cli import main
 from dualmeas.core import InvariantError, StateVector
-from dualmeas.dual import EVENT_BLOCK, DualState
-from dualmeas.dynamics import MeasurementModel, run_premeasurement
+from dualmeas.dual import EVENT_BLOCK, DualState, draw_index
+from dualmeas.dynamics import MeasurementModel, branch_weights, run_premeasurement
 from dualmeas.harness import (
     EXPERIMENTS,
     RunSummary,
@@ -244,6 +244,43 @@ class TestPerceptionTimingCheck:
         assert not summary.checks[0]["passed"]
 
 
+PERSISTS = "reduction baseline: outcome persists through undo"
+
+
+class TestReductionBaselineCheck:
+    @pytest.mark.parametrize("experiment", ["undo", "reduction_compare"])
+    def test_planted_redraw_fails(self, monkeypatch, experiment):
+        # A wrong comparator that forgets the collapse: it redraws each
+        # event's index from the premeasured weights, as the dual model does.
+        sc = parse_scenario(MINIMAL.replace("premeasure", experiment))
+
+        def redraw(model, collapsed, u):
+            return draw_index(branch_weights(run_premeasurement(sc.system_state(), model)), u)
+
+        monkeypatch.setattr(harness, "reduction_baseline", redraw)
+        summary, _ = run(sc)
+        check = next(c for c in summary.checks if c["name"] == PERSISTS)
+        assert not check["passed"]
+        assert check["value"] == summary.correlations["baseline_old_new"] < 0.7  # 0.3**2 + 0.7**2
+
+
+@pytest.mark.parametrize("experiment, extra, calls", [
+    ("premeasure", "", 1),
+    ("premeasure", "perception_mode: sample\n", 1),
+    ("undo", "", 1),
+    ("reduction_compare", "", 1),
+    ("perception_timing", "", 1),
+    ("decohere", "env: {n_atoms: 2}\nn_times: 5\n", 1),
+    ("two_observer", "", 2),  # one generator per observer
+])
+def test_each_generator_is_diagonalized_once_per_run(monkeypatch, experiment, extra, calls):
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or eigh(a))
+    summary, _ = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
+    assert all(c["passed"] for c in summary.checks)
+    assert len(seen) == calls, seen
+
+
 def _per_event_dump(records: DualState, fmt: str) -> str:
     """The events file from one dict per event through ``json.dump(indent=2)``,
     or one ``csv.writer`` row per event: the reference for emit's writer."""
@@ -411,6 +448,10 @@ class TestCli:
             MINIMAL + "output: {path: null}\n",
             MINIMAL + "output: {path: 5}\n",
             MINIMAL + "output: {format: 1}\n",
+            MINIMAL + "env: 0\n",
+            MINIMAL + "env: false\n",
+            MINIMAL + "output: []\n",
+            MINIMAL + "output: ''\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -421,7 +462,8 @@ class TestCli:
             "delta_t_zero", "n_events_fraction", "n_events_bool", "s_dim_fraction",
             "o_dim_fraction", "n_atoms_fraction", "n_times_fraction", "delta_t_subnormal",
             "non_string_key", "non_string_env_key", "dotted_top_level_key", "output_path_null",
-            "output_path_number", "output_format_number",
+            "output_path_number", "output_format_number", "env_zero", "env_false",
+            "output_empty_list", "output_empty_string",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
@@ -459,6 +501,10 @@ class TestCli:
         assert code in (0, 1, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
+    def test_null_sections_are_empty(self, tmp_path):
+        path = self._write(tmp_path, MINIMAL + "env: null\noutput: null\n")
+        assert main(["--scenario", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 
@@ -480,7 +526,8 @@ class TestCli:
 
 
 # Runs every experiment at a small size through run + emit in a fresh
-# interpreter, then prints the heavy modules the process has loaded.
+# interpreter, then prints the heavy modules the process has loaded. numpy.ma
+# costs a cold run 13-20 ms; np.unique is one function that imports it.
 _STARTUP_PROBE = """
 import sys, tempfile
 import dualmeas, dualmeas.cli
@@ -494,8 +541,8 @@ with tempfile.TemporaryDirectory() as tmp:
         summary, records = run(sc)
         assert all(c["passed"] for c in summary.checks), body
         emit(summary, records, f"{tmp}/{k}", fmt="csv" if k % 2 else "json")
-print(" ".join(m for m in sys.modules if m in ("scipy", "numpy.random")
-               or m.startswith(("scipy.", "numpy.random."))))
+print(" ".join(m for m in sys.modules if m in ("scipy", "numpy.random", "numpy.ma")
+               or m.startswith(("scipy.", "numpy.random.", "numpy.ma."))))
 """
 
 
