@@ -279,6 +279,7 @@ class DualState:
             raise InvariantError(
                 f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}"
             )
+        w[0] = 0.0  # absent; its residue, cos^2(pi/2) ~ 4e-33, would take a uniform of 0.0
         return self.record(self.clock if t is None else t, draw_index(w, u))
 
     def evolve(self, H: LinearOperator, t: float, u=None) -> DualState:

@@ -31,6 +31,8 @@ from .core import (
 S_LABEL = "S"
 O_LABEL = "O"
 O2_LABEL = "O2"
+# A pointer branch of norm below this is empty: it carries no coherence.
+EMPTY_BRANCH_NORM = 1e-14
 
 
 def env_label(k: int) -> str:
@@ -266,7 +268,7 @@ def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:
     v_i = psi[tuple(idx_i)].reshape(-1)
     v_j = psi[tuple(idx_j)].reshape(-1)
     n_i, n_j = np.linalg.norm(v_i), np.linalg.norm(v_j)
-    if n_i < 1e-14 or n_j < 1e-14:
+    if n_i < EMPTY_BRANCH_NORM or n_j < EMPTY_BRANCH_NORM:
         return 1.0 + 0j
     return complex(np.vdot(v_i, v_j) / (n_i * n_j))
 

@@ -32,6 +32,7 @@ from .core import (
 )
 from .dual import (
     EVENT_BLOCK,
+    READY_WEIGHT_TOL,
     DualState,
     draw_index,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
@@ -43,6 +44,7 @@ from .dual import (
     simpson,
 )
 from .dynamics import (
+    EMPTY_BRANCH_NORM,
     O2_LABEL,
     O_LABEL,
     S_LABEL,
@@ -469,9 +471,12 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, u: np.ndarray
     joint_layout = CompositeLayout(((S_LABEL, model.s_dim), (O_LABEL, o_dim * o_dim)))
     joint = branch_weights(StateVector(joint_layout, psi_t2.amplitudes)).reshape(o_dim, o_dim)
     marginal = joint.sum(axis=1)
+    first = marginal.copy()
+    if marginal[0] <= READY_WEIGHT_TOL:  # as in DualState.perceive: a uniform of 0.0
+        first[0] = joint[:, 0] = 0.0  # would draw the ready states' rounding residue
 
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    js1 = draw_index(marginal, u[:, 0])
+    js1 = draw_index(first, u[:, 0])
     js2 = np.empty_like(js1)
     for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
         events = js1 == j1
@@ -507,6 +512,10 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
     b_pure = discriminate(psi_so.to_density(), b_so)
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
+    # The cosine product is the decay of the coherence of branches 1 and 2;
+    # with either branch empty there is none to compare (the simulated factor
+    # is then 1).
+    coherent = np.all(np.abs(scenario.amplitudes[:2]) >= EMPTY_BRANCH_NORM)
     simulated, formula, b_vals = [], [], []
     d_so = model.s_dim * model.o_dim
     worst_factor, worst_b = 0.0, 0.0
@@ -520,7 +529,8 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
         simulated.append(complex(factor))
         formula.append(expected)
         b_vals.append(b_t)
-        worst_factor = max(worst_factor, abs(complex(factor) - expected))
+        if coherent:
+            worst_factor = max(worst_factor, abs(complex(factor) - expected))
         worst_b = max(worst_b, abs(b_t - b_pure * complex(factor).real))
 
     # Perception statistics are untouched by dephasing.
@@ -587,15 +597,46 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, u: np.nd
     ), records
 
 
+# Bytes per block of the events writer's matrix, so its temporaries stay
+# about this size whatever the width of a row.
+_EMIT_BYTES = 1 << 19
+
+
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The values of *column* as the rows of a NUL-padded uint8 matrix: each
+    float as ``float.__repr__`` (as json and csv write it), each integer as
+    right-aligned decimal digits."""
+    if column.dtype.kind == "f":
+        text = np.array(list(map(float.__repr__, column.tolist())), dtype="S")
+        return text.view(np.uint8).reshape(len(text), -1)
+    neg = column < 0
+    mag = column.astype(np.uint64)  # a negative's two's complement, negated next
+    np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
+    width = len(str(int(mag.max())))
+    cells = np.zeros((len(mag), 1 + width), np.uint8)
+    cells[:, 0] = neg * ord("-")  # the padding after the sign is dropped with the rest
+    ten = np.uint64(10)
+    for k in range(width, 0, -1):
+        live = (mag != 0) | (k == width)  # 0 is the one number with a leading 0
+        mag, digit = np.divmod(mag, ten)
+        cells[:, k] = live * (digit + ord("0"))
+    return cells
+
+
 def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
     re-runs of the same (scenario, seed). The events file has the bytes of
-    ``json.dump(indent=2)`` or ``csv.writer``, written EVENT_BLOCK events at a
-    time from one row template, with every scalar step formatted in."""
+    ``json.dump(indent=2)`` or ``csv.writer``. Every scalar step is formatted
+    into a row template once; a block of rows is one uint8 matrix of that
+    template, broadcast, and the NUL-padded cells of the column steps, and
+    is written without its NULs. Blocks hold at most EVENT_BLOCK rows and
+    about ``_EMIT_BYTES`` bytes."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown events format {fmt!r}; expected 'json' or 'csv'")
     if not records.steps:
         raise InvariantError("an event record needs at least one step")
+    if any("\0" in flag for flag in records.flags):
+        raise InvariantError("an event flag may not contain NUL, the writer's padding byte")
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -615,26 +656,33 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
             parts += ["," * (i > 0) + "\n      [\n        ", t, ",\n        ", j, "\n      ]"]
         text = json.dumps(flags, indent=2).replace("\n", "\n    ")
         parts.append(f'\n    ],\n    "flags": {text}\n  }}')
-    # A row is head + core % values + tail. Only core, from the event id to the
-    # last column, goes through %, so flag text needs no escaping.
-    core, tail, columns = "%d", "", []
+    # A row is sep + head, the event id, then the parts: texts[i] precedes
+    # columns[i] and texts[-1] ends the row. The file's first row has no sep.
+    texts, columns = [(sep + head).encode(), b""], [None]  # None: the event id
     for part in parts:  # template text, a scalar step or a column
         if isinstance(part, str):
-            tail += part
+            texts[-1] += part.encode()
             continue
         part = np.asarray(part)
-        spec = "%r" if part.dtype.kind == "f" else "%d"  # %r is float.__repr__, as json uses
-        if part.ndim == 0:
-            tail += spec % part.item()
-        else:
-            core, tail = core + tail + spec, ""
+        if part.ndim:
+            texts.append(b"")
             columns.append(part)
+        else:
+            cell = _cells(part.reshape(1))
+            texts[-1] += cell[cell != 0].tobytes()
+    texts = [np.frombuffer(t, np.uint8) for t in texts]
+    # A cell is at most 24 bytes wide, the longest repr of a float64.
+    block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // (sum(map(len, texts)) + 24 * len(columns))))
     events_path = os.path.join(out_dir, f"events.{fmt}")
-    with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(start)
-        for lo in range(0, n, EVENT_BLOCK):
-            hi = min(lo + EVENT_BLOCK, n)
-            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
-            fh.write(sep * (lo > 0) + head + (tail + sep + head).join(map(core.__mod__, rows)) + tail)
-        fh.write(end)
+    with open(events_path, "wb") as fh:
+        fh.write(start.encode())
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            pieces = [np.broadcast_to(texts[0], (hi - lo, len(texts[0])))]
+            for column, text in zip(columns, texts[1:]):
+                cells = _cells(np.arange(lo, hi) if column is None else column[lo:hi])
+                pieces += [cells, np.broadcast_to(text, (hi - lo, len(text)))]
+            rows = np.concatenate(pieces, axis=1)
+            fh.write(rows[rows != 0][len(sep) * (lo == 0):])
+        fh.write(end.encode())
     return [summary_path, events_path]

@@ -209,6 +209,20 @@ class TestPerceive:
         out = measured(amplitudes=(1.0, 0.0), n=30).perceive(event_uniforms(6, 30)[:, 0])
         assert np.all(out.final_j == 1)
 
+    @pytest.mark.parametrize("amplitudes", [
+        AMPS, (math.sqrt(0.3), 1j * math.sqrt(0.7)),
+        (math.sqrt(0.2), 1j * math.sqrt(0.3), -math.sqrt(0.5)),
+    ])
+    def test_zero_uniform_draws_a_system_index(self, amplitudes):
+        # After the calibrated window the ready weight is cos^2(pi/2) in
+        # floating point, about 4e-33, not 0; a uniform of 0.0 may not draw it.
+        model = MeasurementModel.calibrated(s_dim=len(amplitudes), o_dim=len(amplitudes) + 1)
+        psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amplitudes), model)
+        assert branch_weights(psi)[0] > 0.0
+        state = DualState(psi, 2, clock=model.duration)
+        assert state.perceive(0.0).final_j == 1
+        assert state.perceive(np.array([0.0, 0.5])).final_j[0] == 1
+
     def test_frequencies_match_born_weights(self):
         draws = measured(n=5000).perceive(event_uniforms(12, 5000)[:, 0]).final_j
         freq = np.bincount(draws, minlength=3) / draws.size

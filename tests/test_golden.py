@@ -20,8 +20,10 @@ coherence 2|rho_12| instead of <B> = 2 Re(rho_12) (events unchanged).
 
 The ``degenerate`` references (amplitudes ``[1, 0]``) pin a run with one
 empty branch: the frequency check's p in {0, 1} branch and the ``null``
-correlation of ``undo``. ``decohere-degenerate`` records a failing "matches
-the cosine product" check, as the code stood when it was recorded.
+correlation of ``undo``. ``decohere-degenerate`` was re-recorded when its
+"matches the cosine product" check stopped comparing the cosine product with
+a coherence that does not exist: with branch 2 empty the check's value is 0.0
+and it passes (events unchanged).
 
 ``PYTHONPATH=src python3 tests/test_golden.py NAME ...`` re-records only the
 named cases and leaves every other entry byte-identical; with no names it

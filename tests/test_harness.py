@@ -211,6 +211,42 @@ class TestRunner:
         assert len(summary.env_couplings) == 3
         assert len(summary.offdiag_curve["times"]) == 10
 
+    @pytest.mark.parametrize("amplitudes", ["[1, 0]", "[0, 1]", "[0, 0, 1]"])
+    def test_decohere_without_coherence_has_nothing_to_compare(self, amplitudes):
+        # With branch 1 or 2 empty the simulated factor is 1 while the cosine
+        # product decays: there is no coherence for the check to compare.
+        summary, _ = run(_decohere(amplitudes))
+        assert summary.checks[0] == {"name": COSINE, "passed": True, "value": 0.0}
+        assert all(c["passed"] for c in summary.checks), summary.checks
+
+    @pytest.mark.parametrize("amplitudes, passed", [("[0.6, 0.8]", False), ("[1, 0]", True)])
+    def test_planted_cosine_product_fails_only_with_coherence(self, monkeypatch, amplitudes,
+                                                              passed):
+        exact = harness.offdiag_suppression
+        monkeypatch.setattr(harness, "offdiag_suppression", lambda env, t: 1.001 * exact(env, t))
+        summary, _ = run(_decohere(amplitudes))
+        assert summary.checks[0]["name"] == COSINE
+        assert summary.checks[0]["passed"] is passed
+
+
+COSINE = "simulated off-diagonal factor matches the cosine product"
+
+
+def _decohere(amplitudes):
+    return parse_scenario(f"experiment: decohere\namplitudes: {amplitudes}\nseed: 7\n"
+                          "n_events: 200\nenv: {n_atoms: 3}\nn_times: 5\n")
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_uniforms_of_zero_record_system_indices(monkeypatch, experiment):
+    # After a calibrated window each ready weight is rounding residue, about
+    # 4e-33; a uniform of exactly 0.0 may not draw it.
+    monkeypatch.setattr(harness, "event_uniforms", lambda seed, n: np.zeros((n, 4)))
+    extra = {"decohere": "env: {n_atoms: 2}\nn_times: 5\n"}.get(experiment, "")
+    summary, records = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
+    drawn = [j for _, j in records.steps if np.ndim(j)]
+    assert drawn and all(np.all(j == 1) for j in drawn)
+
 
 TIMING = MINIMAL.replace("premeasure", "perception_timing") + "n_times: {}\n"
 
@@ -302,6 +338,11 @@ def _per_event_dump(records: DualState, fmt: str) -> str:
     return buf.getvalue()
 
 
+# Rows of three column steps and the flag "undo" that fill one block of the
+# events writer: a 192-byte template and seven cells of at most 24 bytes.
+JSON_K3_BLOCK = harness._EMIT_BYTES // (192 + 24 * 7)
+
+
 class TestEmission:
     def test_byte_identical_across_reruns(self, tmp_path):
         sc = parse_scenario(MINIMAL)
@@ -324,9 +365,11 @@ class TestEmission:
 
     @given(
         n=st.one_of(st.sampled_from([0, 1, EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1,
-                                     2 * EVENT_BLOCK + 1]), st.integers(0, 40)),
+                                     2 * EVENT_BLOCK + 1, JSON_K3_BLOCK + 1]),
+                    st.integers(0, 40)),
         constant=st.lists(st.booleans(), min_size=3, max_size=3),
-        floats=st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2])
+        floats=st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, 1e16, 1e-05,
+                                         -1e-07, 1.5e300])
                         | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
         k=st.integers(1, 3),
         flags=st.sampled_from([(), ("undo",), ("a", "b"), ("50%", 'x,"y"')]),
@@ -338,14 +381,19 @@ class TestEmission:
     @example(n=2 * EVENT_BLOCK + 1, constant=[False] * 3, floats=[0.1 + 0.2, 5e-324], k=1,
              flags=("a", "b"), fmt="csv", seed=0)
     @example(n=8, constant=[False] * 3, floats=[-0.0, 0.0], k=2, flags=(), fmt="json", seed=0)
+    @example(n=JSON_K3_BLOCK + 1, constant=[False] * 3, floats=[1e16, 1e-05, -1e-07, 1.5e300],
+             k=3, flags=("undo",), fmt="json", seed=0)
+    @example(n=40, constant=[False] * 3, floats=[-1e-07, 1e16], k=1, flags=(), fmt="csv", seed=1)
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_blockwise_writer_matches_per_event_dump(self, n, constant, floats, k, flags, fmt,
                                                      seed):
-        # Explicit examples pin three blocks in each format and a column
-        # that mixes 0.0 and -0.0, which compare equal but print differently.
-        # Steps are built directly: record() would reject the indices -1 and 2**40.
+        # Explicit examples pin three blocks in each format, a column that
+        # mixes 0.0 and -0.0, which compare equal but print differently, one
+        # row past the first byte-bounded block of three column steps, and
+        # floats that print with an exponent. Steps are built directly:
+        # record() would reject the indices below 0 and past the pointer basis.
         rng = np.random.default_rng(seed)
-        indices = [-1, 0, 2, 2**40]
+        indices = [-1, 0, 2, 9, 10, 99, 100, 2**40, 10**18, 2**63 - 1, -2**63]
         steps, floor = [], -math.inf  # every event's latest time so far
         for c in constant[:k]:
             if c:  # a scalar step: one value shared by every event
@@ -359,6 +407,15 @@ class TestEmission:
         with tempfile.TemporaryDirectory() as tmp:
             _, events_path = emit(summary, records, tmp, fmt=fmt)
             assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nul_in_a_flag_rejected_before_writing(self, tmp_path, fmt):
+        # NUL pads the writer's cells, so it may not appear in a row.
+        summary, records = run(parse_scenario(MINIMAL))
+        records = replace(records, flags=("undo", "a\0b"))
+        with pytest.raises(InvariantError, match="NUL"):
+            emit(summary, records, tmp_path / "out", fmt=fmt)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_format_rejected_before_writing(self, tmp_path):
         summary, records = run(parse_scenario(MINIMAL))
