@@ -24,7 +24,6 @@ from .core import (
     LinearOperator,
     StateVector,
     evolve_unitary,
-    projector,
 )
 from .dynamics import (
     O_LABEL,
@@ -174,21 +173,24 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
         raise ValueError("time grid must be finite")
     if model.duration <= 0:
         raise ValueError("non-positive measurement duration")
-    layout, psi0, h = model.so_layout(), model.input_state(amplitudes), model.hamiltonian
-    projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
-    block = max(1, _PDF_BLOCK // layout.total_dim**2)
+    psi0, h = model.input_state(amplitudes), model.hamiltonian
+    n = psi0.layout.total_dim
+    on_o = np.arange(n) % model.o_dim  # each amplitude's pointer index
+    masks = [(on_o == j)[:, None] for j in range(1, model.o_dim)]
+    block = max(1, _PDF_BLOCK // n**2)
 
     def raw(ts):
         # A block of times at once: psi(t) from the stack of unitaries, then
-        # <psi| P H |psi> as (1, n) @ (n, 1) products. These give the bits of
-        # np.vdot on each time alone; np.sum(conj * x) does not, and the
-        # sampled perception times depend on those bits.
+        # <psi| P H |psi> as (1, n) @ (n, 1) products, P a mask on the O
+        # axis. These give the bits of np.vdot on each time alone;
+        # np.sum(conj * x) does not, and the sampled perception times depend
+        # on those bits.
         out = np.empty(len(ts))
         for lo in range(0, len(ts), block):
             psi = h.unitary_at(ts[lo:lo + block]) @ psi0.amplitudes
             h_psi = h.entries @ psi[..., None]
             bra = psi.conj()[:, None, :]
-            out[lo:lo + block] = sum(2.0 * np.imag((bra @ (p @ h_psi))[:, 0, 0]) for p in projs)
+            out[lo:lo + block] = sum(2.0 * np.imag((bra @ (m * h_psi))[:, 0, 0]) for m in masks)
         return out
 
     # Normalize on an internal dense window so c_p does not depend on the

@@ -139,19 +139,17 @@ class EnvironmentModel:
         return cls(n_atoms=n_atoms, couplings=g, pointer_values=default_pointer_values(o_dim))
 
 
-def build_meas_hamiltonian(model: MeasurementModel, layout: CompositeLayout, observer=O_LABEL) -> LinearOperator:
+def build_meas_hamiltonian(model: MeasurementModel, layout: CompositeLayout) -> LinearOperator:
     """Coupling sum_i |s_i><s_i| (x) (|O_i><O_0| + h.c.), identity elsewhere.
 
     Gated ladder form: each system eigenstate drives a two-level rotation
     between the observer ready state and its own pointer state, so the
-    measured observable is conserved by construction. *observer* selects
-    which observer subsystem couples (a second observer reuses the same
-    form).
+    measured observable is conserved by construction.
     """
-    for label in (S_LABEL, observer):
+    for label in (S_LABEL, O_LABEL):
         if label not in layout.labels:
             raise LayoutError(f"layout is missing subsystem {label!r}")
-    s_d, o_d = layout.dim(S_LABEL), layout.dim(observer)
+    s_d, o_d = layout.dim(S_LABEL), layout.dim(O_LABEL)
     if s_d != model.s_dim or o_d != model.o_dim:
         raise LayoutError("layout dimensions disagree with the measurement model")
     h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
@@ -161,7 +159,7 @@ def build_meas_hamiltonian(model: MeasurementModel, layout: CompositeLayout, obs
         ladder = np.zeros((o_d, o_d), dtype=complex)
         ladder[i + 1, 0] = 1.0
         ladder[0, i + 1] = 1.0
-        h += model.coupling * embed(layout, {S_LABEL: s_proj, observer: ladder})
+        h += model.coupling * embed(layout, {S_LABEL: s_proj, O_LABEL: ladder})
     return LinearOperator(layout, h)
 
 

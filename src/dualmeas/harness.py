@@ -27,12 +27,10 @@ from .core import (
     StateVector,
     TOL_ALGEBRAIC,
     TOL_ROUNDTRIP,
-    evolve_unitary,
     trace_distance,
 )
 from .dual import (
     EVENT_BLOCK,
-    READY_WEIGHT_TOL,
     DualState,
     draw_index,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
@@ -53,7 +51,6 @@ from .dynamics import (
     attach_environment,
     branch_state,
     branch_weights,
-    build_meas_hamiltonian,
     offdiag_suppression,
     run_decoherence,
     run_premeasurement,
@@ -346,10 +343,11 @@ def _pure_vs_mixture(psi: StateVector, amplitudes):
 def run(scenario: Scenario):
     """Execute one scenario; returns ``(RunSummary, DualState)``.
 
-    Deterministic given (scenario, seed): ``run`` builds the measurement model
-    and makes the one ``event_uniforms`` draw, row ``eid`` from the
-    counter-based substream of event ``eid``. Each runner turns them into its
-    summary fields and event records.
+    Deterministic given (scenario, seed): ``run`` builds the measurement model,
+    premeasures the system once under its generator, and makes the one
+    ``event_uniforms`` draw, row ``eid`` from the counter-based substream of
+    event ``eid``. Each runner turns them into its summary fields and event
+    records.
     """
     runner = {
         "premeasure": _run_premeasure,
@@ -359,8 +357,10 @@ def run(scenario: Scenario):
         "reduction_compare": _run_reduction_compare,
         "perception_timing": _run_perception_timing,
     }[scenario.experiment]
+    model = scenario.model()
+    psi = run_premeasurement(scenario.system_state(), model)
     u = event_uniforms(scenario.seed, scenario.n_events)
-    fields, records = runner(scenario, scenario.model(), u)
+    fields, records = runner(scenario, model, psi, u)
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
     summary = RunSummary(
         experiment=scenario.experiment,
@@ -373,8 +373,7 @@ def run(scenario: Scenario):
     return summary, records
 
 
-def _run_premeasure(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
-    psi = run_premeasurement(scenario.system_state(), model)
+def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
     weights = branch_weights(psi)
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
     b_pure, b_mixed, rho, rho_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
@@ -405,8 +404,7 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
     ), records
 
 
-def _run_undo(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
-    psi = run_premeasurement(scenario.system_state(), model)
+def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
     rho0 = model.input_state(scenario.amplitudes).to_density()
     weights = branch_weights(psi)
 
@@ -445,44 +443,37 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
     ), records
 
 
-def _run_two_observer(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
-    layout = CompositeLayout(
-        ((S_LABEL, model.s_dim), (O_LABEL, model.o_dim), (O2_LABEL, model.o_dim))
-    )
-    ready = np.eye(model.o_dim**2, 1, dtype=complex).ravel()  # both observers ready
-    psi0 = StateVector(layout, np.kron(scenario.amplitudes, ready))
-
-    h1 = build_meas_hamiltonian(model, layout, observer=O_LABEL)
-    h2 = build_meas_hamiltonian(model, layout, observer=O2_LABEL)
-    psi_t1 = evolve_unitary(psi0, h1, model.duration)  # O entangled, O2 ready
-    psi_t2 = evolve_unitary(psi_t1, h2, model.duration)  # both entangled
+def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
+    # O2 measures S by O's generator: U (x) 1_O, U = exp(-iHt) on S (x) O2, and
+    # from O2's ready state, psi_t2[x, a, y] = sum_s U[(x, y), (s, 0)] psi[s, a].
+    s_dim, o_dim = model.s_dim, model.o_dim
+    p = psi.amplitudes.reshape(s_dim, o_dim)
+    cols = model.hamiltonian.unitary_at(model.duration)[:, ::o_dim]  # the columns (s, 0)
+    layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim), (O2_LABEL, o_dim)))
+    psi_t2 = StateVector(layout, (cols @ p).reshape(s_dim, o_dim, o_dim).swapaxes(1, 2).ravel())
 
     # Coherence between branches 1 and 2 available to the second observer
     # between the two measurements: nonzero certifies no objective collapse at
     # t1. It is 2|rho_12| = |<B> + i<B'>|, B the interference probe and B' its
     # imaginary-part partner, so no relative phase of the branches hides it.
-    psi = psi_t1.amplitudes.reshape(layout.dims)
-    b_mid = 2.0 * abs(np.vdot(psi[0, 1], psi[1, 2]))
+    b_mid = 2.0 * abs(np.vdot(p[0, 1], p[1, 2]))
 
     # Joint pointer distribution at t2: the adjacent (O, O2) axes read as one
     # observer axis of dimension o_dim**2. Each event draws the first
     # observer's record from the marginal, the second from the conditional row.
-    o_dim = model.o_dim
-    joint_layout = CompositeLayout(((S_LABEL, model.s_dim), (O_LABEL, o_dim * o_dim)))
+    t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
+    first = DualState(psi_t2, scenario.n_events, clock=t2).perceive(u[:, 0], t=t1)
+    joint_layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim * o_dim)))
     joint = branch_weights(StateVector(joint_layout, psi_t2.amplitudes)).reshape(o_dim, o_dim)
     marginal = joint.sum(axis=1)
-    first = marginal.copy()
-    if marginal[0] <= READY_WEIGHT_TOL:  # as in DualState.perceive: a uniform of 0.0
-        first[0] = joint[:, 0] = 0.0  # would draw the ready states' rounding residue
-
-    t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    js1 = draw_index(first, u[:, 0])
+    joint[:, 0] = 0.0  # O2's ready weight is O's, which perceive found to be residue
+    js1 = first.final_j
     js2 = np.empty_like(js1)
     for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
         events = js1 == j1
         if events.any():
             js2[events] = draw_index(row / row.sum(), u[events, 1])
-    records = DualState(psi_t2, scenario.n_events, clock=t2).record(t1, js1).record(t2, js2)
+    records = first.record(t2, js2)
     agree = int(np.sum(js1 == js2))
     rate = agree / scenario.n_events
 
@@ -503,13 +494,12 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, u: np.ndarray
     ), records
 
 
-def _run_decohere(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
+def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
     env = scenario.environment()
-    psi_so = run_premeasurement(scenario.system_state(), model)
-    psi_full = attach_environment(psi_so, env)
+    psi_full = attach_environment(psi, env)
 
-    b_so = interference_operator(psi_so.layout)
-    b_pure = discriminate(psi_so.to_density(), b_so)
+    b_so = interference_operator(psi.layout)
+    b_pure = discriminate(psi.to_density(), b_so)
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
     # The cosine product is the decay of the coherence of branches 1 and 2;
@@ -524,7 +514,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
         expected = offdiag_suppression(env, float(t))
         # Reduced system-observer state, built without the full density matrix.
         m = evolved.amplitudes.reshape(d_so, -1)
-        rho_so = DensityMatrix(psi_so.layout, m @ m.conj().T)
+        rho_so = DensityMatrix(psi.layout, m @ m.conj().T)
         b_t = discriminate(rho_so, b_so)
         simulated.append(complex(factor))
         formula.append(expected)
@@ -557,10 +547,10 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
     ), records
 
 
-def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
+def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector,
+                           u: np.ndarray):
     """Matched dual and textbook-collapse ensembles, side by side."""
-    fields, records = _run_undo(scenario, model, u)
-    psi = run_premeasurement(scenario.system_state(), model)
+    fields, records = _run_undo(scenario, model, psi, u)
     b_dual, b_baseline, _, _ = _pure_vs_mixture(psi, scenario.amplitudes)
     fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
     fields["checks"].append(_check("interference discriminator: dual nonzero, baseline zero",
@@ -568,7 +558,8 @@ def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, u: np.nd
     return fields, records
 
 
-def _run_perception_timing(scenario: Scenario, model: MeasurementModel, u: np.ndarray):
+def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: StateVector,
+                           u: np.ndarray):
     grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
     integral = simpson(pdf.density, pdf.times)
@@ -576,7 +567,6 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, u: np.nd
     # pessimistic estimate of its error; a coarse grid keeps that allowance.
     coarse = np.r_[0:len(grid) - 1:2, len(grid) - 1]
     bound = max(1e-6, abs(integral - simpson(pdf.density[coarse], pdf.times[coarse])))
-    psi = run_premeasurement(scenario.system_state(), model)
     weights = branch_weights(psi)
 
     t_p = sample_perception_time(pdf, u[:, 1])

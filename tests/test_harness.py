@@ -21,9 +21,22 @@ from hypothesis import strategies as st
 
 from dualmeas import harness
 from dualmeas.cli import main
-from dualmeas.core import InvariantError, StateVector
+from dualmeas.core import (
+    CompositeLayout,
+    InvariantError,
+    LinearOperator,
+    StateVector,
+    embed,
+    evolve_unitary,
+)
 from dualmeas.dual import EVENT_BLOCK, DualState, draw_index
-from dualmeas.dynamics import MeasurementModel, branch_weights, run_premeasurement
+from dualmeas.dynamics import (
+    O_LABEL,
+    S_LABEL,
+    MeasurementModel,
+    branch_weights,
+    run_premeasurement,
+)
 from dualmeas.harness import (
     EXPERIMENTS,
     RunSummary,
@@ -307,14 +320,54 @@ class TestReductionBaselineCheck:
     ("reduction_compare", "", 1),
     ("perception_timing", "", 1),
     ("decohere", "env: {n_atoms: 2}\nn_times: 5\n", 1),
-    ("two_observer", "", 2),  # one generator per observer
+    ("two_observer", "", 1),
 ])
 def test_each_generator_is_diagonalized_once_per_run(monkeypatch, experiment, extra, calls):
+    # Every run builds the one S (x) O generator, s_dim * o_dim = 6 wide.
     eigh, seen = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or eigh(a))
     summary, _ = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
     assert all(c["passed"] for c in summary.checks)
-    assert len(seen) == calls, seen
+    assert seen == [(6, 6)] * calls
+
+
+def _two_observer_reference(sc: Scenario):
+    """The states of two_observer after each measurement, from dense three-party
+    generators: lambda sum_i |s_i><s_i| (x) ladder_i on O, then on O2."""
+    model, s_dim, o_dim = sc.model(), sc.s_dim, sc.o_dim
+    layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim), ("O2", o_dim)))
+    psi = StateVector(layout, np.kron(sc.amplitudes, np.eye(o_dim**2, 1).ravel()))
+    states = []
+    for observer in (O_LABEL, "O2"):
+        h = 0
+        for i in range(s_dim):
+            ladder = np.zeros((o_dim, o_dim))
+            ladder[i + 1, 0] = ladder[0, i + 1] = 1.0
+            s_proj = np.diag(np.eye(s_dim)[i])
+            h = h + model.coupling * embed(layout, {S_LABEL: s_proj, observer: ladder})
+        psi = evolve_unitary(psi, LinearOperator(layout, h), model.duration)
+        states.append(psi)
+    return states
+
+
+@given(
+    s_dim=st.integers(2, 4),
+    extra_o=st.integers(1, 3),
+    weights=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+    delta_t=st.floats(0.1, 3.0),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_two_observer_matches_three_party_generators(s_dim, extra_o, weights, phases, delta_t):
+    amps = np.sqrt(weights[:s_dim]) * np.exp(1j * np.array(phases[:s_dim]))
+    sc = Scenario(experiment="two_observer", amplitudes=amps / np.linalg.norm(amps), seed=1,
+                  n_events=20, s_dim=s_dim, o_dim=s_dim + extra_o, delta_t=delta_t)
+    psi_t1, psi_t2 = _two_observer_reference(sc)
+    summary, records = run(sc)
+    np.testing.assert_allclose(records.phi_d.amplitudes, psi_t2.amplitudes, rtol=0, atol=1e-12)
+    p = psi_t1.amplitudes.reshape(psi_t1.layout.dims)
+    b_mid = 2.0 * abs(np.vdot(p[0, 1], p[1, 2]))
+    assert abs(summary.b_values["between_measurements"] - b_mid) <= 1e-12
 
 
 def _per_event_dump(records: DualState, fmt: str) -> str:
@@ -530,6 +583,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_incomplete_measurement_exits_three(self, tmp_path, capsys, experiment):
+        # lambda * delta_t = 0.5 leaves ready weight cos^2(0.5) ~ 0.77 in
+        # every experiment: none may record from the half-done measurement.
+        body = (f"experiment: {experiment}\namplitudes: [0.6, 0.8]\nseed: 3\nn_events: 100\n"
+                "lambda: 0.5\nenv: {n_atoms: 2}\nn_times: 5\n")
+        assert main(["--scenario", self._write(tmp_path, body),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "measurement incomplete" in err and err.count("\n") == 1
 
     @given(
         experiment=st.sampled_from(EXPERIMENTS),
