@@ -30,7 +30,6 @@ from .dynamics import (
     attach_environment,
     branch_weights,
     build_dephasing_hamiltonian,
-    build_meas_hamiltonian,
     offdiag_suppression,
     reverse_evolution,
     run_decoherence,

@@ -65,9 +65,6 @@ def main(argv=None) -> int:
             overrides["out_format"] = args.format
         if overrides:
             scenario = replace(scenario, **overrides)
-    except FileNotFoundError as e:
-        print(f"dualmeas: scenario error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
     except (ScenarioError, InvariantError) as e:
         print(f"dualmeas: scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO

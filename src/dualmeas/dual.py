@@ -99,17 +99,18 @@ def _philox(seed: int, c0: np.ndarray, c2: np.ndarray):
 
 
 def event_uniforms(seed: int, n_events: int) -> np.ndarray:
-    """Row ``eid`` holds the first four ``event_rng(seed, eid).random()``
-    draws, for every event ``eid < n_events``; enough for any runner.
+    """Row ``eid`` holds the first two ``event_rng(seed, eid).random()``
+    draws, for every event ``eid < n_events``; no runner reads more.
 
-    Each row is one Philox4x64-10 block, computed for EVENT_BLOCK events at
-    a time: numpy advances the counter before its first block, so event
-    ``eid`` encrypts the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
+    Each row is the first two words of one Philox4x64-10 block, computed for
+    EVENT_BLOCK events at a time: numpy advances the counter before its first
+    block, so event ``eid`` encrypts the counter ``[1, 0, eid, 0]`` under the
+    key ``[seed, 0]``.
     """
-    out = np.empty((n_events, 4))
+    out = np.empty((n_events, 2))
     for lo in range(0, n_events, EVENT_BLOCK):
         eid = np.arange(lo, min(lo + EVENT_BLOCK, n_events), dtype=np.uint64)
-        for i, c in enumerate(_philox(seed, np.ones_like(eid), eid)):
+        for i, c in enumerate(_philox(seed, np.ones_like(eid), eid)[:2]):
             out[lo:lo + len(eid), i] = (c >> np.uint64(11)) * 2.0**-53
     return out
 

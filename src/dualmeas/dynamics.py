@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from .core import (
     LayoutError,
     LinearOperator,
     StateVector,
-    embed,
     evolve_unitary,
-    tensor_compose,
 )
 
 S_LABEL = "S"
@@ -99,9 +97,21 @@ class MeasurementModel:
 
     @cached_property
     def hamiltonian(self) -> LinearOperator:
-        """The measurement generator on ``so_layout()``, built (and so
-        diagonalized) once per model however many chains evolve under it."""
-        return build_meas_hamiltonian(self, self.so_layout())
+        """Coupling sum_i |s_i><s_i| (x) (|O_i><O_0| + h.c.) on ``so_layout()``,
+        built (and so diagonalized) once per model however many chains evolve
+        under it.
+
+        Gated ladder form: each system eigenstate drives a two-level rotation
+        between the observer ready state and its own pointer state, so the
+        measured observable is conserved by construction. On the flat index
+        s * o_dim + o, that is the entries (i * o_dim, i * o_dim + i + 1).
+        """
+        ready = np.arange(self.s_dim) * self.o_dim
+        pointer = ready + np.arange(1, self.s_dim + 1)
+        n = self.s_dim * self.o_dim
+        h = np.zeros((n, n), dtype=complex)
+        h[ready, pointer] = h[pointer, ready] = self.coupling
+        return LinearOperator(self.so_layout(), h)
 
     def input_state(self, amplitudes) -> StateVector:
         """The system state *amplitudes* beside a ready observer, S (x) |O_0>,
@@ -137,30 +147,6 @@ class EnvironmentModel:
     def default(cls, n_atoms, o_dim, couplings=None) -> "EnvironmentModel":
         g = np.ones(n_atoms) if couplings is None else couplings
         return cls(n_atoms=n_atoms, couplings=g, pointer_values=default_pointer_values(o_dim))
-
-
-def build_meas_hamiltonian(model: MeasurementModel, layout: CompositeLayout) -> LinearOperator:
-    """Coupling sum_i |s_i><s_i| (x) (|O_i><O_0| + h.c.), identity elsewhere.
-
-    Gated ladder form: each system eigenstate drives a two-level rotation
-    between the observer ready state and its own pointer state, so the
-    measured observable is conserved by construction.
-    """
-    for label in (S_LABEL, O_LABEL):
-        if label not in layout.labels:
-            raise LayoutError(f"layout is missing subsystem {label!r}")
-    s_d, o_d = layout.dim(S_LABEL), layout.dim(O_LABEL)
-    if s_d != model.s_dim or o_d != model.o_dim:
-        raise LayoutError("layout dimensions disagree with the measurement model")
-    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for i in range(model.s_dim):
-        s_proj = np.zeros((s_d, s_d), dtype=complex)
-        s_proj[i, i] = 1.0
-        ladder = np.zeros((o_d, o_d), dtype=complex)
-        ladder[i + 1, 0] = 1.0
-        ladder[0, i + 1] = 1.0
-        h += model.coupling * embed(layout, {S_LABEL: s_proj, O_LABEL: ladder})
-    return LinearOperator(layout, h)
 
 
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
@@ -202,25 +188,17 @@ def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) 
     return h.reshape(-1)
 
 
-def decoherence_layout(model: MeasurementModel, env: EnvironmentModel) -> CompositeLayout:
-    subs = ((S_LABEL, model.s_dim), (O_LABEL, model.o_dim))
-    subs += tuple((env_label(k), 2) for k in range(env.n_atoms))
-    return CompositeLayout(subs)
-
-
 def attach_environment(state: StateVector, env: EnvironmentModel) -> StateVector:
-    """Tensor each environment atom in its |+> state onto *state*.
+    """Tensor each environment atom in its |+> state onto *state*, in the one
+    bath order: *state*'s subsystems (S, O for a run), then E0, E1, ....
 
     |+> maximizes the per-atom dephasing and makes the off-diagonal
     suppression an exact cosine product.
     """
-    plus = StateVector.from_amplitudes(
-        CompositeLayout((("tmp", 2),)), np.array([1.0, 1.0]) / math.sqrt(2.0)
-    )
-    parts = [state]
-    for k in range(env.n_atoms):
-        parts.append(StateVector(CompositeLayout(((env_label(k), 2),)), plus.amplitudes))
-    return tensor_compose(parts) if env.n_atoms else state
+    atoms = tuple((env_label(k), 2) for k in range(env.n_atoms))
+    plus = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
+    layout = CompositeLayout(state.layout.subsystems + atoms)
+    return StateVector(layout, reduce(np.kron, [plus] * env.n_atoms, state.amplitudes))
 
 
 def offdiag_suppression(env: EnvironmentModel, t: float, branches=(1, 2)) -> float:
@@ -249,22 +227,17 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, t: float):
 def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:
     """Normalized overlap of the environment factors of two pointer branches.
 
-    Projects the vector onto the |s_i>|O_i> and |s_j>|O_j> branches and takes
-    the normalized inner product of the environment factors, which includes
-    the relative phase of the two branch amplitudes. Falls back to 1 when a
-    branch amplitude vanishes (no coherence to suppress).
+    With S and O leading, the vector is a matrix whose row s * o_dim + o is the
+    rest of the system beside |s>|O_o>; branch i is row (i - 1) * o_dim + i.
+    The normalized inner product of two such rows includes the relative phase
+    of the two branch amplitudes. Falls back to 1 when a branch amplitude
+    vanishes (no coherence to suppress).
     """
-    layout = state.layout
-    dims = layout.dims
-    psi = state.amplitudes.reshape(dims)
-    s_ax, o_ax = layout.axis(S_LABEL), layout.axis(O_LABEL)
-    i, j = branches
-    idx_i = [slice(None)] * len(dims)
-    idx_i[s_ax], idx_i[o_ax] = i - 1, i
-    idx_j = [slice(None)] * len(dims)
-    idx_j[s_ax], idx_j[o_ax] = j - 1, j
-    v_i = psi[tuple(idx_i)].reshape(-1)
-    v_j = psi[tuple(idx_j)].reshape(-1)
+    labels, dims = state.layout.labels, state.layout.dims
+    if labels[:2] != (S_LABEL, O_LABEL):
+        raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, got {labels}")
+    rows = state.amplitudes.reshape(dims[0] * dims[1], -1)
+    v_i, v_j = (rows[(b - 1) * dims[1] + b] for b in branches)
     n_i, n_j = np.linalg.norm(v_i), np.linalg.norm(v_j)
     if n_i < EMPTY_BRANCH_NORM or n_j < EMPTY_BRANCH_NORM:
         return 1.0 + 0j

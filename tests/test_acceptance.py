@@ -22,7 +22,6 @@ from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
-    build_meas_hamiltonian,
     run_premeasurement,
 )
 from dualmeas.core import LinearOperator, embed
@@ -177,7 +176,7 @@ def test_criterion_8_conservation_suite(capsys):
         StateVector.from_amplitudes(model.s_layout(), AMPS),
         StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {}),
     ]).to_density()
-    h = build_meas_hamiltonian(model, model.so_layout())
+    h = model.hamiltonian
     purity_drift = 0.0
     for t in (0.3, 0.7, 1.0, 2.5):
         purity_drift = max(purity_drift, abs(evolve_unitary(rho0, h, t).purity() - rho0.purity()))

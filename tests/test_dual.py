@@ -27,7 +27,6 @@ from dualmeas.dynamics import (
     MeasurementModel,
     branch_state,
     branch_weights,
-    build_meas_hamiltonian,
     run_premeasurement,
 )
 from dualmeas.dual import (
@@ -100,14 +99,14 @@ class TestEventRng:
         # 128-bit multiply is full-width.
         rows = event_uniforms(seed, n)
         for eid in range(n):
-            assert np.array_equal(rows[eid], event_rng(seed, eid).random(4))
+            assert np.array_equal(rows[eid], event_rng(seed, eid).random(2))
 
     @pytest.mark.parametrize("n", [EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1])
     def test_blocks_match_event_rng(self, n):
         rows = event_uniforms(2**64 - 1, n)
-        assert rows.shape == (n, 4)
+        assert rows.shape == (n, 2)
         for eid in range(n):
-            assert np.array_equal(rows[eid], event_rng(2**64 - 1, eid).random(4))
+            assert np.array_equal(rows[eid], event_rng(2**64 - 1, eid).random(2))
 
     @pytest.mark.parametrize("seed", [0, 7, 20260826, 2**64 - 1])
     @pytest.mark.parametrize("stream", [0, 1 << 62])
@@ -178,13 +177,13 @@ class TestStatisticalEvolution:
         assert np.allclose(branch_weights(out), branch_weights(ready_density()), atol=1e-12)
 
     def test_full_measurement_transfers_weights(self):
-        h = build_meas_hamiltonian(MODEL, SO)
+        h = MODEL.hamiltonian
         out = evolve_unitary(ready_density(), h, MODEL.duration)
         assert np.allclose(branch_weights(out), [0.0, 0.3, 0.7], atol=1e-12)
 
     def test_half_duration_rabi_weight(self):
         # at lambda*t = pi/4 each branch has transferred sin^2(pi/4) = 1/2
-        h = build_meas_hamiltonian(MODEL, SO)
+        h = MODEL.hamiltonian
         out = evolve_unitary(ready_density((1.0, 0.0)), h, MODEL.duration / 2)
         assert abs(branch_weights(out)[1] - 0.5) < 1e-12
 
@@ -247,7 +246,7 @@ def _per_point_pdf(model, amplitudes, grid):
     psi_s = StateVector.from_amplitudes(model.s_layout(), amplitudes)
     o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
     psi0 = tensor_compose([psi_s, o_ready])
-    h = build_meas_hamiltonian(model, layout)
+    h = model.hamiltonian
     projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
 
     def raw(ts):
@@ -434,7 +433,7 @@ class TestUndo:
             state.undo(MODEL)
 
     def test_redraw_is_independent_of_erased_record(self):
-        h = build_meas_hamiltonian(MODEL, SO)
+        h = MODEL.hamiltonian
         n = 4000
         u = event_uniforms(42, n)
         state = DualState(ready_density(), n).evolve(h, MODEL.duration).perceive(u[:, 0])
@@ -510,13 +509,13 @@ class TestReductionBaseline:
 
 class TestObjectivity:
     def test_dynamics_identical_with_and_without_perception(self):
-        h = build_meas_hamiltonian(MODEL, SO)
+        h = MODEL.hamiltonian
         a = DualState(ready_density(), 1).evolve(h, MODEL.duration)
         b = DualState(ready_density(), 1).evolve(h, MODEL.duration).perceive(0.5)
         assert np.array_equal(a.phi_d.entries, b.phi_d.entries)
 
     def test_ensemble_state_equals_event_average(self):
-        h = build_meas_hamiltonian(MODEL, SO)
+        h = MODEL.hamiltonian
         eta = evolve_unitary(ready_density(), h, MODEL.duration)
         state = measured()
         assert np.max(np.abs(eta.entries - state.phi_d.entries)) < 1e-12

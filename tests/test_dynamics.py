@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dualmeas.core import (
     CompositeLayout,
     InvariantError,
+    LayoutError,
     StateVector,
     TOL_ALGEBRAIC,
     embed,
@@ -23,8 +24,6 @@ from dualmeas.dynamics import (
     attach_environment,
     branch_weights,
     build_dephasing_hamiltonian,
-    build_meas_hamiltonian,
-    decoherence_layout,
     default_pointer_values,
     env_label,
     offdiag_suppression,
@@ -62,25 +61,43 @@ class TestModelValidation:
 
 class TestMeasurementHamiltonian:
     def test_hermitian(self, model):
-        h = build_meas_hamiltonian(model, model.so_layout())
+        h = model.hamiltonian
         np.testing.assert_allclose(h.entries, h.entries.conj().T, atol=TOL_ALGEBRAIC)
 
     def test_full_transfer_of_eigenstate(self, model):
         # two-level rotation at coupling*duration = pi/2 moves all weight
         layout = model.so_layout()
         psi0 = StateVector.basis(layout, {"S": 0, "O": 0})
-        h = build_meas_hamiltonian(model, layout)
+        h = model.hamiltonian
         out = evolve_unitary(psi0, h, model.duration)
         target = StateVector.basis(layout, {"S": 0, "O": 1})
         assert abs(abs(out.overlap(target)) - 1.0) <= 1e-10
 
     def test_measured_observable_conserved(self, model):
         layout = model.so_layout()
-        h = build_meas_hamiltonian(model, layout)
+        h = model.hamiltonian
         from dualmeas.core import embed
 
         q = embed(layout, {"S": np.diag([1.0 + 0j, -1.0 + 0j])})
         np.testing.assert_allclose(q @ h.entries, h.entries @ q, atol=TOL_ALGEBRAIC)
+
+    @given(s_dim=st.integers(2, 4), extra=st.integers(1, 3),
+           coupling=st.floats(-10.0, 10.0).filter(lambda c: c != 0.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_embedded_ladder_sum_bits(self, s_dim, extra, coupling):
+        # Reference: sum_i coupling * embed(|s_i><s_i| (x) (|O_i><O_0| + h.c.)).
+        # (A coupling of -0.0 is excluded: the sum adds it to +0.0.)
+        model = MeasurementModel(s_dim=s_dim, o_dim=s_dim + extra, coupling=coupling, duration=1.0)
+        layout = model.so_layout()
+        want = np.zeros((layout.total_dim, layout.total_dim), complex)
+        for i in range(s_dim):
+            s_proj = np.zeros((s_dim, s_dim), complex)
+            s_proj[i, i] = 1.0
+            ladder = np.zeros((model.o_dim, model.o_dim), complex)
+            ladder[i + 1, 0] = ladder[0, i + 1] = 1.0
+            want += coupling * embed(layout, {"S": s_proj, "O": ladder})
+        got = model.hamiltonian.entries
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -171,7 +188,7 @@ class TestDephasingHamiltonian:
 
     def test_commutes_with_pointer_projectors(self, model):
         env = EnvironmentModel.default(2, model.o_dim)
-        layout = decoherence_layout(model, env)
+        layout = attach_environment(run_premeasurement(s_state(1, 1), model), env).layout
         h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)))
         for j in range(model.o_dim):
             p = projector(layout, "O", j)
@@ -250,6 +267,14 @@ class TestDecoherence:
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
         assert abs(factor - offdiag_suppression(env, t)) <= 1e-10
 
+    def test_overlap_needs_system_and_observer_leading(self, model):
+        env = EnvironmentModel.default(2, model.o_dim)
+        psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
+        swapped = psi.amplitudes.reshape(psi.layout.dims).swapaxes(0, 1)
+        layout = CompositeLayout((("O", model.o_dim), ("S", model.s_dim)) + psi.layout.subsystems[2:])
+        with pytest.raises(LayoutError, match="lead the layout"):
+            run_decoherence(StateVector(layout, swapped.ravel()), env, 0.3)
+
     def test_monotone_suppression_in_atom_count(self, model):
         t = 0.2  # all g_k * t in (0, pi/4)
         couplings = np.linspace(0.6, 1.1, 6)
@@ -262,22 +287,21 @@ class TestDecoherence:
 
 class TestReversal:
     def test_reverse_after_premeasurement(self, model):
-        layout = model.so_layout()
         psi_s = s_state(0.6, 0.8j)
         post = run_premeasurement(psi_s, model)
-        h = build_meas_hamiltonian(model, layout)
+        h = model.hamiltonian
         back = reverse_evolution(post, h, model.duration)
         initial = np.kron(psi_s.amplitudes, [1, 0, 0])
         assert 1.0 - abs(np.vdot(initial, back.amplitudes)) <= 1e-10
 
     def test_t_zero_identity(self, model):
         psi = run_premeasurement(s_state(1, 1), model)
-        h = build_meas_hamiltonian(model, model.so_layout())
+        h = model.hamiltonian
         out = reverse_evolution(psi, h, 0.0)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
 
     def test_group_property(self, model):
-        h = build_meas_hamiltonian(model, model.so_layout())
+        h = model.hamiltonian
         psi = run_premeasurement(s_state(1, 1j), model)
         twice_back = reverse_evolution(reverse_evolution(psi, h, 0.4), h, 0.4)
         forward = evolve_unitary(twice_back, h, 0.8)
@@ -285,7 +309,6 @@ class TestReversal:
 
     def test_full_round_trip_with_decoherence(self, model):
         env = EnvironmentModel.default(4, model.o_dim)
-        layout = decoherence_layout(model, env)
         psi_s = s_state(0.6, 0.8)
         psi0 = attach_environment(
             StateVector(
@@ -293,7 +316,9 @@ class TestReversal:
             ),
             env,
         )
-        h_meas = build_meas_hamiltonian(model, layout)
+        layout = psi0.layout
+        # The measurement generator on S (x) O, times the identity on the bath.
+        h_meas = LinearOperator(layout, np.kron(model.hamiltonian.entries, np.eye(2**env.n_atoms)))
         t_deco = 0.7
         state = evolve_unitary(psi0, h_meas, model.duration)
         state, _ = run_decoherence(state, env, t_deco)

@@ -254,7 +254,7 @@ def _decohere(amplitudes):
 def test_uniforms_of_zero_record_system_indices(monkeypatch, experiment):
     # After a calibrated window each ready weight is rounding residue, about
     # 4e-33; a uniform of exactly 0.0 may not draw it.
-    monkeypatch.setattr(harness, "event_uniforms", lambda seed, n: np.zeros((n, 4)))
+    monkeypatch.setattr(harness, "event_uniforms", lambda seed, n: np.zeros((n, 2)))
     extra = {"decohere": "env: {n_atoms: 2}\nn_times: 5\n"}.get(experiment, "")
     summary, records = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
     drawn = [j for _, j in records.steps if np.ndim(j)]
@@ -272,6 +272,13 @@ class TestPerceptionTimingCheck:
         check = summary.checks[0]
         assert check["passed"], check
         assert abs(check["value"] - 1.0) > 1e-6  # beyond the fixed bound
+
+    @pytest.mark.parametrize("n_times", [3, 4, 5])
+    def test_shortest_coarse_grids_of_the_exact_density_pass(self, n_times):
+        # At 4 points the half grid's Simpson value equals the full one bit for
+        # bit (the density is symmetric about the window's midpoint).
+        summary, _ = run(parse_scenario(TIMING.format(n_times)))
+        assert summary.checks[0]["passed"], summary.checks[0]
 
     @pytest.mark.parametrize("n_times", [21, 50, 51, 201])
     def test_scaled_density_fails(self, monkeypatch, n_times):
@@ -626,8 +633,19 @@ class TestCli:
         path = self._write(tmp_path, MINIMAL + "env: null\noutput: null\n")
         assert main(["--scenario", path, "--out", str(tmp_path / "out")]) == 0
 
-    def test_missing_file_exit_two(self, tmp_path):
-        assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_missing_file_exit_two(self, tmp_path, capsys, kind):
+        # An unreadable file for lack of permission is the same OSError
+        # branch, but cannot be made as root, so it is not a case here.
+        path = tmp_path / "scenario.yaml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+        assert main(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
 
     def test_overrides_apply(self, tmp_path):
         out = tmp_path / "out"

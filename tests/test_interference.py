@@ -130,10 +130,9 @@ class TestDecoherenceDamping:
         psi = post_measurement((a1, a2))
         env = EnvironmentModel.default(n_atoms=4, o_dim=3,
                                        couplings=(0.6, 0.9, 1.1, 1.4))
-        from dualmeas.dynamics import attach_environment, decoherence_layout
+        from dualmeas.dynamics import attach_environment
         state0 = attach_environment(psi, env)
-        layout = decoherence_layout(MODEL, env)
-        b = interference_operator(layout)
+        b = interference_operator(state0.layout)
         bare = 2 * a1 * a2
         for t in np.linspace(0.0, 1.5, 7):
             state_t, factor = run_decoherence(state0, env, t)
