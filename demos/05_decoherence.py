@@ -31,6 +31,6 @@ state = attach_environment(psi_so, env)
 
 print("couplings:", np.round(env.couplings, 3))
 print(" t     simulated   cosine product")
-for t in np.linspace(0.0, 2.0, 11):
-    _, factor = run_decoherence(state, env, t)
+times = np.linspace(0.0, 2.0, 11)
+for t, factor in zip(times, run_decoherence(state, env, times)[1]):
     print(f"{t:4.2f}  {factor.real:+10.6f}  {offdiag_suppression(env, t):+10.6f}")

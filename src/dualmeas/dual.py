@@ -69,8 +69,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit products m * x, by 32-bit halves."""
+def _mulhilo(m, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x, by 32-bit
+    halves; *m* is one integer or a uint64 array like *x*."""
     m_lo, m_hi = np.uint64(m) & _MASK32, np.uint64(m) >> _HALF
     x_lo, x_hi = x & _MASK32, x >> _HALF
     # Sums go into these arrays: a fresh block-sized array can cost an mmap

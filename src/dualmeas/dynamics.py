@@ -208,20 +208,25 @@ def offdiag_suppression(env: EnvironmentModel, t: float, branches=(1, 2)) -> flo
     return float(np.prod(np.cos(dq * env.couplings * t)))
 
 
-def run_decoherence(state: StateVector, env: EnvironmentModel, t: float):
-    """Dephase a post-measurement state against the environment for time *t*.
+def run_decoherence(state: StateVector, env: EnvironmentModel, times):
+    """Dephase a post-measurement state against the environment for each time
+    of the 1-d grid *times*.
 
-    Returns the evolved state together with the simulated overlap
-    <E_1(t)|E_2(t)> of the environment states tied to the first two pointer
-    branches, extracted from the evolved vector itself (independent of the
-    closed-form cosine product, which tests compare against). The relative
-    phase of the two branch amplitudes is divided out as the phase of the
-    input state's overlap (the |+> bath starts at overlap 1).
+    Returns the evolved states, one per time, together with the simulated
+    overlaps <E_1(t)|E_2(t)> of the environment states tied to the first two
+    pointer branches, extracted from each evolved vector itself (independent
+    of the closed-form cosine product, which tests compare against). The
+    relative phase of the two branch amplitudes is divided out as the phase
+    of the input state's overlap (the |+> bath starts at overlap 1). The
+    generator and that phase are computed once for the whole grid.
     """
-    phases = np.exp(-1j * build_dephasing_hamiltonian(env, state.layout) * t)
-    out = StateVector(state.layout, phases * state.amplitudes)
-    z0 = _branch_env_overlap(state)
-    return out, complex(_branch_env_overlap(out) * np.exp(-1j * np.angle(z0)))
+    h = build_dephasing_hamiltonian(env, state.layout)
+    amps = (-1j * h) * np.asarray(times, dtype=float)[:, None]
+    np.exp(amps, out=amps)  # in place: one (len(times), dim) array in all
+    amps *= state.amplitudes
+    unphase = np.exp(-1j * np.angle(_branch_env_overlap(state)))
+    out = [StateVector(state.layout, row) for row in amps]
+    return out, [complex(_branch_env_overlap(s) * unphase) for s in out]
 
 
 def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:

@@ -32,6 +32,7 @@ from .core import (
 from .dual import (
     EVENT_BLOCK,
     DualState,
+    _mulhilo,
     draw_index,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
     event_uniforms,
@@ -104,8 +105,11 @@ class Scenario:
             raise ScenarioError("n_events must be >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ScenarioError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.n_times < 2:
-            raise ScenarioError("n_times must be >= 2")
+        # A perception-time grid of 2 points integrates the density to 0: it
+        # vanishes at both ends of the window.
+        min_times = 3 if self.experiment == "perception_timing" else 2
+        if self.n_times < min_times:
+            raise ScenarioError(f"n_times must be >= {min_times} for {self.experiment}")
         if self.env_atoms < 0:
             raise ScenarioError("env n_atoms must be >= 0")
         finite = {"delta_t": self.delta_t, "t_max": self.t_max,
@@ -513,19 +517,18 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
     simulated, formula, b_vals = [], [], []
     d_so = model.s_dim * model.o_dim
     worst_factor, worst_b = 0.0, 0.0
-    for t in times:
-        evolved, factor = run_decoherence(psi_full, env, float(t))
+    for t, evolved, factor in zip(times, *run_decoherence(psi_full, env, times)):
         expected = offdiag_suppression(env, float(t))
         # Reduced system-observer state, built without the full density matrix.
         m = evolved.amplitudes.reshape(d_so, -1)
         rho_so = DensityMatrix(psi.layout, m @ m.conj().T)
         b_t = discriminate(rho_so, b_so)
-        simulated.append(complex(factor))
+        simulated.append(factor)
         formula.append(expected)
         b_vals.append(b_t)
         if coherent:
-            worst_factor = max(worst_factor, abs(complex(factor) - expected))
-        worst_b = max(worst_b, abs(b_t - b_pure * complex(factor).real))
+            worst_factor = max(worst_factor, abs(factor - expected))
+        worst_b = max(worst_b, abs(b_t - b_pure * factor.real))
 
     # Perception statistics are untouched by dephasing.
     weights = branch_weights(psi_full)
@@ -599,6 +602,103 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: Sta
 # Bytes per block of the events writer's matrix, so its temporaries stay
 # about this size whatever the width of a row.
 _EMIT_BYTES = 1 << 19
+# The widest cell, a float in the slots of _float_cells: the sign, "0." and
+# three 0s, 17 digits each with a slot for the point, and a trailing 0. A
+# float's repr (at most 24 bytes) and an integer (at most 20) are narrower.
+_CELL_BYTES = 1 + 5 + 2 * 17 + 1
+_POW5 = 5 ** np.arange(22, dtype=np.int64)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``float.__repr__`` of each float64 in *x*, as the rows of
+    a NUL-padded matrix at most ``_CELL_BYTES`` wide: the shortest decimal
+    that reads back as the same float and, of those, the nearest (Steele &
+    White, Gay).
+
+    The kernel decides it exactly for a normal float that is not a power of
+    two (whose rounding interval is asymmetric) with 1e-4 <= |x| < 1e16,
+    which repr writes without an exponent. With d = floor(log10 |x|) and
+    k = 16 - d, x * 10**k = m * 5**k / 2**s for the 53-bit significand m,
+    one 128-bit product. Its round-half-even D17 is the nearest 17-digit
+    decimal and R the signed remainder, so x * 10**k = D17 + R / 2**s. A
+    candidate N reads back iff |N - D17 - R / 2**s| is below half the float's
+    spacing, 5**k / 2**(s + 1): 2 |(N - D17) 2**s - R| < 5**k in int64, never
+    equal (odd against even). The spacing is below 100 units of D17, so
+    the nearest 15-digit candidate is the only one of 15 digits or fewer
+    that can read back; failing that the nearest 16-digit one, then D17.
+    Every other value (0, subnormals, powers of two, exact ties, exponent
+    forms, a wrong guess of d) goes through ``float.__repr__``.
+    """
+    bits = x.view(np.uint64)
+    biased = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    ax = np.abs(x)
+    fast = (biased > 0) & (frac != 0) & (ax >= 1e-4) & (ax < 1e16)
+    d = np.floor(np.log10(np.where(fast, ax, 1.0))).astype(np.int64)
+    k = 16 - d
+    s = 1075 - biased - k
+    # s >= 1 leaves a remainder; s <= 56 keeps 101 * 2**s in int64 (the
+    # domain gives s <= 47).
+    fast &= (s >= 1) & (s <= 56)
+    k, s = np.where(fast, k, 0), np.where(fast, s, 1)
+    pow5 = _POW5[k]
+    hi, lo = _mulhilo(pow5.view(np.uint64), frac | np.uint64(1 << 52))
+    su = s.astype(np.uint64)
+    one = np.uint64(1)
+    r = lo & ((one << su) - one)
+    half = one << (su - one)
+    up = r > half
+    d17 = ((hi << (np.uint64(64) - su)) | (lo >> su)).astype(np.int64) + up
+    pow2 = np.int64(1) << s
+    rem = r.astype(np.int64) - up * pow2
+    # A wrong guess of d puts D17 outside 17 digits.
+    fast &= (r != half) & (d17 >= 10**16) & (d17 < 10**17)
+
+    def nearest(unit):  # D17 rounded to a multiple of unit; R breaks a .5
+        q, low = np.divmod(d17, unit)
+        return unit * (q + ((2 * low > unit) | ((2 * low == unit) & (rem > 0))))
+
+    def reads_back(n):
+        return 2 * np.abs((n - d17) * pow2 - rem) < pow5
+
+    n15, n16 = nearest(100), nearest(10)
+    ok15, ok16 = reads_back(n15), reads_back(n16)
+    n = np.where(ok15, n15, np.where(ok16, n16, d17))
+    # An exact .5 at 16 digits needs repr's own tie rule, and 10**17 a new d.
+    tie16 = (d17 % 10 == 5) & (rem == 0)
+    fast &= (ok15 | ok16 | reads_back(d17)) & ~tie16 & (n < 10**17)
+
+    top, rest = np.divmod(n, 10**16)
+    chunks = np.stack(np.divmod(rest, 10**8)).astype(np.uint64)
+    # Built with one row per digit and per slot, so each step is one row op.
+    digits = np.empty((17, len(x)), np.uint8)
+    digits[0] = top
+    for i in range(8, 0, -1):  # c // 10 is (c * 0xCCCCCCCD) >> 35 below 2**32
+        q = (chunks * np.uint64(0xCCCCCCCD)) >> np.uint64(35)
+        digits[[i, 8 + i]] = chunks - q * np.uint64(10)
+        chunks = q
+    place = np.arange(17, dtype=np.uint8)[:, None]
+    last = ((digits != 0) * place).max(axis=0)  # the place of the last nonzero digit
+    zero, point = np.uint8(ord("0")), np.uint8(ord("."))
+    cells = np.empty((_CELL_BYTES, len(x)), np.uint8)
+    cells[0] = (x < 0) * np.uint8(ord("-"))
+    cells[1:3] = (d < 0) * np.array([[zero], [point]])
+    cells[3:6] = (d <= -2 - np.arange(3)[:, None]) * zero
+    cells[6:40:2] = (place <= np.maximum(d, last)) * (digits + zero)
+    cells[7:40:2] = (place == d) * point
+    cells[40] = (last <= d) * zero
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = _repr_cells(x[slow])
+        cells[:, slow] = 0
+        cells[:text.shape[1], slow] = text.T
+    return cells[cells.any(axis=1)].T  # without the slots no value uses
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each value of *x*, NUL-padded: the kernel's fallback."""
+    text = np.array(list(map(float.__repr__, x.tolist())), dtype="S")
+    return text.view(np.uint8).reshape(len(text), -1)
 
 
 def _cells(column: np.ndarray) -> np.ndarray:
@@ -606,8 +706,7 @@ def _cells(column: np.ndarray) -> np.ndarray:
     float as ``float.__repr__`` (as json and csv write it), each integer as
     right-aligned decimal digits."""
     if column.dtype.kind == "f":
-        text = np.array(list(map(float.__repr__, column.tolist())), dtype="S")
-        return text.view(np.uint8).reshape(len(text), -1)
+        return _float_cells(np.asarray(column, np.float64))
     neg = column < 0
     mag = column.astype(np.uint64)  # a negative's two's complement, negated next
     np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
@@ -670,8 +769,8 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
             cell = _cells(part.reshape(1))
             texts[-1] += cell[cell != 0].tobytes()
     texts = [np.frombuffer(t, np.uint8) for t in texts]
-    # A cell is at most 24 bytes wide, the longest repr of a float64.
-    block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // (sum(map(len, texts)) + 24 * len(columns))))
+    width = sum(map(len, texts)) + _CELL_BYTES * len(columns)
+    block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // width))
     events_path = os.path.join(out_dir, f"events.{fmt}")
     with open(events_path, "wb") as fh:
         fh.write(start.encode())

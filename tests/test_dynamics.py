@@ -216,14 +216,14 @@ class TestDecoherence:
     def test_no_evolution_factor_one(self, model):
         env = EnvironmentModel.default(3, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        _, factor = run_decoherence(psi, env, 0.0)
+        _, (factor,) = run_decoherence(psi, env, [0.0])
         assert abs(factor - 1.0) <= TOL_ALGEBRAIC
 
     def test_single_atom_exact_zero(self, model):
         # q1 - q2 = 2, g = 1, t = pi/4: cos(pi/2) = 0
         env = EnvironmentModel.default(1, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        _, factor = run_decoherence(psi, env, math.pi / 4)
+        _, (factor,) = run_decoherence(psi, env, [math.pi / 4])
         assert abs(factor) <= 1e-10
 
     def test_eight_atoms_product_formula(self, model):
@@ -231,15 +231,15 @@ class TestDecoherence:
         rng = np.random.default_rng(17)
         env = EnvironmentModel.default(8, model.o_dim, couplings=rng.uniform(0.5, 1.5, 8))
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        for t in np.linspace(0.0, 1.2, 7):
-            _, factor = run_decoherence(psi, env, float(t))
+        times = np.linspace(0.0, 1.2, 7)
+        for t, factor in zip(times, run_decoherence(psi, env, times)[1]):
             assert abs(abs(factor) - abs(offdiag_suppression(env, float(t)))) <= 1e-10
 
     def test_branch_weights_untouched(self, model):
         env = EnvironmentModel.default(4, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(0.6, 0.8), model), env)
         w0 = branch_weights(psi)
-        out, _ = run_decoherence(psi, env, 0.83)
+        (out,), _ = run_decoherence(psi, env, [0.83])
         np.testing.assert_allclose(branch_weights(out), w0, atol=TOL_ALGEBRAIC)
 
     @given(
@@ -263,7 +263,7 @@ class TestDecoherence:
             q_sz = {"O": np.diag(env.pointer_values), env_label(k): np.diag([1.0, -1.0])}
             h += env.couplings[k] * embed(layout, q_sz)
         want = evolve_unitary(psi, LinearOperator(layout, h), t)
-        got, factor = run_decoherence(psi, env, t)
+        (got,), (factor,) = run_decoherence(psi, env, [t])
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
         assert abs(factor - offdiag_suppression(env, t)) <= 1e-10
 
@@ -273,7 +273,7 @@ class TestDecoherence:
         swapped = psi.amplitudes.reshape(psi.layout.dims).swapaxes(0, 1)
         layout = CompositeLayout((("O", model.o_dim), ("S", model.s_dim)) + psi.layout.subsystems[2:])
         with pytest.raises(LayoutError, match="lead the layout"):
-            run_decoherence(StateVector(layout, swapped.ravel()), env, 0.3)
+            run_decoherence(StateVector(layout, swapped.ravel()), env, [0.3])
 
     def test_monotone_suppression_in_atom_count(self, model):
         t = 0.2  # all g_k * t in (0, pi/4)
@@ -321,7 +321,7 @@ class TestReversal:
         h_meas = LinearOperator(layout, np.kron(model.hamiltonian.entries, np.eye(2**env.n_atoms)))
         t_deco = 0.7
         state = evolve_unitary(psi0, h_meas, model.duration)
-        state, _ = run_decoherence(state, env, t_deco)
-        state, _ = run_decoherence(state, env, -t_deco)
+        (state,), _ = run_decoherence(state, env, [t_deco])
+        (state,), _ = run_decoherence(state, env, [-t_deco])
         state = reverse_evolution(state, h_meas, model.duration)
         assert trace_distance(state.to_density(), psi0.to_density()) <= 1e-9

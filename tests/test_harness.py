@@ -294,10 +294,10 @@ class TestPerceptionTimingCheck:
         summary, _ = run(parse_scenario(TIMING.format(n_times)))
         assert not summary.checks[0]["passed"], summary.checks[0]
 
-    def test_two_point_grid_keeps_the_fixed_bound(self):
-        summary, _ = run(parse_scenario(TIMING.format(2)))
-        assert abs(summary.checks[0]["value"] - 1.0) > 1e-6
-        assert not summary.checks[0]["passed"]
+    def test_two_point_grid_is_rejected(self):
+        # Its trapezoid reads 0: the density vanishes at both ends of the window.
+        with pytest.raises(ScenarioError, match="n_times must be >= 3"):
+            parse_scenario(TIMING.format(2))
 
 
 PERSISTS = "reduction baseline: outcome persists through undo"
@@ -399,8 +399,9 @@ def _per_event_dump(records: DualState, fmt: str) -> str:
 
 
 # Rows of three column steps and the flag "undo" that fill one block of the
-# events writer: a 192-byte template and seven cells of at most 24 bytes.
-JSON_K3_BLOCK = harness._EMIT_BYTES // (192 + 24 * 7)
+# events writer: a 192-byte template and seven cells of at most
+# harness._CELL_BYTES.
+JSON_K3_BLOCK = harness._EMIT_BYTES // (192 + harness._CELL_BYTES * 7)
 
 
 class TestEmission:
@@ -492,6 +493,57 @@ class TestEmission:
         assert len(doc["fingerprint"]) == 16
 
 
+# Floats at the edges of the events writer's float kernel: the values it
+# leaves to float.__repr__ (zeros, subnormals, powers of two, exponent forms),
+# the neighbours of every power of ten, where its guess of the decimal
+# exponent can be off by one, and the ends of its domain 1e-4 <= |x| < 1e16.
+FLOAT_EDGES = sorted({
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    *(2.0 ** e for e in (-20, -1, 0, 1, 52, 53, 60)),
+    *(f(10.0 ** n) for n in range(-5, 18)
+      for f in (lambda p: math.nextafter(p, 0.0), float, lambda p: math.nextafter(p, math.inf))),
+    math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16,
+}, key=lambda x: (x, math.copysign(1.0, x)))
+# j / 2**18 with j odd is an exact tie at 17 digits from 0.1 up.
+DYADIC = st.integers(1, 2**18 - 1).map(lambda j: j / 2**18)
+
+
+def _cell_texts(values) -> list:
+    cells = harness._cells(np.array(values, dtype=float))
+    assert cells.shape[0] == len(values) and cells.shape[1] <= harness._CELL_BYTES
+    return [row[row != 0].tobytes().decode() for row in cells]
+
+
+class TestFloatCells:
+    @given(st.lists(st.sampled_from(FLOAT_EDGES) | DYADIC
+                    | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_cells_are_float_repr(self, values, negate):
+        values = [-x for x in values] if negate else values
+        assert _cell_texts(values) == list(map(float.__repr__, values))
+
+    def test_edges_and_ties_are_float_repr(self):
+        values = FLOAT_EDGES + [j / 2**18 for j in range(1, 2**18, 97)]
+        values += [-x for x in values]
+        assert _cell_texts(values) == list(map(float.__repr__, values))
+
+    def test_kernel_decides_uniform_values(self, monkeypatch):
+        # Perception times are uniform-like values in (0, 1): the kernel
+        # leaves at most the few below 1e-4 to float.__repr__.
+        left = []
+
+        def fallback(x):
+            left.extend(x.tolist())
+            return repr_cells(x)
+
+        repr_cells = harness._repr_cells
+        monkeypatch.setattr(harness, "_repr_cells", fallback)
+        u = np.random.default_rng(5).random(10_000)
+        assert _cell_texts(u) == list(map(float.__repr__, u.tolist()))
+        assert all(x < 1e-4 for x in left) and len(left) <= 5
+
+
 # A valid scenario that sets every key but lambda (so the coupling follows
 # delta_t), and the values the fuzz test puts in place of a key. No value in
 # the pool is large enough to start a long run.
@@ -542,6 +594,7 @@ class TestCli:
             MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 10}\n",
             MINIMAL.replace("premeasure", "decohere") + "n_times: 0\n",
             MINIMAL.replace("premeasure", "perception_timing") + "n_times: 0\n",
+            MINIMAL.replace("premeasure", "perception_timing") + "n_times: 2\n",
             "experiment: [unclosed\n",
             MINIMAL + "delta_t: .inf\n",
             MINIMAL.replace("premeasure", "decohere") + "t_max: .nan\n",
@@ -573,7 +626,8 @@ class TestCli:
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
             "delta_t_abc", "o_dim_abc", "coupling_range_abc", "negative_atoms",
-            "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "malformed_yaml",
+            "atoms_over_dense_cap", "decohere_no_times", "timing_no_times", "timing_two_times",
+            "malformed_yaml",
             "delta_t_inf", "t_max_nan", "lambda_inf", "coupling_range_inf", "coupling_range_nan",
             "amplitude_nan", "two_observer_over_dense_cap", "o_dim_over_dense_cap",
             "delta_t_zero", "n_events_fraction", "n_events_bool", "s_dim_fraction",

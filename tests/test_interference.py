@@ -134,8 +134,8 @@ class TestDecoherenceDamping:
         state0 = attach_environment(psi, env)
         b = interference_operator(state0.layout)
         bare = 2 * a1 * a2
-        for t in np.linspace(0.0, 1.5, 7):
-            state_t, factor = run_decoherence(state0, env, t)
+        times = np.linspace(0.0, 1.5, 7)
+        for t, state_t, factor in zip(times, *run_decoherence(state0, env, times)):
             expected = bare * np.real(offdiag_suppression(env, t))
             assert abs(discriminate(state_t.to_density(), b) - expected) < 1e-10
             assert abs(factor - offdiag_suppression(env, t)) < 1e-10
