@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 numerical invariant breach, 4 acceptance check failure.
+Exit codes: 0 success, 1 usage error, 2 scenario validation error or a run
+too large for memory, 3 numerical invariant breach, 4 acceptance check failure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ def main(argv=None) -> int:
     except (InvariantError, LayoutError) as e:
         print(f"dualmeas: numerical invariant breach: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"dualmeas: scenario error: out of memory: {e}", file=sys.stderr)
+        return EXIT_SCENARIO
 
     try:
         paths = emit(summary, records, scenario.out_path, fmt=scenario.out_format)

@@ -114,7 +114,8 @@ class StateVector:
             raise LayoutError(
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
             )
-        norm = float(np.linalg.norm(amps))
+        # A pairwise sum: np.linalg.norm's rounding error grows with the length.
+        norm = float(np.sqrt(np.sum((amps * amps.conj()).real)))
         if not abs(norm - 1.0) <= TOL_ALGEBRAIC:
             raise InvariantError(f"state norm {norm} deviates from 1 beyond {TOL_ALGEBRAIC}")
 

@@ -69,59 +69,83 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _mulhilo(m, x: np.ndarray):
+def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c):
     """High and low 64-bit words of the 128-bit products m * x, by 32-bit
-    halves; *m* is one integer or a uint64 array like *x*."""
-    m_lo, m_hi = np.uint64(m) & _MASK32, np.uint64(m) >> _HALF
-    x_lo, x_hi = x & _MASK32, x >> _HALF
-    # Sums go into these arrays: a fresh block-sized array can cost an mmap
-    # and its page faults, about a third of the kernel's time in a new process.
-    cross = x_hi * m_lo
-    hi = cross >> _HALF
-    cross &= _MASK32
-    cross += (x_lo * m_lo) >> _HALF
-    cross += np.multiply(x_lo, m_hi, out=x_lo)
-    hi += np.multiply(x_hi, m_hi, out=x_hi)
-    hi += cross >> _HALF
-    return hi, x * np.uint64(m)
+    halves (Warren, *Hacker's Delight*, mulhu), into *hi* and *x*; *m* is a
+    np.uint64 or a uint64 array like *x*, and a, b, c are scratch. Every op
+    writes through ``out=``: a fresh block-sized array can cost an mmap."""
+    m_lo, m_hi = m & _MASK32, m >> _HALF
+    np.bitwise_and(x, _MASK32, out=a)  # x_lo
+    np.right_shift(x, _HALF, out=b)  # x_hi
+    np.multiply(x, m, out=x)
+    np.right_shift(np.multiply(a, m_lo, out=c), _HALF, out=c)
+    np.add(np.multiply(b, m_lo, out=hi), c, out=hi)  # t < 2**64
+    np.add(np.multiply(a, m_hi, out=a), np.bitwise_and(hi, _MASK32, out=c), out=a)  # w < 2**64
+    hi >>= _HALF
+    hi += np.multiply(b, m_hi, out=b)
+    hi += np.right_shift(a, _HALF, out=a)  # x_hi m_hi + (t >> 32) + (w >> 32)
+    return hi, x
 
 
-def _philox(seed: int, c0: np.ndarray, c2: np.ndarray):
-    """The four Philox4x64-10 output words of the counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``."""
-    c1 = c3 = np.zeros_like(c0)
-    k0, k1 = int(seed), 0
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0 = (k0 + _PHILOX_W[0]) % 2**64
-        k1 = (k1 + _PHILOX_W[1]) % 2**64
-    return c0, c1, c2, c3
+def _philox(seed: int, c0, c2, out: np.ndarray):
+    """Philox4x64-10 of the counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``:
+    row r of *out* gets the uniforms ``(word >> 11) * 2**-53`` of the first
+    2 or 4 words of counter r. One of c0 and c2 is an int, the other the
+    ``range`` of the rows' values. A word that is the same for every counter
+    stays an int, with exact products; every other lives in one of nine block
+    buffers made once per call. The last round makes only the words read."""
+    n, n_words = out.shape
+    iota = np.arange(min(n, EVENT_BLOCK), dtype=np.uint64)
+    buffers = np.empty((9, len(iota)), np.uint64)
+
+    def product(m, w):  # (hi, lo) of m * w; hi is popped before the scratch is taken
+        if isinstance(w, int):
+            return divmod(m * w, 2**64)
+        return _mulhilo(np.uint64(m), w, free.pop(), *free[-3:])
+
+    def xor(a, b, k):  # an array result takes the buffer of a or b, and frees any other
+        a, b = (b, a) if isinstance(a, int) else (a, b)
+        if isinstance(b, int):
+            return a ^ b ^ k if isinstance(a, int) else np.bitwise_xor(a, np.uint64(b ^ k), out=a)
+        free.append(b)
+        return np.bitwise_xor(np.bitwise_xor(a, b, out=a), np.uint64(k), out=a)
+
+    for lo in range(0, n, EVENT_BLOCK):
+        free = list(buffers[:, :min(EVENT_BLOCK, n - lo)])
+        x = [c if isinstance(c, int) else np.add(iota[:len(free[0])], np.uint64(c.start + lo),
+                                                 out=free.pop()) for c in (c0, 0, c2, 0)]
+        k0, k1 = int(seed), 0
+        for r in range(10):
+            hi1, lo1 = product(_PHILOX_M[1], x[2])
+            words = [xor(hi1, x[1], k0), lo1]
+            if r < 9 or n_words == 4:
+                hi0, lo0 = product(_PHILOX_M[0], x[0])
+                words += [xor(hi0, x[3], k1), lo0]
+            x, k0, k1 = words, (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+        for i, w in enumerate(x):
+            w >>= np.uint64(11)
+            np.multiply(w, 2.0**-53, out=out[lo:lo + len(w), i])
 
 
 def event_uniforms(seed: int, n_events: int) -> np.ndarray:
     """Row ``eid`` holds the first two ``event_rng(seed, eid).random()``
     draws, for every event ``eid < n_events``; no runner reads more.
 
-    Each row is the first two words of one Philox4x64-10 block, computed for
-    EVENT_BLOCK events at a time: numpy advances the counter before its first
-    block, so event ``eid`` encrypts the counter ``[1, 0, eid, 0]`` under the
-    key ``[seed, 0]``.
+    Each row is the first two words of one Philox4x64-10 block: numpy
+    advances the counter before its first block, so event ``eid`` encrypts
+    the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
     """
     out = np.empty((n_events, 2))
-    for lo in range(0, n_events, EVENT_BLOCK):
-        eid = np.arange(lo, min(lo + EVENT_BLOCK, n_events), dtype=np.uint64)
-        for i, c in enumerate(_philox(seed, np.ones_like(eid), eid)[:2]):
-            out[lo:lo + len(eid), i] = (c >> np.uint64(11)) * 2.0**-53
+    _philox(seed, 1, range(n_events), out)
     return out
 
 
 def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
     ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
-    c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
-    words = np.stack(_philox(seed, c0, np.full_like(c0, stream)), axis=1).ravel()[:n]
-    return (words >> np.uint64(11)) * 2.0**-53
+    out = np.empty((-(-n // 4), 4))
+    _philox(seed, range(1, len(out) + 1), int(stream), out)
+    return out.ravel()[:n]
 
 
 def simpson(y, x) -> float:

@@ -144,6 +144,12 @@ class Scenario:
         coupling = self.model().coupling
         if not math.isfinite(coupling):
             raise ScenarioError(f"lambda must be finite, got {coupling!r}")
+        # P_0(t) = cos^2(lambda t) refills after pi / 2, and the density turns negative.
+        sampled = self.experiment == "perception_timing" or (
+            self.experiment == "premeasure" and self.perception_mode == "sample")
+        if sampled and abs(coupling) * self.delta_t >= math.pi:
+            raise ScenarioError("perception times need |lambda| * delta_t < pi, "
+                                f"got {abs(coupling) * self.delta_t:.6g}")
         # The layout the experiment builds: S x O, S x O x O2 for two_observer,
         # S x O x 2**n_atoms for decohere; the capped shift still exceeds the
         # cap when n_atoms does, without building a huge integer.
@@ -642,7 +648,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     fast &= (s >= 1) & (s <= 56)
     k, s = np.where(fast, k, 0), np.where(fast, s, 1)
     pow5 = _POW5[k]
-    hi, lo = _mulhilo(pow5.view(np.uint64), frac | np.uint64(1 << 52))
+    hi, lo = _mulhilo(pow5.view(np.uint64), frac | np.uint64(1 << 52),
+                      *np.empty((4, len(x)), np.uint64))
     su = s.astype(np.uint64)
     one = np.uint64(1)
     r = lo & ((one << su) - one)
@@ -704,21 +711,26 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
 def _cells(column: np.ndarray) -> np.ndarray:
     """The values of *column* as the rows of a NUL-padded uint8 matrix: each
     float as ``float.__repr__`` (as json and csv write it), each integer as
-    right-aligned decimal digits."""
+    right-aligned decimal digits, behind a sign slot only if one is negative."""
     if column.dtype.kind == "f":
         return _float_cells(np.asarray(column, np.float64))
     neg = column < 0
     mag = column.astype(np.uint64)  # a negative's two's complement, negated next
     np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
-    width = len(str(int(mag.max())))
-    cells = np.zeros((len(mag), 1 + width), np.uint8)
-    cells[:, 0] = neg * ord("-")  # the padding after the sign is dropped with the rest
-    ten = np.uint64(10)
-    for k in range(width, 0, -1):
-        live = (mag != 0) | (k == width)  # 0 is the one number with a leading 0
-        mag, digit = np.divmod(mag, ten)
-        cells[:, k] = live * (digit + ord("0"))
-    return cells
+    width, short = (len(str(int(v))) for v in (mag.max(), mag.min()))
+    sign = int(neg.any())
+    cells = np.empty((sign + width, len(mag)), np.uint8)  # one plane per slot
+    if sign:
+        cells[0] = neg * np.uint8(ord("-"))  # the padding after the sign is dropped with the rest
+    rest, ten = mag, np.uint64(10)
+    for k in range(len(cells) - 1, sign - 1, -1):
+        q = rest // ten  # vectorised, where uint64 divmod is not
+        cells[k] = rest - q * ten
+        rest = q
+    cells[sign:] += np.uint8(ord("0"))
+    for place in range(short, width):  # a value below 10**place has no digit there
+        cells[-1 - place] *= mag >= np.uint64(10**place)
+    return cells.T
 
 
 def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
@@ -765,9 +777,8 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
         if part.ndim:
             texts.append(b"")
             columns.append(part)
-        else:
-            cell = _cells(part.reshape(1))
-            texts[-1] += cell[cell != 0].tobytes()
+        else:  # the text the float kernel's fallback writes, without paging in its code
+            texts[-1] += repr(part.item()).encode()
     texts = [np.frombuffer(t, np.uint8) for t in texts]
     width = sum(map(len, texts)) + _CELL_BYTES * len(columns)
     block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // width))
@@ -780,7 +791,8 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
             for column, text in zip(columns, texts[1:]):
                 cells = _cells(np.arange(lo, hi) if column is None else column[lo:hi])
                 pieces += [cells, np.broadcast_to(text, (hi - lo, len(text)))]
-            rows = np.concatenate(pieces, axis=1)
-            fh.write(rows[rows != 0][len(sep) * (lo == 0):])
+            rows = np.concatenate(pieces, axis=1).ravel()
+            keep = rows != 0  # a block of equally wide cells has no padding to drop
+            fh.write((rows if keep.all() else rows[keep])[len(sep) * (lo == 0):])
         fh.write(end.encode())
     return [summary_path, events_path]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualmeas import core
 from dualmeas.core import (
     CompositeLayout,
     DensityMatrix,
@@ -303,6 +304,18 @@ class TestInvariantEnforcement:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(InvariantError):
             StateVector(qubit(), np.array([1.0, 1.0]))
+
+    def test_norm_check_does_not_grow_with_the_length(self, monkeypatch):
+        # (sqrt(0.3)|1 1> + sqrt(0.7)|2 2>) (x) |+>^20, built exactly: np.linalg.norm
+        # reads 1 + 1.67e-12 on it, a pairwise sum 1; 2e-12 off stays rejected.
+        monkeypatch.setattr(core, "MAX_TOTAL_DIM", 6 << 20)
+        layout = CompositeLayout((("S", 2), ("O", 3), ("E", 1 << 20)))
+        amps = np.zeros((2, 3, 1 << 20), complex)
+        amps[0, 1], amps[1, 2] = 2**-10 * math.sqrt(0.3), 2**-10 * math.sqrt(0.7)
+        assert StateVector(layout, amps).layout == layout
+        amps *= 1 + 2e-12
+        with pytest.raises(InvariantError, match="norm"):
+            StateVector(layout, amps)
 
     def test_non_hermitian_density_rejected(self):
         with pytest.raises(InvariantError):

@@ -1,6 +1,7 @@
 """Tests for the dual state: perception sampling, timing, the no-jump rule, undo."""
 
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -115,6 +116,25 @@ class TestEventRng:
             u = philox_uniforms(seed, stream, n)
             assert u.shape == (n,)
             assert np.array_equal(u, event_rng(seed, stream).random(n))
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           stream=st.one_of(st.sampled_from([0, 1 << 62]), st.integers(0, 2**64 - 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_stream_draws_match_event_rng_at_any_seed(self, seed, stream):
+        self.test_stream_draws_match_event_rng(seed, stream)
+
+    def test_kernel_allocates_only_its_block_buffers(self):
+        # The kernel's words live in a fixed set of block buffers made once per
+        # call; a temporary per op, as in a kernel of plain numpy expressions,
+        # shows as several more blocks at once.
+        event_uniforms(1, 10)  # numpy's own first-use allocations, outside the trace
+        tracemalloc.start()
+        try:
+            out = event_uniforms(1, 4 * EVENT_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 12 * EVENT_BLOCK * 8
 
 
 def _random_grid(rng, n):

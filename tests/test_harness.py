@@ -119,6 +119,14 @@ class TestParsing:
         assert (direct.s_dim, direct.o_dim) == (parsed.s_dim, parsed.o_dim) == (3, 4)
         assert direct.canonical_dict() == parsed.canonical_dict()
 
+    def test_perception_calibration_limit_applies_to_sampled_times_only(self):
+        # Past lambda * delta_t = pi only a sampled perception time goes wrong;
+        # undo ignores perception_mode.
+        body = "perception_mode: sample\nlambda: 4.71238898038469\n"
+        assert parse_scenario(MINIMAL.replace("premeasure", "undo") + body).experiment == "undo"
+        with pytest.raises(ScenarioError, match="pi"):
+            parse_scenario(MINIMAL + body)
+
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text(MINIMAL)
@@ -470,6 +478,26 @@ class TestEmission:
             assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("block", [2500, 4000], ids=["1e4_at_edge", "1e4_inside"])
+    @pytest.mark.parametrize("negative", [None, 0, 9999, 12000])
+    def test_integer_columns_match_per_event_dump(self, monkeypatch, tmp_path, fmt, block,
+                                                  negative):
+        # One-digit records with no negative have no sign slot, so every block
+        # of ids of one digit count is written without compaction: with blocks
+        # of 2500 rows 10**4 is a block edge; with 4000 (2557 in JSON, whose
+        # wider rows bound the block first) it falls inside a block, which then
+        # compacts. One negative record puts a sign slot into its block alone.
+        monkeypatch.setattr(harness, "EVENT_BLOCK", block)
+        n = 12001
+        js = np.random.default_rng(block).integers(0, 10, n)
+        if negative is not None:
+            js[negative] = -1
+        records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=((0.5, js),))
+        summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
+        _, events_path = emit(summary, records, tmp_path, fmt=fmt)
+        assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nul_in_a_flag_rejected_before_writing(self, tmp_path, fmt):
         # NUL pads the writer's cells, so it may not appear in a row.
         summary, records = run(parse_scenario(MINIMAL))
@@ -622,6 +650,9 @@ class TestCli:
             MINIMAL + "env: false\n",
             MINIMAL + "output: []\n",
             MINIMAL + "output: ''\n",
+            MINIMAL.replace("premeasure", "perception_timing") + "lambda: 4.71238898038469\n",
+            MINIMAL.replace("premeasure", "perception_timing") + "lambda: 3.141592653589793\n",
+            MINIMAL + "perception_mode: sample\ndelta_t: 2.0\nlambda: -3.9269908169872414\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -634,7 +665,8 @@ class TestCli:
             "o_dim_fraction", "n_atoms_fraction", "n_times_fraction", "delta_t_subnormal",
             "non_string_key", "non_string_env_key", "dotted_top_level_key", "output_path_null",
             "output_path_number", "output_format_number", "env_zero", "env_false",
-            "output_empty_list", "output_empty_string",
+            "output_empty_list", "output_empty_string", "timing_past_pi", "timing_at_pi",
+            "sample_past_pi",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
@@ -644,6 +676,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+
+    def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # What numpy raises for n_events: 10**12 (14.6 TiB of uniforms), without
+        # asking the system for that much.
+        def refuse(seed, n_events):
+            raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape "
+                              f"({n_events}, 2) and data type float64")
+
+        monkeypatch.setattr(harness, "event_uniforms", refuse)
+        body = MINIMAL.replace("n_events: 200", "n_events: 1000000000000")
+        assert main(["--scenario", self._write(tmp_path, body),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("dualmeas: scenario error: out of memory: Unable to allocate")
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_incomplete_measurement_exits_three(self, tmp_path, capsys, experiment):
