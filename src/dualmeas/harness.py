@@ -52,6 +52,7 @@ from .dynamics import (
     attach_environment,
     branch_state,
     branch_weights,
+    default_pointer_values,
     offdiag_suppression,
     run_decoherence,
     run_premeasurement,
@@ -71,6 +72,11 @@ EXPERIMENTS = (
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
+
+
+# Bound of decohere's two checks: the simulated off-diagonal factor against
+# the cosine product, and the damped interference against that factor.
+DECOHERE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,18 @@ class Scenario:
                  "decohere": 1 << min(self.env_atoms, MAX_TOTAL_DIM.bit_length())}
         if self.s_dim * self.o_dim * extra.get(self.experiment, 1) > MAX_TOTAL_DIM:
             raise ScenarioError(f"{self.experiment} layout exceeds the dense cap {MAX_TOTAL_DIM}")
+        # The simulation rounds the phases (sum_k g_k q z_k) t and the closed
+        # form (q_i - q_j) g_k t; their difference is of order
+        # eps * t * sum_k g_k * max|q_i - q_j|, which past the checks' bound
+        # fails the cosine-product check on rounding alone.
+        if self.experiment == "decohere":
+            floor = (np.finfo(float).eps * abs(self.t_max) * self.env_atoms * hi
+                     * np.ptp(default_pointer_values(self.o_dim)))
+            if floor > DECOHERE_TOL:
+                raise ScenarioError(
+                    f"decohere t_max {self.t_max:g} puts the phases' rounding floor "
+                    f"eps * t_max * n_atoms * g_high * max|q_i - q_j| = {floor:.3g} past "
+                    f"the checks' bound {DECOHERE_TOL:g}")
 
     def model(self) -> MeasurementModel:
         coupling = self.coupling if self.coupling is not None else math.pi / (2.0 * self.delta_t)
@@ -552,9 +570,9 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
         env_couplings=[float(g) for g in env.couplings],
         checks=[
             _check("simulated off-diagonal factor matches the cosine product", worst_factor,
-                   worst_factor <= 1e-10),
+                   worst_factor <= DECOHERE_TOL),
             _check("interference damped exactly by the off-diagonal factor", worst_b,
-                   worst_b <= 1e-10),
+                   worst_b <= DECOHERE_TOL),
             freq_check,
         ],
     ), records
@@ -737,10 +755,13 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
     re-runs of the same (scenario, seed). The events file has the bytes of
     ``json.dump(indent=2)`` or ``csv.writer``. Every scalar step is formatted
-    into a row template once; a block of rows is one uint8 matrix of that
-    template, broadcast, and the NUL-padded cells of the column steps, and
-    is written without its NULs. Blocks hold at most EVENT_BLOCK rows and
-    about ``_EMIT_BYTES`` bytes."""
+    into a row template once. Blocks of at most EVENT_BLOCK rows and about
+    ``_EMIT_BYTES`` bytes go through one row-major uint8 buffer of at most
+    ``n_events`` rows: the template text is laid into it once, and again only
+    when a column's cell width changes, and each block writes just the
+    NUL-padded cells of its column steps into their windows. Only the cells
+    are scanned for NUL, since flags may not hold one: a block without a
+    padded cell is written as it stands, any other without its NULs."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown events format {fmt!r}; expected 'json' or 'csv'")
     if not records.steps:
@@ -750,8 +771,7 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
     n, flags = records.n_events, list(records.flags)
     if fmt == "csv":
         text = ";".join(flags)
@@ -779,20 +799,32 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
             columns.append(part)
         else:  # the text the float kernel's fallback writes, without paging in its code
             texts[-1] += repr(part.item()).encode()
-    texts = [np.frombuffer(t, np.uint8) for t in texts]
     width = sum(map(len, texts)) + _CELL_BYTES * len(columns)
     block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // width))
+    rows = min(block, n)
+    laid = None  # the cell widths the buffer's template text is laid around
     events_path = os.path.join(out_dir, f"events.{fmt}")
     with open(events_path, "wb") as fh:
         fh.write(start.encode())
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            pieces = [np.broadcast_to(texts[0], (hi - lo, len(texts[0])))]
-            for column, text in zip(columns, texts[1:]):
-                cells = _cells(np.arange(lo, hi) if column is None else column[lo:hi])
-                pieces += [cells, np.broadcast_to(text, (hi - lo, len(text)))]
-            rows = np.concatenate(pieces, axis=1).ravel()
-            keep = rows != 0  # a block of equally wide cells has no padding to drop
-            fh.write((rows if keep.all() else rows[keep])[len(sep) * (lo == 0):])
+            cells = [_cells(np.arange(lo, hi) if column is None else column[lo:hi])
+                     for column in columns]
+            widths = [c.shape[1] for c in cells]
+            if widths != laid:  # one row of the template, NULs in its cell windows
+                laid, windows, row = widths, [], texts[0]
+                for w, text in zip(widths, texts[1:]):
+                    windows.append(slice(len(row), len(row) + w))
+                    row += bytes(w) + text
+                buf = bytearray(row) * rows
+                grid = np.frombuffer(buf, np.uint8).reshape(rows, len(row))
+            for window, c in zip(windows, cells):
+                grid[:hi - lo, window] = c
+            skip = len(sep) * (lo == 0)  # the file's first row has no sep
+            if all(map(np.all, cells)):  # only a cell can hold a NUL
+                fh.write(memoryview(buf)[skip:(hi - lo) * len(row)])
+            else:  # rows past a short last block are dropped with the padding
+                grid[hi - lo:] = 0
+                fh.write(memoryview(buf.translate(None, delete=b"\0"))[skip:])
         fh.write(end.encode())
     return [summary_path, events_path]

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -498,6 +499,74 @@ class TestEmission:
         assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("column", ["float", "int"])
+    def test_cell_widths_change_between_blocks(self, monkeypatch, tmp_path, fmt, column):
+        # Blocks of 100 rows: event ids gain their third digit exactly at the
+        # first block edge, and the template is laid anew for every block.
+        # A float column widens into the middle block, which holds a value
+        # in exponent form, and narrows out of it; uniform floats pad every
+        # block. An integer column has a sign slot in the first and last
+        # blocks only, so it narrows as the ids widen (the row width stays)
+        # and widens again; its middle block has no padded cell and is
+        # written as it stands.
+        monkeypatch.setattr(harness, "EVENT_BLOCK", 100)
+        n = 300
+        rng = np.random.default_rng(3)
+        js = rng.integers(0, 10, n)
+        if column == "float":
+            t = rng.random(n)
+            t[150] = -1.2345678901234567e-300
+            steps = ((t, js),)
+        else:
+            js[[50, 250]] = -1
+            steps = ((0.5, js),)
+        seen = []  # (width, padded) of each column of each block, ids first
+
+        def cells(values):
+            out = cells.real(values)
+            seen.append((out.shape[1], not out.all()))
+            return out
+
+        cells.real = harness._cells
+        monkeypatch.setattr(harness, "_cells", cells)
+        records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
+        summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
+        _, events_path = emit(summary, records, tmp_path, fmt=fmt)
+        assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
+        blocks = [seen[i:i + len(seen) // 3] for i in range(0, len(seen), len(seen) // 3)]
+        assert [b[0][0] for b in blocks] == [2, 3, 3]
+        first, middle, last = (b[1][0] for b in blocks)
+        assert middle > max(first, last) if column == "float" else middle < min(first, last)
+        assert [any(p for _, p in b) for b in blocks] == [True, column == "float", True]
+
+    def test_writer_holds_one_block_buffer_and_one_compaction(self, monkeypatch):
+        # Rows of three integer records, as reduction_compare writes them, in
+        # five blocks of 1000: the first is compacted (ids of 1 to 3 digits)
+        # and the ids gain a digit at the second, where the template is laid
+        # again. The buffer holds one block; a compaction adds a copy at most
+        # as large, and a re-lay the new buffer beside the old one. So the
+        # peak stays near two blocks, and one more block-sized temporary per
+        # block (a copy of the rows, a NUL mask) would exceed the bound.
+        monkeypatch.setattr(harness, "EVENT_BLOCK", 1000)
+        n = 4001
+        rng = np.random.default_rng(5)
+        steps = tuple((float(i + 1), rng.integers(0, 3, n)) for i in range(3))
+        records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
+        summary = RunSummary(experiment="reduction_compare", seed=0, n_events=n, frequencies={})
+        with tempfile.TemporaryDirectory() as tmp:
+            few = DualState(records.phi_d, 10, flags=("undo",),
+                            steps=tuple((t, j[:10]) for t, j in steps))
+            emit(summary, few, tmp)  # numpy's own first-use allocations, outside the trace
+            tracemalloc.start()
+            try:
+                _, events_path = emit(summary, records, tmp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block_bytes = Path(events_path).stat().st_size * 1000 / n
+        assert peak < 2.5 * block_bytes
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nul_in_a_flag_rejected_before_writing(self, tmp_path, fmt):
         # NUL pads the writer's cells, so it may not appear in a row.
         summary, records = run(parse_scenario(MINIMAL))
@@ -653,6 +722,7 @@ class TestCli:
             MINIMAL.replace("premeasure", "perception_timing") + "lambda: 4.71238898038469\n",
             MINIMAL.replace("premeasure", "perception_timing") + "lambda: 3.141592653589793\n",
             MINIMAL + "perception_mode: sample\ndelta_t: 2.0\nlambda: -3.9269908169872414\n",
+            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 3}\nt_max: 1.0e+7\n",
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -666,7 +736,7 @@ class TestCli:
             "non_string_key", "non_string_env_key", "dotted_top_level_key", "output_path_null",
             "output_path_number", "output_format_number", "env_zero", "env_false",
             "output_empty_list", "output_empty_string", "timing_past_pi", "timing_at_pi",
-            "sample_past_pi",
+            "sample_past_pi", "decohere_t_max_past_rounding_floor",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
