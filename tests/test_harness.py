@@ -520,14 +520,13 @@ class TestEmission:
         else:
             js[[50, 250]] = -1
             steps = ((0.5, js),)
-        seen = []  # (width, padded) of each column of each block, ids first
+        seen, real = [], harness._cells  # (width, padded) per column per block, ids first
 
         def cells(values):
-            out = cells.real(values)
+            out = real(values)
             seen.append((out.shape[1], not out.all()))
             return out
 
-        cells.real = harness._cells
         monkeypatch.setattr(harness, "_cells", cells)
         records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
         summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
