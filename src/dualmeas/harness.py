@@ -631,6 +631,7 @@ _EMIT_BYTES = 1 << 19
 # float's repr (at most 24 bytes) and an integer (at most 20) are narrower.
 _CELL_BYTES = 1 + 5 + 2 * 17 + 1
 _POW5 = 5 ** np.arange(22, dtype=np.int64)
+_PLACE = np.arange(17, dtype=np.int8)[:, None]  # a digit's place, one row per digit
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -646,71 +647,89 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     one 128-bit product. Its round-half-even D17 is the nearest 17-digit
     decimal and R the signed remainder, so x * 10**k = D17 + R / 2**s. A
     candidate N reads back iff |N - D17 - R / 2**s| is below half the float's
-    spacing, 5**k / 2**(s + 1): 2 |(N - D17) 2**s - R| < 5**k in int64, never
-    equal (odd against even). The spacing is below 100 units of D17, so
-    the nearest 15-digit candidate is the only one of 15 digits or fewer
-    that can read back; failing that the nearest 16-digit one, then D17.
-    Every other value (0, subnormals, powers of two, exact ties, exponent
-    forms, a wrong guess of d) goes through ``float.__repr__``.
+    spacing, 5**k / 2**(s + 1): |(N - D17) 2**s - R| <= floor(5**k / 2) in
+    int64 (5**k is odd, so never a tie). The spacing is 1.1 to 23 units of
+    D17, so D17 always reads back and the nearest 15-digit candidate is the
+    only one of 15 digits or fewer that can; failing that the nearest
+    16-digit one, then D17. Every other value (0, subnormals, powers of two,
+    exact ties, exponent forms, a wrong guess of d) goes through
+    ``float.__repr__``.
+
+    Only the product and the candidates are 64-bit. The exponents are int16,
+    d and the place of the last nonzero digit int8, and the digits come from
+    uint32 chunks of 8 and uint16 groups of 4, written straight into their
+    rows of the slot matrix, so each operation on a (17, n) slot plane is on
+    uint8 or int8.
     """
     bits = x.view(np.uint64)
-    biased = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    biased = (bits >> np.uint64(52)).astype(np.int16) & np.int16(0x7FF)
     frac = bits & np.uint64((1 << 52) - 1)
     ax = np.abs(x)
-    fast = (biased > 0) & (frac != 0) & (ax >= 1e-4) & (ax < 1e16)
-    d = np.floor(np.log10(np.where(fast, ax, 1.0))).astype(np.int64)
-    k = 16 - d
-    s = 1075 - biased - k
-    # s >= 1 leaves a remainder; s <= 56 keeps 101 * 2**s in int64 (the
+    fast = (frac != 0) & (ax >= 1e-4) & (ax < 1e16)  # normal from 1e-4 up
+    d = np.floor(np.log10(np.where(fast, ax, 1.0))).astype(np.int8)
+    k = np.int8(16) - d
+    s = np.int16(1075) - biased - k
+    # s >= 1 leaves a remainder; s <= 56 keeps 51 * 2**s in int64 (the
     # domain gives s <= 47).
-    fast &= (s >= 1) & (s <= 56)
-    k, s = np.where(fast, k, 0), np.where(fast, s, 1)
-    pow5 = _POW5[k]
+    fast &= (s >= np.int16(1)) & (s <= np.int16(56))
+    s = np.where(fast, s, np.int16(1))  # k is in [1, 20] in every lane, s now too
+    pow5 = _POW5.take(k)
     hi, lo = _mulhilo(pow5.view(np.uint64), frac | np.uint64(1 << 52),
                       *np.empty((4, len(x)), np.uint64))
     su = s.astype(np.uint64)
     one = np.uint64(1)
-    r = lo & ((one << su) - one)
-    half = one << (su - one)
+    pow2 = one << su
+    r = lo & (pow2 - one)
+    half = pow2 >> one
     up = r > half
     d17 = ((hi << (np.uint64(64) - su)) | (lo >> su)).astype(np.int64) + up
-    pow2 = np.int64(1) << s
+    pow2 = pow2.view(np.int64)
     rem = r.astype(np.int64) - up * pow2
     # A wrong guess of d puts D17 outside 17 digits.
-    fast &= (r != half) & (d17 >= 10**16) & (d17 < 10**17)
-
-    def nearest(unit):  # D17 rounded to a multiple of unit; R breaks a .5
-        q, low = np.divmod(d17, unit)
-        return unit * (q + ((2 * low > unit) | ((2 * low == unit) & (rem > 0))))
-
-    def reads_back(n):
-        return 2 * np.abs((n - d17) * pow2 - rem) < pow5
-
-    n15, n16 = nearest(100), nearest(10)
-    ok15, ok16 = reads_back(n15), reads_back(n16)
-    n = np.where(ok15, n15, np.where(ok16, n16, d17))
-    # An exact .5 at 16 digits needs repr's own tie rule, and 10**17 a new d.
-    tie16 = (d17 % 10 == 5) & (rem == 0)
-    fast &= (ok15 | ok16 | reads_back(d17)) & ~tie16 & (n < 10**17)
-
-    top, rest = np.divmod(n, 10**16)
-    chunks = np.stack(np.divmod(rest, 10**8)).astype(np.uint64)
-    # Built with one row per digit and per slot, so each step is one row op.
-    digits = np.empty((17, len(x)), np.uint8)
-    digits[0] = top
-    for i in range(8, 0, -1):  # c // 10 is (c * 0xCCCCCCCD) >> 35 below 2**32
-        q = (chunks * np.uint64(0xCCCCCCCD)) >> np.uint64(35)
-        digits[[i, 8 + i]] = chunks - q * np.uint64(10)
-        chunks = q
-    place = np.arange(17, dtype=np.uint8)[:, None]
-    last = ((digits != 0) * place).max(axis=0)  # the place of the last nonzero digit
-    zero, point = np.uint8(ord("0")), np.uint8(ord("."))
+    fast &= (r != half) & (d17 >= np.int64(10**16)) & (d17 < np.int64(10**17))
+    # A candidate D17 + e reads back iff |e 2**s - R| <= floor(5**k / 2).
+    g = d17 + (rem > 0)  # D17, plus 1 if R breaks a .5 upwards
+    e15 = (g + np.int64(49)) // np.int64(100) * np.int64(100) - d17
+    e16 = (g + np.int64(4)) // np.int64(10) * np.int64(10) - d17
+    bound = pow5 >> np.int64(1)
+    ok15 = np.abs(e15 * pow2 - rem) <= bound
+    ok16 = np.abs(e16 * pow2 - rem) <= bound
+    # An exact .5 at 16 digits needs repr's own tie rule.
+    tie16 = (e16 == np.int64(-5)) & (rem == np.int64(0))
+    e16 *= ok16
+    n = d17 + np.where(ok15, e15, e16)  # the fewest digits that read back
+    fast &= ~tie16 & (n < np.int64(10**17))  # 10**17 needs a new d
+    # Two chunks of 8 digits and the first digit, then four groups of 4.
+    chunks = np.empty((2, len(x)), np.uint32)
+    hi9 = n // np.int64(10**8)
+    chunks[0] = hi9
+    np.subtract(n, hi9 * np.int64(10**8), out=chunks[1], casting="unsafe")
+    top = chunks[0] // np.uint32(10**8)
+    chunks[0] -= top * np.uint32(10**8)
+    q = chunks // np.uint32(10**4)
+    groups = np.empty((2, 2, len(x)), np.uint16)
+    groups[:, 0] = q
+    np.subtract(chunks, q * np.uint32(10**4), out=groups[:, 1], casting="unsafe")
     cells = np.empty((_CELL_BYTES, len(x)), np.uint8)
+    digits = cells[6:40:2]  # one row per digit, each beside the slot for a point
+    digits[0] = top
+    planes = cells[8:40].reshape(4, 4, 2, len(x))[:, :, 0]  # (group, digit, value)
+    groups = groups.reshape(4, len(x))
+    ten = np.uint16(10)
+    for i in range(3, -1, -1):
+        q = groups // ten
+        np.subtract(groups, q * ten, out=planes[:, i], casting="unsafe")
+        groups = q
+    last = ((digits != 0) * _PLACE).max(axis=0)  # the place of the last nonzero digit
+    zero, point = np.uint8(ord("0")), np.uint8(ord("."))
+    digits += zero
+    digits *= _PLACE <= np.maximum(d, last)
     cells[0] = (x < 0) * np.uint8(ord("-"))
     cells[1:3] = (d < 0) * np.array([[zero], [point]])
-    cells[3:6] = (d <= -2 - np.arange(3)[:, None]) * zero
-    cells[6:40:2] = (place <= np.maximum(d, last)) * (digits + zero)
-    cells[7:40:2] = (place == d) * point
+    cells[3:6] = (d <= np.arange(-2, -5, -1, dtype=np.int8)[:, None]) * zero
+    points = cells[7:40:2]
+    np.equal(_PLACE, d, out=points)
+    points *= point
     cells[40] = (last <= d) * zero
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -732,22 +751,27 @@ def _cells(column: np.ndarray) -> np.ndarray:
     right-aligned decimal digits, behind a sign slot only if one is negative."""
     if column.dtype.kind == "f":
         return _float_cells(np.asarray(column, np.float64))
-    neg = column < 0
-    mag = column.astype(np.uint64)  # a negative's two's complement, negated next
-    np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
-    width, short = (len(str(int(v))) for v in (mag.max(), mag.min()))
-    sign = int(neg.any())
+    lo, hi = int(column.min()), int(column.max())  # the sign slot, widths and type follow
+    top = max(-lo, hi)  # the largest magnitude
+    dtype = np.min_scalar_type(top).type  # the narrowest unsigned type that holds it
+    width = len(str(top))
+    short = 1 if lo < 0 <= hi else len(str(min(abs(lo), abs(hi))))  # fewest digits of any value
+    sign = int(lo < 0)
+    mag = column.astype(dtype)  # a negative's two's complement, negated next
     cells = np.empty((sign + width, len(mag)), np.uint8)  # one plane per slot
     if sign:
+        neg = column < 0
+        np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
         cells[0] = neg * np.uint8(ord("-"))  # the padding after the sign is dropped with the rest
-    rest, ten = mag, np.uint64(10)
-    for k in range(len(cells) - 1, sign - 1, -1):
-        q = rest // ten  # vectorised, where uint64 divmod is not
-        cells[k] = rest - q * ten
+    rest, ten = mag, dtype(10)
+    for k in range(len(cells) - 1, sign, -1):
+        q = rest // ten  # vectorised, where divmod is not
+        np.subtract(rest, q * ten, out=cells[k], casting="unsafe")
         rest = q
+    cells[sign] = rest
     cells[sign:] += np.uint8(ord("0"))
     for place in range(short, width):  # a value below 10**place has no digit there
-        cells[-1 - place] *= mag >= np.uint64(10**place)
+        cells[-1 - place] *= mag >= dtype(10**place)
     return cells.T
 
 

@@ -342,10 +342,65 @@ class TestPerceptionTiming:
         grid = np.linspace(0.0, MODEL.duration, 501)
         pdf = perception_time_pdf(MODEL, AMPS, grid)
         rng = event_rng(21, 0)
-        ts = np.array([sample_perception_time(pdf, rng.random()) for _ in range(20000)])
+        ts = sample_perception_time(pdf, rng.random(20000))  # the doubles of 20000 rng.random()
         # P(t < duration/2) = sin^2(lam*duration/2) = 1/2 for the calibrated model
         assert abs(np.mean(ts < MODEL.duration / 2) - 0.5) < 0.015
         assert ts.min() >= 0.0 and ts.max() <= MODEL.duration
+
+
+def _trapezoid_cdf(pdf):
+    """The sampler's CDF: trapezoids of the clipped density, normalised."""
+    f = np.clip(pdf.density, 0.0, None)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(pdf.times))])
+    return cdf / cdf[-1]
+
+
+def _lookup_densities() -> dict:
+    """Densities for the CDF lookup: the perception density (zero at t = 0)
+    at 201 and 3 points, one with a run of leading zeros and then a CDF step
+    so small that its slope is infinite (np.interp gives a draw on a node the
+    node's time, never inf * 0), one with an interior run of clipped
+    negatives (repeated CDF nodes), and grids of 2, 3 and 4 points."""
+    rng = np.random.default_rng(11)
+    pdfs = {f"perception-{n}": perception_time_pdf(MODEL, AMPS, np.linspace(0.0, MODEL.duration, n))
+            for n in (201, 3)}
+    t = np.linspace(0.0, 2.0, 60)
+    lead = rng.random(60)
+    lead[:7] = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-310  # a subnormal CDF step: infinite slope
+    interior = rng.random(60)
+    interior[20:31] = -rng.random(11)
+    pdfs["leading-zeros"] = dual.PerceptionTimePdf(t, lead, 1.0)
+    pdfs["interior-zeros"] = dual.PerceptionTimePdf(t, interior, 1.0)
+    for n in (2, 3, 4):
+        pdfs[f"grid-{n}"] = dual.PerceptionTimePdf(np.sort(rng.random(n)), rng.random(n), 1.0)
+    return pdfs
+
+
+LOOKUP_DENSITIES = _lookup_densities()
+
+
+@pytest.mark.parametrize("pdf", LOOKUP_DENSITIES.values(), ids=list(LOOKUP_DENSITIES))
+def test_cdf_lookup_matches_np_interp_bits(pdf):
+    cdf = _trapezoid_cdf(pdf)
+    rng = np.random.default_rng(12)
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0),
+                        np.nextafter(cdf, 1.0), rng.random(10_000)])
+    got = sample_perception_time(pdf, u)
+    assert np.array_equal(got.view(np.uint64), np.interp(u, cdf, pdf.times).view(np.uint64))
+    for v in (0.0, float(cdf[len(cdf) // 2]), 0.37, 1.0 - 2.0**-53):
+        one, want = sample_perception_time(pdf, v), np.interp(v, cdf, pdf.times)
+        assert type(one) is type(want) and one.tobytes() == want.tobytes()
+
+
+def test_cdf_lookup_rejects_what_np_interp_would_clamp():
+    pdf = LOOKUP_DENSITIES["grid-4"]
+    assert sample_perception_time(pdf, np.empty(0)).shape == (0,)
+    for u in (-1e-300, 1.0 + 2.0**-52, math.nan, [0.5, 2.0]):
+        with pytest.raises(ValueError, match=r"uniforms in \[0, 1\]"):
+            sample_perception_time(pdf, u)
+    flat = dual.PerceptionTimePdf(pdf.times, np.array([0.0, -1.0, 0.0, -2.0]), 1.0)
+    with pytest.raises(InvariantError, match="no mass"):
+        sample_perception_time(flat, 0.5)
 
 
 def _swap_generator(layout):

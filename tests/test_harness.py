@@ -610,6 +610,34 @@ def _cell_texts(values) -> list:
     return [row[row != 0].tobytes().decode() for row in cells]
 
 
+def _kernel_sweep() -> np.ndarray:
+    """Seeded float sets for the float kernel, each value of random sign:
+    random bit patterns over every exponent and over the kernel's domain,
+    perception times in (0, 1], 15-digit decimals (which a 16-digit candidate
+    can also reach), dyadic values exactly halfway between two 16-digit
+    decimals, and both neighbours of each power of ten and of two in the
+    domain, in both signs."""
+    rng = np.random.default_rng(18)
+    n = 100_000
+    bits = np.frombuffer(rng.bytes(8 * n), np.uint64).view(np.float64)
+    exps = rng.integers(1009, 1077, n // 10, dtype=np.uint64) << np.uint64(52)
+    in_domain = np.frombuffer(rng.bytes(8 * len(exps)), np.uint64) >> np.uint64(12) | exps
+    decimals, ties = [], []
+    for d in range(-4, 16):
+        decimals += [float(f"{i}e{d - 14}") for i in rng.integers(10**14, 10**15, 250)]
+        j = rng.integers(math.ceil(10.0**d * 2**(16 - d)) // 2,
+                         min(10.0**(d + 1) * 2**(16 - d), 2.0**53) // 2, 250)
+        ties += list((2 * j + 1) * 2.0**(d - 16))
+    x = np.concatenate([bits[np.isfinite(bits)], in_domain.view(np.float64),
+                        1.0 - rng.random(n), decimals, ties])
+    x[rng.random(len(x)) < 0.5] *= -1
+    powers = [float(f"1e{k}") for k in range(-4, 16)] + [2.0**e for e in range(-13, 54)]
+    near = [f(p) for p in powers for f in (lambda p: math.nextafter(p, 0.0),
+                                            lambda p: math.nextafter(p, math.inf))]
+    near = [p for p in near if 1e-4 <= p < 1e16]
+    return np.concatenate([x, near, np.negative(near)])
+
+
 class TestFloatCells:
     @given(st.lists(st.sampled_from(FLOAT_EDGES) | DYADIC
                     | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
@@ -623,6 +651,16 @@ class TestFloatCells:
         values = FLOAT_EDGES + [j / 2**18 for j in range(1, 2**18, 97)]
         values += [-x for x in values]
         assert _cell_texts(values) == list(map(float.__repr__, values))
+
+    def test_kernel_sweep_is_float_repr(self):
+        x = _kernel_sweep()
+        cells = harness._cells(x)
+        lines = np.hstack([cells, np.full((len(x), 1), ord("\n"), np.uint8)])
+        got = lines.tobytes().translate(None, b"\0").decode()
+        want = "".join(f"{v!r}\n" for v in x.tolist())
+        if got != want:
+            pytest.fail(str([(w, g) for w, g in zip(want.splitlines(), got.splitlines())
+                             if w != g][:5]))
 
     def test_kernel_decides_uniform_values(self, monkeypatch):
         # Perception times are uniform-like values in (0, 1): the kernel
