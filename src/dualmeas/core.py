@@ -213,11 +213,13 @@ class LinearOperator:
         """exp(-i * self * t) via the cached Hermitian eigendecomposition.
 
         A scalar *t* gives one (n, n) matrix; a 1-d time grid gives the
-        (len(t), n, n) stack, each slice bit-identical to the scalar form.
+        (len(t), n, n) stack, each slice bit-identical to the scalar form. A
+        grid is one (len(t) n, n) @ (n, n) product, not len(t) small ones.
         """
         w, v = self._eigh
         phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
-        return (v * phase[..., None, :]) @ v.conj().T
+        left = v * phase[..., None, :]
+        return (left.reshape(-1, len(w)) @ v.conj().T).reshape(left.shape)
 
 
 def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray:

@@ -15,6 +15,7 @@ instead, so its outcome survives the undo.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .dynamics import (
     reverse_evolution,
 )
 
-# Events per block of event_uniforms and of the events writer: bounds the
-# temporaries of both, whatever the run's size.
+# Events per block of the Philox kernel, of a run's sampling loop and of the
+# events writer: bounds the temporaries of each, whatever the run's size.
 EVENT_BLOCK = 1 << 14
 # A perception weight below this is treated as "branch absent".
 READY_WEIGHT_TOL = 1e-9
@@ -91,14 +92,16 @@ def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c):
     return hi, x
 
 
-def _philox(seed: int, c0, c2, out: np.ndarray):
-    """Philox4x64-10 of the counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``:
-    row r of *out* gets the uniforms ``(word >> 11) * 2**-53`` of the first
-    2 or 4 words of counter r. One of c0 and c2 is an int, the other the
-    ``range`` of the rows' values. A word that is the same for every counter
-    stays an int, with exact products; every other lives in one of nine block
-    buffers made once per call. The last round makes only the words read."""
-    n, n_words = out.shape
+def _philox(seed: int, c0, c2, n: int, n_words: int):
+    """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``,
+    EVENT_BLOCK counters at a time: yields ``(lo, u)``, where ``u[i][r]`` is
+    the uniform ``(word >> 11) * 2**-53`` of word i of counter lo + r, for
+    the first *n_words* (2 or 4) words. One of c0 and c2 is an int, the other
+    the ``range`` of the counters' values. A word that is the same for every
+    counter stays an int, with exact products; every other lives in one of
+    nine block buffers made once per call, and each ``u[i]`` is a float64 view
+    of one of them, overwritten by the next block. The last round makes only
+    the words read."""
     iota = np.arange(min(n, EVENT_BLOCK), dtype=np.uint64)
     buffers = np.empty((9, len(iota)), np.uint64)
 
@@ -126,9 +129,27 @@ def _philox(seed: int, c0, c2, out: np.ndarray):
                 hi0, lo0 = product(_PHILOX_M[0], x[0])
                 words += [xor(hi0, x[3], k1), lo0]
             x, k0, k1 = words, (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
-        for i, w in enumerate(x):
+        for w in x:  # in place: each element is read before its float is written
             w >>= np.uint64(11)
-            np.multiply(w, 2.0**-53, out=out[lo:lo + len(w), i])
+            np.multiply(w, 2.0**-53, out=w.view(np.float64))
+        yield lo, [w.view(np.float64) for w in x]
+
+
+def uniform_blocks(seed: int, n_events: int):
+    """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at
+    a time, from one pass of the kernel: yields ``(lo, u)``, where ``u[0][r]``
+    and ``u[1][r]`` are the first two draws of event lo + r. The block's
+    arrays are overwritten by the next one, so a run's uniforms take a few
+    blocks of memory whatever its size."""
+    return _philox(seed, 1, range(n_events), n_events, 2)
+
+
+def _gather(blocks, out: np.ndarray) -> np.ndarray:
+    """Row lo + r of *out* gets ``u[i][r]`` in column i, for every block ``(lo, u)``."""
+    for lo, u in blocks:
+        for i, w in enumerate(u):
+            out[lo:lo + len(w), i] = w
+    return out
 
 
 def event_uniforms(seed: int, n_events: int) -> np.ndarray:
@@ -137,18 +158,17 @@ def event_uniforms(seed: int, n_events: int) -> np.ndarray:
 
     Each row is the first two words of one Philox4x64-10 block: numpy
     advances the counter before its first block, so event ``eid`` encrypts
-    the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``.
+    the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``. Runs read
+    the same rows block by block, through ``uniform_blocks``.
     """
-    out = np.empty((n_events, 2))
-    _philox(seed, 1, range(n_events), out)
-    return out
+    return _gather(uniform_blocks(seed, n_events), np.empty((n_events, 2)))
 
 
 def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
     ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
-    out = np.empty((-(-n // 4), 4))
-    _philox(seed, range(1, len(out) + 1), int(stream), out)
+    rows = -(-n // 4)
+    out = _gather(_philox(seed, range(1, rows + 1), int(stream), rows, 4), np.empty((rows, 4)))
     return out.ravel()[:n]
 
 
@@ -187,6 +207,24 @@ class PerceptionTimePdf:
     times: np.ndarray
     density: np.ndarray
     normalization: float  # c_p applied to the raw derivative sum
+
+    @cached_property
+    def lookup(self):
+        """``sample_perception_time``'s tables, built on its first call:
+        the trapezoid CDF, the bucket count k, the bucket table, each node's
+        next CDF value and the slopes ``diff(t) / diff(cdf)``."""
+        t, f = self.times, np.clip(self.density, 0.0, None)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
+        if not cdf[-1] > 0.0:
+            raise InvariantError("perception-time density has no mass on its grid")
+        cdf /= cdf[-1]
+        n = len(cdf)
+        k = 1 << (_BUCKETS_PER_NODE * n - 1).bit_length()  # a power of two: u * k is exact
+        edges = np.ceil(cdf * k).astype(np.intp)  # cdf[j] <= b / k from bucket b = edges[j] on
+        first = np.repeat(np.arange(n), np.diff(edges, append=k + 1))  # last node <= b / k
+        with np.errstate(all="ignore"):  # an overflowed slope times 0 is replaced in the draw
+            slope = np.append(np.diff(t) / np.diff(cdf), 0.0)
+        return cdf, k, first, np.append(cdf[1:], np.inf), slope
 
 
 def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> PerceptionTimePdf:
@@ -236,7 +274,8 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
 def sample_perception_time(pdf: PerceptionTimePdf, u):
     """Inverse-transform draws from a tabulated perception-time density: one
     time per uniform in *u*, a scalar or an array of values in [0, 1], from
-    one trapezoid CDF. The result has the bits of ``np.interp(u, cdf, t)``.
+    the density's trapezoid CDF, built once per density (``pdf.lookup``). The
+    result has the bits of ``np.interp(u, cdf, t)``.
 
     np.interp binary-searches each draw, which is slow for draws in random
     order. Here a table gives, for each of k equal buckets of [0, 1) (k a
@@ -247,29 +286,19 @@ def sample_perception_time(pdf: PerceptionTimePdf, u):
     time is np.interp's ``slope[j] * (u - cdf[j]) + t[j]`` with
     ``slope = diff(t) / diff(cdf)``; a draw on a node gets the node's time.
     """
-    t, f = pdf.times, np.clip(pdf.density, 0.0, None)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
-    if not cdf[-1] > 0.0:
-        raise InvariantError("perception-time density has no mass on its grid")
-    cdf /= cdf[-1]
+    cdf, k, first, after, slope = pdf.lookup
     u = np.asarray(u, dtype=float)
     x = u.reshape(-1)  # a view of a scalar or of a 1-d array
     if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError("perception draws need uniforms in [0, 1]")
-    n = len(cdf)
-    k = 1 << (_BUCKETS_PER_NODE * n - 1).bit_length()  # a power of two: u * k is exact
-    edges = np.ceil(cdf * k).astype(np.intp)  # cdf[j] <= b / k from bucket b = edges[j] on
-    first = np.repeat(np.arange(n), np.diff(edges, append=k + 1))  # last node <= b / k
     j = first[(x * k).astype(np.intp)]
-    after = np.append(cdf[1:], np.inf)  # the next node's cdf
     moved = np.flatnonzero(after[j] <= x)
     while len(moved):  # until j is the last node with cdf[j] <= u, as in np.interp
         j[moved] += 1
         moved = moved[after[j[moved]] <= x[moved]]
-    at, tj = cdf[j], t[j]
+    at, tj = cdf[j], pdf.times[j]
+    out = slope[j]
     with np.errstate(all="ignore"):  # an overflowed slope times 0 is replaced below
-        slope = np.append(np.diff(t) / np.diff(cdf), 0.0)
-        out = slope[j]
         out *= x - at
     out += tj
     np.copyto(out, tj, where=at == x)  # a draw on a node gets the node's time

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -35,12 +35,12 @@ from .dual import (
     _mulhilo,
     draw_index,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
-    event_uniforms,
     perception_time_pdf,
     philox_uniforms,
     reduction_baseline,
     sample_perception_time,
     simpson,
+    uniform_blocks,
 )
 from .dynamics import (
     EMPTY_BRANCH_NORM,
@@ -340,7 +340,9 @@ def _check(name: str, value, passed) -> dict:
 def _freq_check(js, probs: np.ndarray, n: int):
     """Frequencies of the records *js* over the pointer basis of *probs*, and
     the check that flags (not hard-fails) any beyond 4 sigma of P_j."""
-    counts = np.bincount(np.asarray(js, dtype=int), minlength=len(probs))
+    # A block at a time: np.bincount copies its input to intp.
+    counts = sum(np.bincount(js[lo:lo + EVENT_BLOCK], minlength=len(probs))
+                 for lo in range(0, n, EVENT_BLOCK))
     freqs = {j: counts[j] / n for j in range(len(probs))}
     worst, ok = 0.0, True
     for j, p in enumerate(probs):
@@ -354,12 +356,12 @@ def _freq_check(js, probs: np.ndarray, n: int):
 
 
 def _correlation(a, b):
-    """Pearson correlation; None when either margin is degenerate."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
+    """Pearson correlation of two index columns; None when either margin is
+    degenerate. np.corrcoef of their (2, n) stack makes one float64 copy and
+    gives the bits of np.corrcoef(a, b) on float columns."""
+    if a.min() == a.max() or b.min() == b.max():
         return None
-    return float(np.corrcoef(a, b)[0, 1])
+    return float(np.corrcoef(np.stack((a, b)))[0, 1])
 
 
 def _pure_vs_mixture(psi: StateVector, amplitudes):
@@ -375,11 +377,11 @@ def _pure_vs_mixture(psi: StateVector, amplitudes):
 def run(scenario: Scenario):
     """Execute one scenario; returns ``(RunSummary, DualState)``.
 
-    Deterministic given (scenario, seed): ``run`` builds the measurement model,
-    premeasures the system once under its generator, and makes the one
-    ``event_uniforms`` draw, row ``eid`` from the counter-based substream of
-    event ``eid``. Each runner turns them into its summary fields and event
-    records.
+    Deterministic given (scenario, seed): ``run`` builds the measurement model
+    and premeasures the system once under its generator. Each runner turns
+    them into its summary fields and event records, drawing the records in
+    the one sampling loop ``_sample``: event ``eid``'s two uniforms come from
+    its counter-based substream, the row ``eid`` of ``event_uniforms``.
     """
     runner = {
         "premeasure": _run_premeasure,
@@ -391,8 +393,7 @@ def run(scenario: Scenario):
     }[scenario.experiment]
     model = scenario.model()
     psi = run_premeasurement(scenario.system_state(), model)
-    u = event_uniforms(scenario.seed, scenario.n_events)
-    fields, records = runner(scenario, model, psi, u)
+    fields, records = runner(scenario, model, psi)
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
     summary = RunSummary(
         experiment=scenario.experiment,
@@ -405,7 +406,42 @@ def run(scenario: Scenario):
     return summary, records
 
 
-def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
+def _sample(scenario: Scenario, events) -> DualState:
+    """The run's one sampling loop: one pass of the Philox kernel over its
+    events, EVENT_BLOCK at a time. ``events(u)`` turns a block's uniforms
+    (``u[0][r]`` and ``u[1][r]``, the two draws of the block's event r) into
+    that block's DualState. Each record column of the blocks goes into one
+    whole column: a time as float64, an index in the narrowest unsigned type
+    that holds the pointer basis (uint8 for o_dim <= 256). Returns the last
+    block's state over all the events; every block's records passed its own
+    checks, and its scalar steps are the same in every block."""
+    n = scenario.n_events
+    dtypes = (np.float64, np.min_scalar_type(scenario.o_dim - 1))  # of t and of j
+    steps = None
+    for lo, u in uniform_blocks(scenario.seed, n):
+        state = events(u)
+        if steps is None:
+            steps = [tuple(np.empty(n, dtype) if np.ndim(x) else x for dtype, x in zip(dtypes, step))
+                     for step in state.steps]
+        for whole, step in zip(steps, state.steps):
+            for column, x in zip(whole, step):
+                if np.ndim(x):
+                    column[lo:lo + len(x)] = x
+    return replace(state, n_events=n, steps=tuple(steps))
+
+
+def _perceive(scenario: Scenario, phi_d, pdf=None) -> DualState:
+    """Each event's record drawn from the pointer weights of *phi_d* with its
+    first uniform, perceived at the end of the window or, given a density
+    *pdf*, at a time drawn from it with its second."""
+    def events(u):
+        t = None if pdf is None else sample_perception_time(pdf, u[1])
+        return DualState(phi_d, len(u[0]), clock=scenario.delta_t).perceive(u[0], t=t)
+
+    return _sample(scenario, events)
+
+
+def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     weights = branch_weights(psi)
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
     b_pure, b_mixed, rho, rho_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
@@ -413,11 +449,11 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     r_mixed = restricted_state(rho_mixed, source_kind="mixed_ensemble")
     _, dist = breuer_distinguishable(r_pure, r_mixed)
 
-    t_p = None
+    pdf = None
     if scenario.perception_mode == "sample":
         grid = np.linspace(0.0, scenario.delta_t, 201)
-        t_p = sample_perception_time(perception_time_pdf(model, scenario.amplitudes, grid), u[:, 1])
-    records = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0], t=t_p)
+        pdf = perception_time_pdf(model, scenario.amplitudes, grid)
+    records = _perceive(scenario, psi, pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -436,21 +472,27 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     ), records
 
 
-def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
+def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     rho0 = model.input_state(scenario.amplitudes).to_density()
     weights = branch_weights(psi)
+    undone, persisted = None, 0
 
-    # Measure, reverse, re-measure. Perception never back-reacts, so the
-    # dynamical chain is shared by all events; only the two draws differ.
-    undone = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0]).undo(model)
+    def events(u):
+        # Measure, reverse, re-measure. Perception never back-reacts, so the
+        # dynamical chain is shared by all events; only the two draws differ.
+        nonlocal undone, persisted
+        undone = DualState(psi, len(u[0]), clock=scenario.delta_t).perceive(u[0]).undo(model)
+        state = undone.evolve(model.hamiltonian, model.duration).perceive(u[1])
+        # Textbook collapse on the same draws: the events whose re-measured
+        # outcome is the one they collapsed onto.
+        collapsed = state.steps[0][1]
+        persisted += np.count_nonzero(reduction_baseline(model, collapsed, u[1]) == collapsed)
+        return state
+
+    records = _sample(scenario, events)
     recovery = trace_distance(undone.phi_d.to_density(), rho0)
-    records = undone.evolve(model.hamiltonian, model.duration).perceive(u[:, 1])
-    collapsed = records.steps[0][1]
-    corr_dual = _correlation(collapsed, records.final_j)
-    # Textbook collapse on the same draws: the share of events whose
-    # re-measured outcome is the one they collapsed onto.
-    persisted = reduction_baseline(model, collapsed, u[:, 1]) == collapsed
-    persistence = np.count_nonzero(persisted) / scenario.n_events
+    corr_dual = _correlation(records.steps[0][1], records.final_j)
+    persistence = persisted / scenario.n_events
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
 
     # 0.02 is the reference bound at 1e4 events; smaller runs get the
@@ -475,7 +517,7 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: 
     ), records
 
 
-def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
+def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     # O2 measures S by O's generator: U (x) 1_O, U = exp(-iHt) on S (x) O2, and
     # from O2's ready state, psi_t2[x, a, y] = sum_s U[(x, y), (s, 0)] psi[s, a].
     s_dim, o_dim = model.s_dim, model.o_dim
@@ -494,19 +536,24 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     # observer axis of dimension o_dim**2. Each event draws the first
     # observer's record from the marginal, the second from the conditional row.
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    first = DualState(psi_t2, scenario.n_events, clock=t2).perceive(u[:, 0], t=t1)
     joint_layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim * o_dim)))
     joint = branch_weights(StateVector(joint_layout, psi_t2.amplitudes)).reshape(o_dim, o_dim)
     marginal = joint.sum(axis=1)
     joint[:, 0] = 0.0  # O2's ready weight is O's, which perceive found to be residue
-    js1 = first.final_j
-    js2 = np.empty_like(js1)
-    for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
-        events = js1 == j1
-        if events.any():
-            js2[events] = draw_index(row / row.sum(), u[events, 1])
-    records = first.record(t2, js2)
-    agree = int(np.sum(js1 == js2))
+
+    def events(u):
+        first = DualState(psi_t2, len(u[0]), clock=t2).perceive(u[0], t=t1)
+        js1 = first.final_j
+        js2 = np.empty_like(js1)
+        for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
+            on = js1 == j1
+            if on.any():
+                js2[on] = draw_index(row / row.sum(), u[1][on])
+        return first.record(t2, js2)
+
+    records = _sample(scenario, events)
+    (_, js1), (_, js2) = records.steps
+    agree = np.count_nonzero(js1 == js2)
     rate = agree / scenario.n_events
 
     freqs, freq_check = _freq_check(js1, marginal, scenario.n_events)
@@ -526,7 +573,7 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     ), records
 
 
-def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector, u: np.ndarray):
+def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     env = scenario.environment()
     psi_full = attach_environment(psi, env)
 
@@ -556,7 +603,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
 
     # Perception statistics are untouched by dephasing.
     weights = branch_weights(psi_full)
-    records = DualState(psi_full, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0])
+    records = _perceive(scenario, psi_full)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -578,10 +625,9 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
     ), records
 
 
-def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector,
-                           u: np.ndarray):
+def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     """Matched dual and textbook-collapse ensembles, side by side."""
-    fields, records = _run_undo(scenario, model, psi, u)
+    fields, records = _run_undo(scenario, model, psi)
     b_dual, b_baseline, _, _ = _pure_vs_mixture(psi, scenario.amplitudes)
     fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
     fields["checks"].append(_check("interference discriminator: dual nonzero, baseline zero",
@@ -589,8 +635,7 @@ def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: Sta
     return fields, records
 
 
-def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: StateVector,
-                           u: np.ndarray):
+def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
     integral = simpson(pdf.density, pdf.times)
@@ -605,8 +650,7 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: Sta
     bound = max(1e-6, *(abs(integral - r) for r in rules))
     weights = branch_weights(psi)
 
-    t_p = sample_perception_time(pdf, u[:, 1])
-    records = DualState(psi, scenario.n_events, clock=scenario.delta_t).perceive(u[:, 0], t=t_p)
+    records = _perceive(scenario, psi, pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,

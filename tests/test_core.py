@@ -219,6 +219,19 @@ class TestEvolveUnitary:
             # compared as raw bits: equal values with a different sign of zero fail
             assert np.array_equal(stack[k].view(np.uint64), h.unitary_at(t).view(np.uint64))
 
+    @pytest.mark.parametrize("n, n_times", [(6, 2001), (18, 501), (240, 21)])
+    def test_long_grid_slices_match_scalar_bits(self, n, n_times):
+        # perception_time_pdf's 2001-point window at the default layout, and
+        # larger layouts: the grid is one product of (n_times n, n) rows.
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = LinearOperator(CompositeLayout((("A", n),)), m + m.conj().T)
+        ts = np.concatenate([np.linspace(0.0, 1.0, n_times - 1), [-3.5]])
+        stack = h.unitary_at(ts)
+        assert stack.shape == (n_times, n, n)
+        for k, t in enumerate(ts):
+            assert np.array_equal(stack[k].view(np.uint64), h.unitary_at(t).view(np.uint64))
+
     def test_scalar_time_gives_one_matrix(self):
         h = LinearOperator(qubit(), SX + 0.5 * SZ)
         w, v = np.linalg.eigh(h.entries)

@@ -136,6 +136,17 @@ class TestEventRng:
             tracemalloc.stop()
         assert peak < out.nbytes + 12 * EVENT_BLOCK * 8
 
+    @pytest.mark.parametrize("n", [1, EVENT_BLOCK, 2 * EVENT_BLOCK + 3])
+    def test_uniform_blocks_are_the_rows_in_buffers_made_once(self, n):
+        rows, owners, end = event_uniforms(5, n), set(), 0
+        for lo, u in dual.uniform_blocks(5, n):
+            assert lo == end and len(u) == 2
+            for i, w in enumerate(u):
+                assert np.array_equal(w, rows[lo:lo + len(w), i])
+            owners.update(id(w.base) for w in u)
+            end = lo + len(u[0])
+        assert end == n and len(owners) == 1
+
 
 def _random_grid(rng, n):
     """A strictly increasing grid of *n* points with uneven spacings."""
@@ -390,6 +401,14 @@ def test_cdf_lookup_matches_np_interp_bits(pdf):
     for v in (0.0, float(cdf[len(cdf) // 2]), 0.37, 1.0 - 2.0**-53):
         one, want = sample_perception_time(pdf, v), np.interp(v, cdf, pdf.times)
         assert type(one) is type(want) and one.tobytes() == want.tobytes()
+
+
+def test_cdf_lookup_is_built_once_per_density():
+    pdf = perception_time_pdf(MODEL, AMPS, np.linspace(0.0, MODEL.duration, 51))
+    with patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+        for u in (0.5, np.array([0.1, 0.9]), 0.25):
+            sample_perception_time(pdf, u)
+    assert cumsum.call_count == 1
 
 
 def test_cdf_lookup_rejects_what_np_interp_would_clamp():

@@ -70,8 +70,8 @@ def _cases() -> dict:
             "experiment": "premeasure", "amplitudes": amps, "seed": SEED,
             "n_events": 500, "perception_mode": "sample",
         }
-    # Enough events to span several blocks of the events writer and of
-    # dual.event_uniforms (2**14 events each), with constant and varying times.
+    # Enough events to span several blocks of the events writer and of a
+    # run's sampling loop (2**14 events each), with constant and varying times.
     for experiment in ("reduction_compare", "perception_timing"):
         doc = {"experiment": experiment, "amplitudes": AMPLITUDES["real"], "seed": SEED,
                "n_events": 40000}

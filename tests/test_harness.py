@@ -20,7 +20,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import harness
+from dualmeas import dual, harness
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
@@ -30,7 +30,7 @@ from dualmeas.core import (
     embed,
     evolve_unitary,
 )
-from dualmeas.dual import EVENT_BLOCK, DualState, draw_index
+from dualmeas.dual import EVENT_BLOCK, DualState, draw_index, event_uniforms
 from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
@@ -263,11 +263,72 @@ def _decohere(amplitudes):
 def test_uniforms_of_zero_record_system_indices(monkeypatch, experiment):
     # After a calibrated window each ready weight is rounding residue, about
     # 4e-33; a uniform of exactly 0.0 may not draw it.
-    monkeypatch.setattr(harness, "event_uniforms", lambda seed, n: np.zeros((n, 2)))
+    monkeypatch.setattr(harness, "uniform_blocks", lambda seed, n: [(0, np.zeros((2, n)))])
     extra = {"decohere": "env: {n_atoms: 2}\nn_times: 5\n"}.get(experiment, "")
     summary, records = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
     drawn = [j for _, j in records.steps if np.ndim(j)]
     assert drawn and all(np.all(j == 1) for j in drawn)
+
+
+# Every experiment, and premeasure in sample mode, on small layouts.
+SAMPLING = {experiment: MINIMAL.replace("premeasure", experiment) for experiment in EXPERIMENTS}
+SAMPLING["decohere"] += "env: {n_atoms: 2}\nn_times: 5\n"
+SAMPLING["sample"] = MINIMAL + "perception_mode: sample\n"
+SMALL_BLOCK = 64
+
+
+class TestBlockwiseSampling:
+    """A run draws its records in one pass of the kernel, block by block."""
+
+    @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                                   3 * SMALL_BLOCK + 1])
+    @pytest.mark.parametrize("case", list(SAMPLING))
+    def test_blocks_give_the_whole_draw(self, monkeypatch, tmp_path, case, n):
+        scenario = replace(parse_scenario(SAMPLING[case]), n_events=n)
+        with monkeypatch.context() as m:  # one block: the whole event_uniforms array
+            m.setattr(harness, "uniform_blocks", lambda seed, k: [(0, event_uniforms(seed, k).T)])
+            want = run(scenario)
+        monkeypatch.setattr(dual, "EVENT_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(harness, "EVENT_BLOCK", SMALL_BLOCK)
+        got = run(scenario)
+        assert got[0].to_dict() == want[0].to_dict()
+        (_, records), (_, whole) = got, want
+        assert records.n_events == n and records.flags == whole.flags
+        for step, ref in zip(records.steps, whole.steps, strict=True):
+            for x, y in zip(step, ref):
+                assert np.ndim(x) == np.ndim(y) and np.array_equal(x, y)
+        for fmt in ("json", "csv"):
+            paths = [emit(*result, tmp_path / side / fmt, fmt=fmt)
+                     for side, result in (("got", got), ("want", want))]
+            for a, b in zip(*paths):
+                assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    @pytest.mark.parametrize("case, o_dim, dtype", [
+        ("undo", 3, np.uint8), ("undo", 256, np.uint8), ("undo", 257, np.uint16),
+        ("sample", 3, np.uint8),
+    ])
+    def test_record_columns_are_narrow(self, case, o_dim, dtype):
+        _, records = run(replace(parse_scenario(SAMPLING[case]), o_dim=o_dim))
+        for t, j in records.steps:
+            assert np.ndim(j) == 0 or j.dtype == dtype
+            assert np.ndim(t) == 0 or t.dtype == np.float64
+        assert any(np.ndim(t) for t, _ in records.steps) == (case == "sample")
+
+    @pytest.mark.parametrize("case", ["premeasure", "perception_timing", "sample"])
+    def test_run_memory_is_its_columns_plus_a_few_blocks(self, case):
+        # At 16 blocks a whole-run array of the two uniforms alone would be
+        # 32 blocks of float64; the bound leaves 24 for the kernel's buffers,
+        # a block's draws and the perception density.
+        scenario = replace(parse_scenario(SAMPLING[case]), n_events=16 * EVENT_BLOCK + 1)
+        run(parse_scenario(SAMPLING[case]))  # numpy's own first-use allocations, outside the trace
+        tracemalloc.start()
+        try:
+            _, records = run(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(x.nbytes for step in records.steps for x in step if np.ndim(x))
+        assert peak < columns + 24 * EVENT_BLOCK * 8
 
 
 TIMING = MINIMAL.replace("premeasure", "perception_timing") + "n_times: {}\n"
@@ -785,13 +846,13 @@ class TestCli:
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
 
     def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
-        # What numpy raises for n_events: 10**12 (14.6 TiB of uniforms), without
-        # asking the system for that much.
+        # What numpy raises for n_events: 10**12 (931 GiB of uint8 records),
+        # without asking the system for that much.
         def refuse(seed, n_events):
-            raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape "
-                              f"({n_events}, 2) and data type float64")
+            raise MemoryError(f"Unable to allocate 931. GiB for an array with shape "
+                              f"({n_events},) and data type uint8")
 
-        monkeypatch.setattr(harness, "event_uniforms", refuse)
+        monkeypatch.setattr(harness, "uniform_blocks", refuse)
         body = MINIMAL.replace("n_events: 200", "n_events: 1000000000000")
         assert main(["--scenario", self._write(tmp_path, body),
                      "--out", str(tmp_path / "out")]) == 2
