@@ -21,7 +21,7 @@ from dualmeas import (
 
 model = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 amps = (math.sqrt(0.3), math.sqrt(0.7))
-psi_s = StateVector.from_amplitudes(model.s_layout(), amps)
+psi_s = StateVector(model.s_layout(), amps)
 
 psi = run_premeasurement(psi_s, model)
 w = branch_weights(psi)

@@ -26,7 +26,7 @@ model = MeasurementModel.calibrated()
 layout = model.so_layout()
 amps = (math.sqrt(0.3), math.sqrt(0.7))
 
-psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amps), model)
+psi = run_premeasurement(StateVector(model.s_layout(), amps), model)
 rho_pure = psi.to_density()
 branchs = [StateVector.basis(layout, {S_LABEL: i, O_LABEL: i + 1}) for i in range(2)]
 rho_mixed = DensityMatrix.mixture((0.3, 0.7), branchs)

@@ -23,7 +23,7 @@ from dualmeas import (
 
 model = MeasurementModel.calibrated()
 amps = (math.sqrt(0.3), math.sqrt(0.7))
-psi_so = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amps), model)
+psi_so = run_premeasurement(StateVector(model.s_layout(), amps), model)
 
 rng = np.random.default_rng(3)
 env = EnvironmentModel.default(n_atoms=6, o_dim=3, couplings=0.5 + rng.random(6))

@@ -21,7 +21,6 @@ from .core import (
     expectation,
     partial_trace,
     projector,
-    tensor_compose,
     trace_distance,
 )
 from .dynamics import (
@@ -31,14 +30,12 @@ from .dynamics import (
     branch_weights,
     build_dephasing_hamiltonian,
     offdiag_suppression,
-    reverse_evolution,
     run_decoherence,
     run_premeasurement,
 )
 from .restriction import (
     RestrictedState,
     breuer_distinguishable,
-    phase_class_check,
     restricted_state,
 )
 from .dual import (

@@ -126,16 +126,6 @@ class StateVector:
         amps[layout.flat_index(indices)] = 1.0
         return cls(layout, amps)
 
-    @classmethod
-    def from_amplitudes(cls, layout: CompositeLayout, amps, normalize=False) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        if normalize:
-            n = np.linalg.norm(amps)
-            if n == 0:
-                raise InvariantError("cannot normalize the zero vector")
-            amps = amps / n
-        return cls(layout, amps)
-
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -234,21 +224,6 @@ def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray
         else:
             mats.append(np.eye(d, dtype=complex))
     return reduce(np.kron, mats)
-
-
-def tensor_compose(parts) -> StateVector:
-    """Kronecker product of states, in the listed order.
-
-    The result layout is the concatenation of the part layouts.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("tensor_compose needs at least one part")
-    kinds = {type(p) for p in parts}
-    if kinds != {StateVector}:
-        raise TypeError(f"tensor_compose parts must all be states, got {kinds}")
-    layout = CompositeLayout(tuple(sum((p.layout.subsystems for p in parts), ())))
-    return StateVector(layout, reduce(np.kron, [p.amplitudes for p in parts]))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

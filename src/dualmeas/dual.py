@@ -32,7 +32,6 @@ from .dynamics import (
     MeasurementModel,
     branch_state,
     branch_weights,
-    reverse_evolution,
 )
 
 # Events per block of the Philox kernel, of a run's sampling loop and of the
@@ -239,8 +238,6 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
         raise ValueError(f"time grid must be a non-empty 1-d array, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValueError("time grid must be finite")
-    if model.duration <= 0:
-        raise ValueError("non-positive measurement duration")
     psi0, h = model.input_state(amplitudes), model.hamiltonian
     n = psi0.layout.total_dim
     on_o = np.arange(n) % model.o_dim  # each amplitude's pointer index
@@ -406,7 +403,7 @@ class DualState:
         """
         if not np.any(self.final_j):
             raise InvariantError("nothing to undo: no perception record is set")
-        phi_d = reverse_evolution(self.phi_d, model.hamiltonian, model.duration)
+        phi_d = evolve_unitary(self.phi_d, model.hamiltonian, -model.duration)
         if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
             raise InvariantError(
                 "reversal did not return the observer to its ready state; "

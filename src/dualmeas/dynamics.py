@@ -249,11 +249,6 @@ def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:
     return complex(np.vdot(v_i, v_j) / (n_i * n_j))
 
 
-def reverse_evolution(state, H: LinearOperator, t: float):
-    """Apply exp(+iHt): exact undo of the forward evolution."""
-    return evolve_unitary(state, H, -t)
-
-
 def branch_state(layout: CompositeLayout, i: int) -> StateVector:
     """Post-measurement branch |s_i>|O_i> (remaining subsystems at index 0)."""
     return StateVector.basis(layout, {S_LABEL: i - 1, O_LABEL: i})

@@ -129,11 +129,17 @@ class Scenario:
             raise ScenarioError(
                 f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}"
             )
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+            norm = float(np.linalg.norm(amps))
+        scale = 1.0
+        if norm in (0.0, math.inf) and np.any(amps):  # the squares under- or overflowed
+            scale = float(np.abs([amps.real, amps.imag]).max())
+            amps = amps / scale
+            norm = float(np.linalg.norm(amps))
         if norm == 0:
             raise ScenarioError("amplitudes are all zero")
-        if abs(norm - 1.0) > 1e-9:
-            warnings.warn(f"amplitudes norm {norm:.6g} != 1; normalizing", stacklevel=2)
+        if abs(scale * norm - 1.0) > 1e-9:
+            warnings.warn(f"amplitudes norm {scale * norm:.6g} != 1; normalizing", stacklevel=2)
             amps = amps / norm
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -177,13 +183,9 @@ class Scenario:
                     f"the checks' bound {DECOHERE_TOL:g}")
 
     def model(self) -> MeasurementModel:
-        coupling = self.coupling if self.coupling is not None else math.pi / (2.0 * self.delta_t)
-        return MeasurementModel(
-            s_dim=self.s_dim, o_dim=self.o_dim, coupling=coupling, duration=self.delta_t
-        )
-
-    def system_state(self) -> StateVector:
-        return StateVector(CompositeLayout(((S_LABEL, self.s_dim),)), self.amplitudes)
+        if self.coupling is None:
+            return MeasurementModel.calibrated(self.s_dim, self.o_dim, self.delta_t)
+        return MeasurementModel(self.s_dim, self.o_dim, self.coupling, self.delta_t)
 
     def environment(self) -> EnvironmentModel:
         """Environment with couplings drawn from the configured range on substream
@@ -218,7 +220,7 @@ def _amplitudes(value, key):
     out = []
     for pos, x in enumerate(value):
         parts = x if isinstance(x, list) and len(x) == 2 else [x]
-        if not all(isinstance(v, (int, float)) for v in parts):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
             raise ScenarioError(
                 f"{key}[{pos}]: expected a real number or a [re, im] pair, got {x!r}")
         out.append(complex(*parts))
@@ -255,9 +257,10 @@ _KEYS = {
 def _convert(kind, value, key):
     if kind not in (int, float, str):
         return value if kind is None else kind(value, key)
-    # int() would truncate 2.7 to 2 and read true as 1, str() would write null as "None".
-    if (kind is int and (isinstance(value, bool)
-                         or isinstance(value, float) and not value.is_integer())
+    # int() would truncate 2.7 to 2, int() and float() would read true as 1,
+    # str() would write null as "None".
+    if (kind is not str and isinstance(value, bool)
+            or kind is int and isinstance(value, float) and not value.is_integer()
             or kind is str and not isinstance(value, str)):
         raise ScenarioError(f"{key}: expected {kind.__name__}, got {value!r}")
     try:
@@ -392,7 +395,7 @@ def run(scenario: Scenario):
         "perception_timing": _run_perception_timing,
     }[scenario.experiment]
     model = scenario.model()
-    psi = run_premeasurement(scenario.system_state(), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), scenario.amplitudes), model)
     fields, records = runner(scenario, model, psi)
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
     summary = RunSummary(

@@ -29,7 +29,6 @@ class InterferenceObservable:
     """Hermitian, traceless coherence probe between two measurement branches."""
 
     op: LinearOperator
-    branches: tuple[int, int]
 
     def __post_init__(self):
         if abs(np.trace(self.op.entries)) > 1e-12:
@@ -55,7 +54,7 @@ def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> Interfere
     o_flip[i, j] = 1.0
     half = embed(layout, {S_LABEL: s_flip, O_LABEL: o_flip})
     b = half + half.conj().T
-    return InterferenceObservable(op=LinearOperator(layout, b), branches=(i, j))
+    return InterferenceObservable(op=LinearOperator(layout, b))
 
 
 def discriminate(rho, b: InterferenceObservable) -> float:

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    InvariantError,
-    LayoutError,
-    StateVector,
-    partial_trace,
-    trace_distance,
-)
-from .dynamics import O_LABEL, MeasurementModel, run_premeasurement
+from .core import DensityMatrix, InvariantError, LayoutError, partial_trace, trace_distance
+from .dynamics import O_LABEL
 
 # Default operational threshold for "these restrictions coincide".
 DISTINGUISH_TOL = 1e-9
@@ -79,14 +72,3 @@ def breuer_distinguishable(a: RestrictedState, b: RestrictedState, tol=DISTINGUI
     d = trace_distance(a.o_density, b.o_density)
     return d > tol, d
 
-
-def phase_class_check(psi_a: StateVector, psi_b: StateVector, model: MeasurementModel) -> bool:
-    """True iff the two system states are observer-equivalent after measurement.
-
-    Holds whenever the amplitude moduli agree: the restriction only ever sees
-    |a_i|^2, never relative phases.
-    """
-    ra = restricted_state(run_premeasurement(psi_a, model).to_density())
-    rb = restricted_state(run_premeasurement(psi_b, model).to_density())
-    verdict, _ = breuer_distinguishable(ra, rb, tol=1e-12)
-    return not verdict

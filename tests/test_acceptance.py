@@ -11,11 +11,9 @@ from dataclasses import replace
 import numpy as np
 
 from dualmeas.core import (
-    CompositeLayout,
     DensityMatrix,
     StateVector,
     evolve_unitary,
-    tensor_compose,
 )
 from dualmeas.dual import DualState, event_uniforms, perception_time_pdf
 from dualmeas.dynamics import (
@@ -67,7 +65,7 @@ def test_criterion_1_born_statistics(capsys):
 def test_criterion_2_interference_discrimination(capsys):
     model = MeasurementModel.calibrated()
     sym = (1 / math.sqrt(2), 1 / math.sqrt(2))
-    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), sym), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), sym), model)
     b = interference_operator(model.so_layout())
     b_pure = discriminate(psi.to_density(), b)
     layout = model.so_layout()
@@ -88,7 +86,7 @@ def test_criterion_3_breuer_indistinguishability(capsys):
     for _ in range(100):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         a /= np.linalg.norm(a)
-        psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), a), model)
+        psi = run_premeasurement(StateVector(model.s_layout(), a), model)
         rho = psi.to_density()
         w = np.abs(a) ** 2
         parts = [StateVector.basis(layout, {S_LABEL: i, O_LABEL: i + 1}) for i in range(2)]
@@ -172,10 +170,8 @@ def test_criterion_8_conservation_suite(capsys):
 
     # purity invariant under closed evolution
     model = MeasurementModel.calibrated()
-    rho0 = tensor_compose([
-        StateVector.from_amplitudes(model.s_layout(), AMPS),
-        StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {}),
-    ]).to_density()
+    ready = np.eye(model.o_dim, dtype=complex)[0]
+    rho0 = StateVector(model.so_layout(), np.kron(np.asarray(AMPS, dtype=complex), ready)).to_density()
     h = model.hamiltonian
     purity_drift = 0.0
     for t in (0.3, 0.7, 1.0, 2.5):
@@ -184,7 +180,7 @@ def test_criterion_8_conservation_suite(capsys):
     details.append(f"purity drift={purity_drift:.2e}")
 
     # eigenstate inputs perceive deterministically
-    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), (0.0, 1.0)), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), (0.0, 1.0)), model)
     post = DualState(psi.to_density(), 100, clock=model.duration)
     deterministic = bool(np.all(post.perceive(event_uniforms(SEED, 100)[:, 0]).final_j == 2))
     ok = ok and deterministic
@@ -195,7 +191,7 @@ def test_criterion_8_conservation_suite(capsys):
 def test_criterion_9_no_jump_rule(capsys):
     model = MeasurementModel.calibrated()
     layout = model.so_layout()
-    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), AMPS), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), AMPS), model)
     h_hold = LinearOperator(layout, embed(layout, {O_LABEL: np.diag([0.0, 1.0, -1.0])}))
     state = DualState(psi.to_density(), 20, clock=model.duration)
     state = state.perceive(event_uniforms(SEED, 20)[:, 0])

@@ -19,7 +19,6 @@ from dualmeas.core import (
     expectation,
     partial_trace,
     projector,
-    tensor_compose,
     trace_distance,
 )
 
@@ -29,6 +28,11 @@ SZ = np.diag([1.0 + 0j, -1.0 + 0j])
 
 def qubit(label="A"):
     return CompositeLayout(((label, 2),))
+
+
+def normalized(layout, amps):
+    a = np.asarray(amps, dtype=complex)
+    return StateVector(layout, a / np.linalg.norm(a))
 
 
 def brute_partial_trace(m, dims, keep_axes):
@@ -67,46 +71,13 @@ class TestLayout:
         assert lay.flat_index({"S": 1}) == 3
 
 
-class TestTensorCompose:
-    def test_identity_factor(self):
-        psi = StateVector.from_amplitudes(qubit(), [1, 1], normalize=True)
-        unit = StateVector(CompositeLayout((("u", 1),)), [1.0])
-        out = tensor_compose([psi, unit])
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
-
-    def test_dimension_product(self):
-        a = StateVector.basis(qubit("A"), {})
-        b = StateVector.basis(CompositeLayout((("B", 3),)), {})
-        assert tensor_compose([a, b]).layout.total_dim == 6
-
-    def test_kronecker_order(self):
-        plus = StateVector.from_amplitudes(qubit("A"), [1, 1], normalize=True)
-        zero = StateVector.basis(qubit("B"), {})
-        out = tensor_compose([plus, zero])
-        s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(out.amplitudes, [s, 0, s, 0], atol=1e-15)
-
-    def test_mixed_kinds_rejected(self):
-        psi = StateVector.basis(qubit(), {})
-        op = LinearOperator(qubit("B"), SX)
-        with pytest.raises(TypeError):
-            tensor_compose([psi, op])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tensor_compose([])
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self):
-        rho_a = StateVector.from_amplitudes(qubit("A"), [1, 1j], normalize=True).to_density()
-        rho_b = StateVector.basis(CompositeLayout((("B", 3),)), {"B": 1}).to_density()
-        full = tensor_compose(
-            [
-                StateVector.from_amplitudes(qubit("A"), [1, 1j], normalize=True),
-                StateVector.basis(CompositeLayout((("B", 3),)), {"B": 1}),
-            ]
-        ).to_density()
+        a = normalized(qubit("A"), [1, 1j])
+        b = StateVector.basis(CompositeLayout((("B", 3),)), {"B": 1})
+        rho_a, rho_b = a.to_density(), b.to_density()
+        full = StateVector(CompositeLayout((("A", 2), ("B", 3))),
+                           np.kron(a.amplitudes, b.amplitudes)).to_density()
         np.testing.assert_allclose(partial_trace(full, {"A"}).entries, rho_a.entries, atol=1e-14)
         np.testing.assert_allclose(partial_trace(full, {"B"}).entries, rho_b.entries, atol=1e-14)
 
@@ -121,7 +92,7 @@ class TestPartialTrace:
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         lay = CompositeLayout((("A", 2), ("B", 2)))
-        bell = StateVector.from_amplitudes(lay, [1, 0, 0, 1], normalize=True).to_density()
+        bell = normalized(lay, [1, 0, 0, 1]).to_density()
         expected = brute_partial_trace(bell.entries, (2, 2), [0])
         np.testing.assert_allclose(expected, np.eye(2) / 2, atol=1e-14)  # oracle sanity
         np.testing.assert_allclose(partial_trace(bell, {"A"}).entries, expected, atol=1e-14)
@@ -162,7 +133,7 @@ class TestPartialTrace:
 
 class TestEvolveUnitary:
     def test_zero_generator(self):
-        psi = StateVector.from_amplitudes(qubit(), [1, 1j], normalize=True)
+        psi = normalized(qubit(), [1, 1j])
         h = LinearOperator(qubit(), np.zeros((2, 2)))
         out = evolve_unitary(psi, h, 3.7)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
@@ -198,7 +169,7 @@ class TestEvolveUnitary:
     def test_reversibility(self, t):
         lay = CompositeLayout((("A", 2), ("B", 2)))
         h = LinearOperator(lay, np.kron(SX, SZ) + 0.3 * np.kron(SZ, SX))
-        psi = StateVector.from_amplitudes(lay, [1, 2, 3j, 0.5], normalize=True)
+        psi = normalized(lay, [1, 2, 3j, 0.5])
         back = evolve_unitary(evolve_unitary(psi, h, t), h, -t)
         assert trace_distance(back.to_density(), psi.to_density()) <= TOL_ROUNDTRIP
 
@@ -247,8 +218,8 @@ class TestEvolveUnitary:
         rho = DensityMatrix.mixture(
             [0.6, 0.4],
             [
-                StateVector.from_amplitudes(lay, [1, 1, 0, 0], normalize=True),
-                StateVector.from_amplitudes(lay, [0, 0, 1, 1j], normalize=True),
+                normalized(lay, [1, 1, 0, 0]),
+                normalized(lay, [0, 0, 1, 1j]),
             ],
         )
         h = LinearOperator(lay, np.kron(SX, SX))
@@ -303,7 +274,7 @@ class TestTraceDistance:
 
     def test_orthogonal_pure(self):
         a = StateVector.basis(qubit(), {}).to_density()
-        b = StateVector.from_amplitudes(qubit(), [0, 1]).to_density()
+        b = StateVector(qubit(), [0, 1]).to_density()
         assert abs(trace_distance(a, b) - 1.0) <= TOL_ALGEBRAIC
 
     def test_pure_vs_maximally_mixed(self):

@@ -20,7 +20,6 @@ from dualmeas.core import (
     evolve_unitary,
     expectation,
     projector,
-    tensor_compose,
 )
 from dualmeas.dynamics import (
     O_LABEL,
@@ -50,15 +49,19 @@ SO = MODEL.so_layout()
 AMPS = (math.sqrt(0.3), math.sqrt(0.7))
 
 
+def ready_input(amplitudes, model):
+    """S (x) |O_0> written with np.kron, independent of ``model.input_state``."""
+    ready = np.eye(model.o_dim, dtype=complex)[0]
+    return StateVector(model.so_layout(), np.kron(np.asarray(amplitudes, dtype=complex), ready))
+
+
 def ready_density(amplitudes=AMPS, model=MODEL):
-    psi_s = StateVector.from_amplitudes(model.s_layout(), amplitudes)
-    o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
-    return tensor_compose([psi_s, o_ready]).to_density()
+    return ready_input(amplitudes, model).to_density()
 
 
 def measured(amplitudes=AMPS, n=1):
     """The post-measurement dual state of *n* events, before any record."""
-    psi_s = StateVector.from_amplitudes(MODEL.s_layout(), amplitudes)
+    psi_s = StateVector(MODEL.s_layout(), amplitudes)
     return DualState(run_premeasurement(psi_s, MODEL).to_density(), n, clock=MODEL.duration)
 
 
@@ -247,7 +250,7 @@ class TestPerceive:
         # After the calibrated window the ready weight is cos^2(pi/2) in
         # floating point, about 4e-33, not 0; a uniform of 0.0 may not draw it.
         model = MeasurementModel.calibrated(s_dim=len(amplitudes), o_dim=len(amplitudes) + 1)
-        psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amplitudes), model)
+        psi = run_premeasurement(StateVector(model.s_layout(), amplitudes), model)
         assert branch_weights(psi)[0] > 0.0
         state = DualState(psi, 2, clock=model.duration)
         assert state.perceive(0.0).final_j == 1
@@ -274,9 +277,7 @@ def _per_point_pdf(model, amplitudes, grid):
     from scipy.integrate import simpson
 
     layout = model.so_layout()
-    psi_s = StateVector.from_amplitudes(model.s_layout(), amplitudes)
-    o_ready = StateVector.basis(CompositeLayout(((O_LABEL, model.o_dim),)), {})
-    psi0 = tensor_compose([psi_s, o_ready])
+    psi0 = ready_input(amplitudes, model)
     h = model.hamiltonian
     projs = [projector(layout, O_LABEL, j).entries for j in range(1, model.o_dim)]
 
@@ -542,7 +543,8 @@ class TestUndo:
         # and second draws of its own stream, from the premeasured weights.
         seed = 20260826
         sc = Scenario(experiment="undo", amplitudes=np.array(amplitudes), seed=seed, n_events=64)
-        w = branch_weights(run_premeasurement(sc.system_state(), sc.model()))
+        model = sc.model()
+        w = branch_weights(run_premeasurement(StateVector(model.s_layout(), sc.amplitudes), model))
         records = run(sc)[1]
         j_old, j_new = records.steps[0][1].tolist(), records.final_j.tolist()
         for eid in range(sc.n_events):
@@ -554,7 +556,7 @@ def collapse_records(amplitudes, n, seed):
     """The model of *amplitudes*, each event's first dual record (the index
     its textbook collapse projects onto) and its second uniform."""
     model = MeasurementModel.calibrated(s_dim=len(amplitudes), o_dim=len(amplitudes) + 1)
-    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), amplitudes), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), amplitudes), model)
     u = event_uniforms(seed, n)
     return model, DualState(psi, n, clock=model.duration).perceive(u[:, 0]).final_j, u[:, 1]
 

@@ -27,15 +27,14 @@ from dualmeas.dynamics import (
     default_pointer_values,
     env_label,
     offdiag_suppression,
-    reverse_evolution,
     run_decoherence,
     run_premeasurement,
 )
 
 
 def s_state(*amps):
-    lay = CompositeLayout((("S", len(amps)),))
-    return StateVector.from_amplitudes(lay, np.array(amps, complex), normalize=True)
+    a = np.array(amps, complex)
+    return StateVector(CompositeLayout((("S", len(amps)),)), a / np.linalg.norm(a))
 
 
 @pytest.fixture
@@ -290,20 +289,20 @@ class TestReversal:
         psi_s = s_state(0.6, 0.8j)
         post = run_premeasurement(psi_s, model)
         h = model.hamiltonian
-        back = reverse_evolution(post, h, model.duration)
+        back = evolve_unitary(post, h, -model.duration)
         initial = np.kron(psi_s.amplitudes, [1, 0, 0])
         assert 1.0 - abs(np.vdot(initial, back.amplitudes)) <= 1e-10
 
     def test_t_zero_identity(self, model):
         psi = run_premeasurement(s_state(1, 1), model)
         h = model.hamiltonian
-        out = reverse_evolution(psi, h, 0.0)
+        out = evolve_unitary(psi, h, 0.0)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
 
     def test_group_property(self, model):
         h = model.hamiltonian
         psi = run_premeasurement(s_state(1, 1j), model)
-        twice_back = reverse_evolution(reverse_evolution(psi, h, 0.4), h, 0.4)
+        twice_back = evolve_unitary(evolve_unitary(psi, h, -0.4), h, -0.4)
         forward = evolve_unitary(twice_back, h, 0.8)
         np.testing.assert_allclose(forward.amplitudes, psi.amplitudes, atol=1e-10)
 
@@ -323,5 +322,5 @@ class TestReversal:
         state = evolve_unitary(psi0, h_meas, model.duration)
         (state,), _ = run_decoherence(state, env, [t_deco])
         (state,), _ = run_decoherence(state, env, [-t_deco])
-        state = reverse_evolution(state, h_meas, model.duration)
+        state = evolve_unitary(state, h_meas, -model.duration)
         assert trace_distance(state.to_density(), psi0.to_density()) <= 1e-9

@@ -137,7 +137,7 @@ class TestParsing:
 def _dual(n):
     """Dual state of *n* events after one calibrated measurement, with no steps."""
     model = MeasurementModel.calibrated()
-    psi = run_premeasurement(StateVector.from_amplitudes(model.s_layout(), (0.6, 0.8)), model)
+    psi = run_premeasurement(StateVector(model.s_layout(), (0.6, 0.8)), model)
     return DualState(psi, n, clock=model.duration)
 
 
@@ -381,7 +381,7 @@ class TestReductionBaselineCheck:
         sc = parse_scenario(MINIMAL.replace("premeasure", experiment))
 
         def redraw(model, collapsed, u):
-            return draw_index(branch_weights(run_premeasurement(sc.system_state(), model)), u)
+            return draw_index(branch_weights(run_premeasurement(StateVector(model.s_layout(), sc.amplitudes), model)), u)
 
         monkeypatch.setattr(harness, "reduction_baseline", redraw)
         summary, _ = run(sc)
@@ -821,6 +821,12 @@ class TestCli:
             MINIMAL.replace("premeasure", "perception_timing") + "lambda: 3.141592653589793\n",
             MINIMAL + "perception_mode: sample\ndelta_t: 2.0\nlambda: -3.9269908169872414\n",
             MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 3}\nt_max: 1.0e+7\n",
+            MINIMAL + "delta_t: yes\n",
+            MINIMAL + "lambda: true\n",
+            MINIMAL + "t_max: true\n",
+            MINIMAL + "env: {coupling_range: [false, true]}\n",
+            MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[true, false]"),
+            MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[[0.6, true], 0.8]"),
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -834,7 +840,9 @@ class TestCli:
             "non_string_key", "non_string_env_key", "dotted_top_level_key", "output_path_null",
             "output_path_number", "output_format_number", "env_zero", "env_false",
             "output_empty_list", "output_empty_string", "timing_past_pi", "timing_at_pi",
-            "sample_past_pi", "decohere_t_max_past_rounding_floor",
+            "sample_past_pi", "decohere_t_max_past_rounding_floor", "delta_t_yes",
+            "lambda_true", "t_max_true", "coupling_range_bool", "amplitudes_bool",
+            "amplitude_pair_bool",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
@@ -844,6 +852,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_amplitude_norms_past_float_range(self, tmp_path, fmt):
+        # The squares of 1e200 overflow and those of 1e-170 underflow: both
+        # vectors are [1, 1] scaled, and run as [1, 1] does.
+        outputs = []
+        for k, amps in enumerate(["[1, 1]", "[1.0e+200, 1.0e+200]", "[1.0e-170, 1.0e-170]"]):
+            body = MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", amps)
+            out = tmp_path / f"out{k}"
+            with pytest.warns(UserWarning, match="normalizing") as caught:
+                code = main(["--scenario", self._write(tmp_path, body), "--out", str(out),
+                             "--format", fmt])
+            assert code == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["events." + fmt, "summary.json"]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         # What numpy raises for n_events: 10**12 (931 GiB of uint8 records),

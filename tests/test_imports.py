@@ -1,12 +1,15 @@
-"""Every imported name is used, and every package definition is used or
-exported: guards against leftovers of deleted helpers.
+"""Every imported name is used, every package definition is used by the
+package, a demo or the bench, and every name the bench's tracer wraps exists:
+guards against leftovers, and against the breakage, of deleted helpers.
 
-Checks the package modules (``__init__.py`` re-exports by design), the tests
-and the demos. The one allowed unused import is ``harness.event_rng``, which
-the benchmark's tracer test reaches as an attribute of ``harness``.
+Checks the imports of the package modules (``__init__.py`` re-exports by
+design), the tests and the demos. The one allowed unused import is
+``harness.event_rng``, which the benchmark's tracer test reaches as an
+attribute of ``harness``.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -46,25 +49,33 @@ def test_guard_sees_an_unused_import():
     assert _unused_imports("from .dual import event_rng\n", "src/dualmeas/harness.py") == []
 
 
-def _names(node) -> Counter:
+def _names(node, strings=False) -> Counter:
     """How often each name is read or written under *node*, as a bare name or
-    as an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+    as an attribute, and with *strings* also as a string constant that names
+    it, as ``"projector"`` or ``"core.projector"`` does."""
+    found = Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute)))
+    if strings:
+        found.update(n.value.rpartition(".")[2] for n in ast.walk(node)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return found
 
 
-def _orphans(sources: dict) -> list:
+def _orphans(sources: dict, users=()) -> list:
     """``module.name`` of every module-level function, class or constant in
-    *sources* (module name -> text) that no code outside its own definition
-    names, and that ``__init__`` does not import."""
-    trees = {m: ast.parse(text) for m, text in sources.items()}
-    exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
-                if isinstance(node, ast.ImportFrom) for a in node.names}
+    the package *sources* (module name -> text) that no code outside its own
+    definition names. A name counts as used when package code outside its
+    definition names it, or one of *users*, the texts of the demos and the
+    bench files; there a string counts too, since the bench's tracer looks its
+    targets up by name.
+    A re-export in ``__init__`` does not count, and neither do the tests: an
+    export kept only for tests is an orphan."""
+    trees = {m: ast.parse(text) for m, text in sources.items() if m != "__init__"}
     everywhere = sum(map(_names, trees.values()), Counter())
+    for text in users:
+        everywhere += _names(ast.parse(text), strings=True)
     found = []
     for module, tree in trees.items():
-        if module == "__init__":
-            continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -74,21 +85,37 @@ def _orphans(sources: dict) -> list:
             else:
                 continue
             inside = _names(node)
-            found += [f"{module}.{name}" for name in names
-                      if name not in exported and everywhere[name] == inside[name]]
+            found += [f"{module}.{name}" for name in names if everywhere[name] == inside[name]]
     return found
 
 
 def test_every_definition_is_used_or_exported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert _orphans(sources) == []
+    users = [p.read_text(encoding="utf-8")
+             for p in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")])]
+    assert _orphans(sources, users) == []
 
 
 def test_guard_sees_an_orphaned_definition():
     sources = {
-        "__init__": "from .a import exported\n",
+        "__init__": "from .a import exported, tested, traced\n",
         "a": "LIMIT = 3\nSPARE = 4\ndef exported():\n    return LIMIT\n"
-             "def recursive(n):\n    return recursive(n - 1)\nclass Spare:\n    pass\n",
+             "def recursive(n):\n    return recursive(n - 1)\nclass Spare:\n    pass\n"
+             "def tested():\n    pass\ndef traced():\n    pass\n",
         "b": "from . import a\nprint(a.exported)\n",
     }
-    assert _orphans(sources) == ["a.SPARE", "a.recursive", "a.Spare"]
+    users = ['TARGETS = {"a": ("traced",)}\n']
+    assert _orphans(sources, users) == ["a.SPARE", "a.recursive", "a.Spare", "a.tested"]
+
+
+def test_bench_tracer_targets_exist():
+    # The traced bench sample looks up every TARGETS name with getattr, so a
+    # deleted one crashes `bench/run.py --trace 1`. Read, not imported: the
+    # tracer is bench code.
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    targets = ast.literal_eval(value)
+    missing = [f"dualmeas.{module}.{name}" for module, names in targets.items() for name in names
+               if not callable(getattr(importlib.import_module(f"dualmeas.{module}"), name, None))]
+    assert targets and missing == []

@@ -32,7 +32,7 @@ SO = MODEL.so_layout()
 
 
 def post_measurement(amplitudes):
-    psi_s = StateVector.from_amplitudes(MODEL.s_layout(), amplitudes)
+    psi_s = StateVector(MODEL.s_layout(), amplitudes)
     return run_premeasurement(psi_s, MODEL)
 
 
