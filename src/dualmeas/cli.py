@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from .core import InvariantError, LayoutError
@@ -52,22 +53,28 @@ def main(argv=None) -> int:
         print("dualmeas: error: --scenario is required unless --check is given", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        scenario = load_scenario(args.scenario)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.events is not None:
-            overrides["n_events"] = args.events
-        if args.out is not None:
-            overrides["out_path"] = args.out
-        if args.format is not None:
-            overrides["out_format"] = args.format
-        if overrides:
-            scenario = replace(scenario, **overrides)
-    except (ScenarioError, InvariantError) as e:
-        print(f"dualmeas: scenario error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
+    # A scenario's warnings (amplitudes it normalizes) are one line each, and
+    # the run goes on, under -W error too.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            scenario = load_scenario(args.scenario)
+            overrides = {}
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+            if args.events is not None:
+                overrides["n_events"] = args.events
+            if args.out is not None:
+                overrides["out_path"] = args.out
+            if args.format is not None:
+                overrides["out_format"] = args.format
+            if overrides:
+                scenario = replace(scenario, **overrides)
+        except (ScenarioError, InvariantError) as e:
+            print(f"dualmeas: scenario error: {e}", file=sys.stderr)
+            return EXIT_SCENARIO
+    for w in caught:
+        print(f"dualmeas: warning: {w.message}", file=sys.stderr)
 
     try:
         summary, records = run(scenario)

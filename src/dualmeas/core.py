@@ -126,10 +126,6 @@ class StateVector:
         amps[layout.flat_index(indices)] = 1.0
         return cls(layout, amps)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -168,9 +164,6 @@ class DensityMatrix:
         layout = parts[0].layout
         m = sum(w * p.entries for w, p in zip(weights, parts))
         return cls(layout, m)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
 
 
 @dataclass(frozen=True)

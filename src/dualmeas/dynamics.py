@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     CompositeLayout,
+    DensityMatrix,
     InvariantError,
     LayoutError,
     LinearOperator,
@@ -56,9 +57,7 @@ class MeasurementModel:
 
     With the default calibration coupling * duration = pi/2, one interaction
     window transfers each system eigenstate completely onto its pointer state.
-    Each transferred branch picks up a -i phase from the two-level rotation;
-    ``branch_phase`` records it so callers can divide it out when comparing to
-    the phase-free entangled form.
+    Each transferred branch picks up a -i phase from the two-level rotation.
     """
 
     s_dim: int
@@ -81,13 +80,6 @@ class MeasurementModel:
     def calibrated(cls, s_dim=2, o_dim=3, duration=1.0) -> "MeasurementModel":
         """Complete-transfer calibration: coupling * duration = pi/2."""
         return cls(s_dim=s_dim, o_dim=o_dim, coupling=math.pi / (2.0 * duration), duration=duration)
-
-    @property
-    def branch_phase(self) -> complex:
-        """Phase acquired by each transferred branch at full duration."""
-        return -1j * complex(math.sin(self.coupling * self.duration)) + complex(
-            math.cos(self.coupling * self.duration)
-        )
 
     def s_layout(self) -> CompositeLayout:
         return CompositeLayout(((S_LABEL, self.s_dim),))
@@ -152,8 +144,8 @@ class EnvironmentModel:
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
     """Entangle the system with a ready observer over one interaction window.
 
-    Returns sum_i a_i |s_i>|O_i> up to the per-branch phase
-    ``model.branch_phase``.
+    Returns sum_i a_i |s_i>|O_i> up to the per-branch phase -i at the
+    calibration coupling * duration = pi/2.
     """
     if psi_s.layout.labels != (S_LABEL,):
         raise LayoutError(f"expected a bare system state on ({S_LABEL!r},), got {psi_s.layout.labels}")
@@ -201,52 +193,52 @@ def attach_environment(state: StateVector, env: EnvironmentModel) -> StateVector
     return StateVector(layout, reduce(np.kron, [plus] * env.n_atoms, state.amplitudes))
 
 
-def offdiag_suppression(env: EnvironmentModel, t: float, branches=(1, 2)) -> float:
-    """Closed-form overlap of the two branch environment states:
-    prod_k cos((q_i - q_j) g_k t)."""
-    dq = env.pointer_values[branches[0]] - env.pointer_values[branches[1]]
+def offdiag_suppression(env: EnvironmentModel, t: float) -> float:
+    """Closed-form overlap of the environment states of pointer branches 1
+    and 2: prod_k cos((q_1 - q_2) g_k t)."""
+    dq = env.pointer_values[1] - env.pointer_values[2]
     return float(np.prod(np.cos(dq * env.couplings * t)))
 
 
 def run_decoherence(state: StateVector, env: EnvironmentModel, times):
-    """Dephase a post-measurement state against the environment for each time
-    of the 1-d grid *times*.
+    """Dephase a post-measurement state against the environment, one time of
+    the 1-d grid *times* at a time.
 
-    Returns the evolved states, one per time, together with the simulated
-    overlaps <E_1(t)|E_2(t)> of the environment states tied to the first two
-    pointer branches, extracted from each evolved vector itself (independent
-    of the closed-form cosine product, which tests compare against). The
-    relative phase of the two branch amplitudes is divided out as the phase
-    of the input state's overlap (the |+> bath starts at overlap 1). The
-    generator and that phase are computed once for the whole grid.
-    """
-    h = build_dephasing_hamiltonian(env, state.layout)
-    amps = (-1j * h) * np.asarray(times, dtype=float)[:, None]
-    np.exp(amps, out=amps)  # in place: one (len(times), dim) array in all
-    amps *= state.amplitudes
-    unphase = np.exp(-1j * np.angle(_branch_env_overlap(state)))
-    out = [StateVector(state.layout, row) for row in amps]
-    return out, [complex(_branch_env_overlap(s) * unphase) for s in out]
-
-
-def _branch_env_overlap(state: StateVector, branches=(1, 2)) -> complex:
-    """Normalized overlap of the environment factors of two pointer branches.
-
-    With S and O leading, the vector is a matrix whose row s * o_dim + o is the
-    rest of the system beside |s>|O_o>; branch i is row (i - 1) * o_dim + i.
-    The normalized inner product of two such rows includes the relative phase
-    of the two branch amplitudes. Falls back to 1 when a branch amplitude
-    vanishes (no coherence to suppress).
+    At time t the state is exp(-i h t) * psi, h the phase vector of
+    ``build_dephasing_hamiltonian``. With S and O leading, it is a matrix M
+    whose row s * o_dim + o is the rest of the system beside |s>|O_o>, and
+    the reduced state is rho_SO = M M^dagger. Returns rho_SO per time together
+    with the simulated overlaps <E_1(t)|E_2(t)> of the environment states tied
+    to the first two pointer branches, rows r_i = (i - 1) * o_dim + i, read
+    from each rho_SO as rho[r_2, r_1] / sqrt(rho[r_1, r_1] rho[r_2, r_2])
+    (independent of the closed-form cosine product, which tests compare
+    against). That includes the relative phase of the two branch amplitudes,
+    divided out as the phase of the input state's own value (the |+> bath
+    starts at overlap 1). It is 1 when a branch is empty: no coherence to
+    suppress.
     """
     labels, dims = state.layout.labels, state.layout.dims
     if labels[:2] != (S_LABEL, O_LABEL):
         raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, got {labels}")
-    rows = state.amplitudes.reshape(dims[0] * dims[1], -1)
-    v_i, v_j = (rows[(b - 1) * dims[1] + b] for b in branches)
-    n_i, n_j = np.linalg.norm(v_i), np.linalg.norm(v_j)
-    if n_i < EMPTY_BRANCH_NORM or n_j < EMPTY_BRANCH_NORM:
-        return 1.0 + 0j
-    return complex(np.vdot(v_i, v_j) / (n_i * n_j))
+    generator = -1j * build_dephasing_hamiltonian(env, state.layout)
+    so = state.layout.restrict((S_LABEL, O_LABEL))
+    r1, r2 = 1, dims[1] + 2
+
+    def at(t):
+        m = (np.exp(generator * t) * state.amplitudes).reshape(dims[0] * dims[1], -1)
+        rho = DensityMatrix(so, m @ m.conj().T)
+        w1, w2 = rho.entries[r1, r1].real, rho.entries[r2, r2].real
+        if min(w1, w2) < EMPTY_BRANCH_NORM**2:
+            return rho, 1.0 + 0j
+        return rho, complex(rho.entries[r2, r1] / math.sqrt(w1 * w2))
+
+    unphase = np.exp(-1j * np.angle(at(0.0)[1]))
+    rhos, overlaps = [], []
+    for t in np.asarray(times, dtype=float):
+        rho, overlap = at(t)
+        rhos.append(rho)
+        overlaps.append(complex(overlap * unphase))
+    return rhos, overlaps
 
 
 def branch_state(layout: CompositeLayout, i: int) -> StateVector:

@@ -139,7 +139,8 @@ class Scenario:
         if norm == 0:
             raise ScenarioError("amplitudes are all zero")
         if abs(scale * norm - 1.0) > 1e-9:
-            warnings.warn(f"amplitudes norm {scale * norm:.6g} != 1; normalizing", stacklevel=2)
+            # Level 3: the caller of the dataclass __init__ that calls this.
+            warnings.warn(f"amplitudes norm {scale * norm:.6g} != 1; normalizing", stacklevel=3)
             amps = amps / norm
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -360,11 +361,18 @@ def _freq_check(js, probs: np.ndarray, n: int):
 
 def _correlation(a, b):
     """Pearson correlation of two index columns; None when either margin is
-    degenerate. np.corrcoef of their (2, n) stack makes one float64 copy and
-    gives the bits of np.corrcoef(a, b) on float columns."""
-    if a.min() == a.max() or b.min() == b.max():
+    degenerate. The moments are exact integer sums, EVENT_BLOCK at a time:
+    r = (n Sab - Sa Sb) / sqrt((n Saa - Sa^2)(n Sbb - Sb^2))."""
+    n, sa, sb, saa, sbb, sab = len(a), 0, 0, 0, 0, 0
+    for lo in range(0, n, EVENT_BLOCK):
+        x = a[lo:lo + EVENT_BLOCK].astype(np.int64)
+        y = b[lo:lo + EVENT_BLOCK].astype(np.int64)
+        sa, sb = sa + int(x.sum()), sb + int(y.sum())
+        saa, sbb, sab = saa + int(x @ x), sbb + int(y @ y), sab + int(x @ y)
+    var_a, var_b = n * saa - sa * sa, n * sbb - sb * sb
+    if var_a == 0 or var_b == 0:
         return None
-    return float(np.corrcoef(np.stack((a, b)))[0, 1])
+    return (n * sab - sa * sb) / math.sqrt(var_a * var_b)
 
 
 def _pure_vs_mixture(psi: StateVector, amplitudes):
@@ -584,25 +592,15 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     b_pure = discriminate(psi.to_density(), b_so)
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
+    rhos, simulated = run_decoherence(psi_full, env, times)
+    formula = [offdiag_suppression(env, float(t)) for t in times]
+    b_vals = [discriminate(rho, b_so) for rho in rhos]
     # The cosine product is the decay of the coherence of branches 1 and 2;
     # with either branch empty there is none to compare (the simulated factor
     # is then 1).
     coherent = np.all(np.abs(scenario.amplitudes[:2]) >= EMPTY_BRANCH_NORM)
-    simulated, formula, b_vals = [], [], []
-    d_so = model.s_dim * model.o_dim
-    worst_factor, worst_b = 0.0, 0.0
-    for t, evolved, factor in zip(times, *run_decoherence(psi_full, env, times)):
-        expected = offdiag_suppression(env, float(t))
-        # Reduced system-observer state, built without the full density matrix.
-        m = evolved.amplitudes.reshape(d_so, -1)
-        rho_so = DensityMatrix(psi.layout, m @ m.conj().T)
-        b_t = discriminate(rho_so, b_so)
-        simulated.append(factor)
-        formula.append(expected)
-        b_vals.append(b_t)
-        if coherent:
-            worst_factor = max(worst_factor, abs(factor - expected))
-        worst_b = max(worst_b, abs(b_t - b_pure * factor.real))
+    worst_factor = max(abs(f - e) for f, e in zip(simulated, formula)) if coherent else 0.0
+    worst_b = max(abs(b - b_pure * f.real) for b, f in zip(b_vals, simulated))
 
     # Perception statistics are untouched by dephasing.
     weights = branch_weights(psi_full)

@@ -223,8 +223,8 @@ class TestEvolveUnitary:
             ],
         )
         h = LinearOperator(lay, np.kron(SX, SX))
-        out = evolve_unitary(rho, h, 1.23)
-        assert abs(out.purity() - rho.purity()) <= TOL_ROUNDTRIP
+        out = evolve_unitary(rho, h, 1.23).entries
+        assert abs(np.trace(out @ out).real - np.trace(rho.entries @ rho.entries).real) <= TOL_ROUNDTRIP
 
 
 class TestProjector:

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -98,6 +99,11 @@ class TestParsing:
             sc = parse_scenario("experiment: premeasure\namplitudes: [3.0, 4.0]\nseed: 1\n")
         assert np.linalg.norm(sc.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert abs(sc.amplitudes[0]) == pytest.approx(0.6)
+
+    def test_normalization_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="normaliz") as caught:
+            Scenario(experiment="premeasure", amplitudes=[3.0, 4.0], seed=1)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_malformed_yaml(self):
         with pytest.raises(ScenarioError, match="YAML"):
@@ -250,6 +256,22 @@ class TestRunner:
         assert summary.checks[0]["name"] == COSINE
         assert summary.checks[0]["passed"] is passed
 
+    def test_decohere_memory_does_not_grow_with_the_time_grid(self):
+        # At 9 atoms one S x O x E state is 48 KiB: the states of all 1000
+        # times would be 47 MiB, where one time at a time holds a few
+        # vectors and 1000 reduced 6 x 6 states.
+        scenario = parse_scenario(MINIMAL.replace("premeasure", "decohere")
+                                  + "env: {n_atoms: 9}\nn_times: 1000\n")
+        run(replace(scenario, n_times=2))  # numpy's own first-use allocations, outside the trace
+        tracemalloc.start()
+        try:
+            summary, _ = run(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["passed"] for c in summary.checks), summary.checks
+        assert peak < 8 * 2**20
+
 
 COSINE = "simulated off-diagonal factor matches the cosine product"
 
@@ -314,7 +336,7 @@ class TestBlockwiseSampling:
             assert np.ndim(t) == 0 or t.dtype == np.float64
         assert any(np.ndim(t) for t, _ in records.steps) == (case == "sample")
 
-    @pytest.mark.parametrize("case", ["premeasure", "perception_timing", "sample"])
+    @pytest.mark.parametrize("case", ["premeasure", "perception_timing", "sample", "undo"])
     def test_run_memory_is_its_columns_plus_a_few_blocks(self, case):
         # At 16 blocks a whole-run array of the two uniforms alone would be
         # 32 blocks of float64; the bound leaves 24 for the kernel's buffers,
@@ -854,21 +876,35 @@ class TestCli:
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_amplitude_norms_past_float_range(self, tmp_path, fmt):
+    def test_amplitude_norms_past_float_range(self, tmp_path, capsys, fmt):
         # The squares of 1e200 overflow and those of 1e-170 underflow: both
         # vectors are [1, 1] scaled, and run as [1, 1] does.
         outputs = []
         for k, amps in enumerate(["[1, 1]", "[1.0e+200, 1.0e+200]", "[1.0e-170, 1.0e-170]"]):
             body = MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", amps)
             out = tmp_path / f"out{k}"
-            with pytest.warns(UserWarning, match="normalizing") as caught:
-                code = main(["--scenario", self._write(tmp_path, body), "--out", str(out),
-                             "--format", fmt])
+            code = main(["--scenario", self._write(tmp_path, body), "--out", str(out),
+                         "--format", fmt])
             assert code == 0
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            # The normalization warning alone, as one line: no RuntimeWarning.
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"dualmeas: warning: amplitudes norm \S+ != 1; normalizing\n", err)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(outputs[0]) == ["events." + fmt, "summary.json"]
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_unnormalized_amplitudes_under_warnings_as_errors(self, tmp_path):
+        # -W error turns the normalization warning into an exception; the CLI
+        # still prints it as one line and runs.
+        body = MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[1, 1]")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dualmeas", "--scenario",
+             self._write(tmp_path, body), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "dualmeas: warning: amplitudes norm 1.41421 != 1; normalizing\n"
+        assert "[FAIL]" not in proc.stdout and "summary.json" in proc.stdout
 
     def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         # What numpy raises for n_events: 10**12 (931 GiB of uint8 records),

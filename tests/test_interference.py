@@ -132,12 +132,12 @@ class TestDecoherenceDamping:
                                        couplings=(0.6, 0.9, 1.1, 1.4))
         from dualmeas.dynamics import attach_environment
         state0 = attach_environment(psi, env)
-        b = interference_operator(state0.layout)
+        b = interference_operator(psi.layout)
         bare = 2 * a1 * a2
         times = np.linspace(0.0, 1.5, 7)
-        for t, state_t, factor in zip(times, *run_decoherence(state0, env, times)):
+        for t, rho_t, factor in zip(times, *run_decoherence(state0, env, times)):
             expected = bare * np.real(offdiag_suppression(env, t))
-            assert abs(discriminate(state_t.to_density(), b) - expected) < 1e-10
+            assert abs(discriminate(rho_t, b) - expected) < 1e-10
             assert abs(factor - offdiag_suppression(env, t)) < 1e-10
 
 
