@@ -32,5 +32,5 @@ state = attach_environment(psi_so, env)
 print("couplings:", np.round(env.couplings, 3))
 print(" t     simulated   cosine product")
 times = np.linspace(0.0, 2.0, 11)
-for t, factor in zip(times, run_decoherence(state, env, times)[1]):
+for t, (_, factor) in zip(times, run_decoherence(state, env, times)):
     print(f"{t:4.2f}  {factor.real:+10.6f}  {offdiag_suppression(env, t):+10.6f}")

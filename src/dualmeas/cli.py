@@ -53,10 +53,12 @@ def main(argv=None) -> int:
         print("dualmeas: error: --scenario is required unless --check is given", file=sys.stderr)
         return EXIT_USAGE
 
-    # A scenario's warnings (amplitudes it normalizes) are one line each, and
-    # the run goes on, under -W error too.
+    # The normalization warning (amplitudes the scenario rescales) is one
+    # line, and the run goes on, under -W error too; every other warning
+    # keeps the interpreter's filters.
+    error = None
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.filterwarnings("always", message="amplitudes norm", category=UserWarning)
         try:
             scenario = load_scenario(args.scenario)
             overrides = {}
@@ -71,10 +73,12 @@ def main(argv=None) -> int:
             if overrides:
                 scenario = replace(scenario, **overrides)
         except (ScenarioError, InvariantError) as e:
-            print(f"dualmeas: scenario error: {e}", file=sys.stderr)
-            return EXIT_SCENARIO
+            error = e
     for w in caught:
         print(f"dualmeas: warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"dualmeas: scenario error: {error}", file=sys.stderr)
+        return EXIT_SCENARIO
 
     try:
         summary, records = run(scenario)

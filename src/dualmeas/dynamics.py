@@ -206,16 +206,18 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
 
     At time t the state is exp(-i h t) * psi, h the phase vector of
     ``build_dephasing_hamiltonian``. With S and O leading, it is a matrix M
-    whose row s * o_dim + o is the rest of the system beside |s>|O_o>, and
-    the reduced state is rho_SO = M M^dagger. Returns rho_SO per time together
-    with the simulated overlaps <E_1(t)|E_2(t)> of the environment states tied
-    to the first two pointer branches, rows r_i = (i - 1) * o_dim + i, read
-    from each rho_SO as rho[r_2, r_1] / sqrt(rho[r_1, r_1] rho[r_2, r_2])
-    (independent of the closed-form cosine product, which tests compare
-    against). That includes the relative phase of the two branch amplitudes,
-    divided out as the phase of the input state's own value (the |+> bath
-    starts at overlap 1). It is 1 when a branch is empty: no coherence to
-    suppress.
+    whose row s * o_dim + o is the rest of the system beside |s>|O_o>, and the
+    reduced state is rho_SO = M M^dagger. Returns an iterator of (rho_SO,
+    overlap) per time, each formed only when it is asked for, so a caller that
+    consumes them in turn keeps no rho_SO past its time. The overlap is the
+    simulated <E_1(t)|E_2(t)> of the environment states tied to the first two
+    pointer branches, rows r_i = (i - 1) * o_dim + i, read from rho_SO as
+    rho[r_2, r_1] / sqrt(rho[r_1, r_1] rho[r_2, r_2]) (independent of the
+    closed-form cosine product, which tests compare against). That includes
+    the relative phase of the two branch amplitudes, divided out as the phase
+    of the input state's own value (the |+> bath starts at overlap 1). It is 1
+    when a branch is empty: no coherence to suppress. The layout is checked,
+    and the phase vector built, before this returns.
     """
     labels, dims = state.layout.labels, state.layout.dims
     if labels[:2] != (S_LABEL, O_LABEL):
@@ -233,12 +235,8 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
         return rho, complex(rho.entries[r2, r1] / math.sqrt(w1 * w2))
 
     unphase = np.exp(-1j * np.angle(at(0.0)[1]))
-    rhos, overlaps = [], []
-    for t in np.asarray(times, dtype=float):
-        rho, overlap = at(t)
-        rhos.append(rho)
-        overlaps.append(complex(overlap * unphase))
-    return rhos, overlaps
+    return ((rho, complex(overlap * unphase))
+            for rho, overlap in map(at, np.asarray(times, dtype=float)))
 
 
 def branch_state(layout: CompositeLayout, i: int) -> StateVector:

@@ -592,9 +592,11 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     b_pure = discriminate(psi.to_density(), b_so)
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
-    rhos, simulated = run_decoherence(psi_full, env, times)
     formula = [offdiag_suppression(env, float(t)) for t in times]
-    b_vals = [discriminate(rho, b_so) for rho in rhos]
+    simulated, b_vals = [], []
+    for rho, overlap in run_decoherence(psi_full, env, times):  # no rho_SO outlives its time
+        simulated.append(overlap)
+        b_vals.append(discriminate(rho, b_so))
     # The cosine product is the decay of the coherence of branches 1 and 2;
     # with either branch empty there is none to compare (the simulated factor
     # is then 1).

@@ -217,14 +217,14 @@ class TestDecoherence:
     def test_no_evolution_factor_one(self, model):
         env = EnvironmentModel.default(3, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        _, (factor,) = run_decoherence(psi, env, [0.0])
+        ((_, factor),) = run_decoherence(psi, env, [0.0])
         assert abs(factor - 1.0) <= TOL_ALGEBRAIC
 
     def test_single_atom_exact_zero(self, model):
         # q1 - q2 = 2, g = 1, t = pi/4: cos(pi/2) = 0
         env = EnvironmentModel.default(1, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        _, (factor,) = run_decoherence(psi, env, [math.pi / 4])
+        ((_, factor),) = run_decoherence(psi, env, [math.pi / 4])
         assert abs(factor) <= 1e-10
 
     def test_eight_atoms_product_formula(self, model):
@@ -233,14 +233,14 @@ class TestDecoherence:
         env = EnvironmentModel.default(8, model.o_dim, couplings=rng.uniform(0.5, 1.5, 8))
         psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
         times = np.linspace(0.0, 1.2, 7)
-        for t, factor in zip(times, run_decoherence(psi, env, times)[1]):
+        for t, (_, factor) in zip(times, run_decoherence(psi, env, times)):
             assert abs(abs(factor) - abs(offdiag_suppression(env, float(t)))) <= 1e-10
 
     def test_branch_weights_untouched(self, model):
         env = EnvironmentModel.default(4, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(0.6, 0.8), model), env)
         w0 = branch_weights(psi)
-        (out,), _ = run_decoherence(psi, env, [0.83])
+        ((out, _),) = run_decoherence(psi, env, [0.83])
         np.testing.assert_allclose(branch_weights(out), w0, atol=TOL_ALGEBRAIC)
 
     @given(
@@ -266,7 +266,7 @@ class TestDecoherence:
         want = evolve_unitary(psi, LinearOperator(layout, h), t)
         got = np.exp(-1j * build_dephasing_hamiltonian(env, layout) * t) * psi.amplitudes
         np.testing.assert_allclose(got, want.amplitudes, rtol=0, atol=1e-12)
-        (rho,), (factor,) = run_decoherence(psi, env, [t])
+        ((rho, factor),) = run_decoherence(psi, env, [t])
         reduced = partial_trace(want.to_density(), {"S", "O"})
         assert rho.layout == reduced.layout
         np.testing.assert_allclose(rho.entries, reduced.entries, rtol=0, atol=1e-12)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -21,7 +22,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import dual, harness
+from dualmeas import cli, dual, harness
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
@@ -256,12 +257,19 @@ class TestRunner:
         assert summary.checks[0]["name"] == COSINE
         assert summary.checks[0]["passed"] is passed
 
-    def test_decohere_memory_does_not_grow_with_the_time_grid(self):
+    @pytest.mark.parametrize("s_dim, n_atoms, n_times", [
         # At 9 atoms one S x O x E state is 48 KiB: the states of all 1000
-        # times would be 47 MiB, where one time at a time holds a few
-        # vectors and 1000 reduced 6 x 6 states.
-        scenario = parse_scenario(MINIMAL.replace("premeasure", "decohere")
-                                  + "env: {n_atoms: 9}\nn_times: 1000\n")
+        # times would be 47 MiB, where one time at a time holds a few vectors.
+        (2, 9, 1000),
+        # At s_dim 12 one reduced state is 156 x 156, 380 KiB: those of all
+        # 100 times would be 37 MiB, where the 2-atom states are 10 KiB each.
+        (12, 2, 100),
+    ])
+    def test_decohere_memory_does_not_grow_with_the_time_grid(self, s_dim, n_atoms, n_times):
+        amplitudes = ", ".join([repr(s_dim ** -0.5)] * s_dim)
+        scenario = parse_scenario(f"experiment: decohere\namplitudes: [{amplitudes}]\nseed: 7\n"
+                                  f"n_events: 200\nenv: {{n_atoms: {n_atoms}}}\n"
+                                  f"n_times: {n_times}\n")
         run(replace(scenario, n_times=2))  # numpy's own first-use allocations, outside the trace
         tracemalloc.start()
         try:
@@ -905,6 +913,27 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "dualmeas: warning: amplitudes norm 1.41421 != 1; normalizing\n"
         assert "[FAIL]" not in proc.stdout and "summary.json" in proc.stdout
+
+    def test_normalization_warning_precedes_a_scenario_error(self, tmp_path, capsys):
+        body = (MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[1, 1]")
+                + "perception_mode: sample\nlambda: 4.71238898038469\n")
+        assert main(["--scenario", self._write(tmp_path, body)]) == 2
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning == "dualmeas: warning: amplitudes norm 1.41421 != 1; normalizing"
+        assert error.startswith("dualmeas: scenario error: perception times need")
+
+    def test_other_warnings_keep_the_interpreter_filters(self, tmp_path, monkeypatch):
+        # Only the normalization warning becomes a line; under -W error any
+        # other warning raised while loading still ends the run.
+        def load(path):
+            warnings.warn("a planted deprecation", DeprecationWarning)
+            return parse_scenario(MINIMAL)
+
+        monkeypatch.setattr(cli, "load_scenario", load)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="planted"):
+                main(["--scenario", self._write(tmp_path, MINIMAL), "--out", str(tmp_path)])
 
     def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         # What numpy raises for n_events: 10**12 (931 GiB of uint8 records),

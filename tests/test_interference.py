@@ -135,7 +135,7 @@ class TestDecoherenceDamping:
         b = interference_operator(psi.layout)
         bare = 2 * a1 * a2
         times = np.linspace(0.0, 1.5, 7)
-        for t, rho_t, factor in zip(times, *run_decoherence(state0, env, times)):
+        for t, (rho_t, factor) in zip(times, run_decoherence(state0, env, times)):
             expected = bare * np.real(offdiag_suppression(env, t))
             assert abs(discriminate(rho_t, b) - expected) < 1e-10
             assert abs(factor - offdiag_suppression(env, t)) < 1e-10
