@@ -9,6 +9,7 @@ downstream code never has to re-check them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -65,9 +66,10 @@ class CompositeLayout:
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        # Exact: np.prod would wrap in int64 and let a huge layout pass the cap.
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         """Position of *label* in the tensor ordering."""
@@ -98,6 +100,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
     a.flags.writeable = False
     return a
+
+
+def _hermitian(layout: CompositeLayout, entries, noun: str) -> np.ndarray:
+    """Read-only *entries*, checked n x n over *layout* and Hermitian; *noun* names it in errors."""
+    m = _readonly(np.asarray(entries))
+    n = layout.total_dim
+    if m.shape != (n, n):
+        raise LayoutError(f"matrix shape {m.shape} != ({n}, {n})")
+    dev = np.max(np.abs(m - m.conj().T))
+    if not dev <= TOL_ALGEBRAIC:
+        raise InvariantError(f"{noun} deviates from Hermitian by {dev}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -138,14 +152,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _readonly(np.asarray(self.entries))
+        m = _hermitian(self.layout, self.entries, "density matrix")
         object.__setattr__(self, "entries", m)
-        n = self.layout.total_dim
-        if m.shape != (n, n):
-            raise LayoutError(f"matrix shape {m.shape} != ({n}, {n})")
-        dev = np.max(np.abs(m - m.conj().T))
-        if not dev <= TOL_ALGEBRAIC:
-            raise InvariantError(f"density matrix deviates from Hermitian by {dev}")
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TOL_ALGEBRAIC:
             raise InvariantError(f"trace {tr} deviates from 1 beyond {TOL_ALGEBRAIC}")
@@ -154,16 +162,15 @@ class DensityMatrix:
 
     @classmethod
     def mixture(cls, weights, states) -> "DensityMatrix":
-        """Convex mixture sum_k w_k |psi_k><psi_k| (or of density matrices)."""
+        """Convex mixture sum_k w_k |psi_k><psi_k| (or of density matrices).
+        Each part is valid already, so only the sum is checked."""
         weights = np.asarray(weights, dtype=float)
         if np.any(weights < -TOL_ALGEBRAIC) or abs(weights.sum() - 1.0) > TOL_ALGEBRAIC:
             raise InvariantError("mixture weights must be nonnegative and sum to 1")
-        parts = [
-            s.to_density() if isinstance(s, StateVector) else s for s in states
-        ]
-        layout = parts[0].layout
-        m = sum(w * p.entries for w, p in zip(weights, parts))
-        return cls(layout, m)
+        states = list(states)
+        m = sum(w * (np.outer(s.amplitudes, s.amplitudes.conj()) if isinstance(s, StateVector)
+                     else s.entries) for w, s in zip(weights, states))
+        return cls(states[0].layout, m)
 
 
 @dataclass(frozen=True)
@@ -179,14 +186,7 @@ class LinearOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _readonly(np.asarray(self.entries))
-        object.__setattr__(self, "entries", m)
-        n = self.layout.total_dim
-        if m.shape != (n, n):
-            raise LayoutError(f"matrix shape {m.shape} != ({n}, {n})")
-        dev = np.max(np.abs(m - m.conj().T))
-        if not dev <= TOL_ALGEBRAIC:
-            raise InvariantError(f"operator deviates from Hermitian by {dev}")
+        object.__setattr__(self, "entries", _hermitian(self.layout, self.entries, "operator"))
 
     @cached_property
     def _eigh(self):

@@ -55,8 +55,6 @@ class RestrictedState:
 
 def restricted_state(rho_ms: DensityMatrix, o_label=O_LABEL, source_kind="pure_ensemble") -> RestrictedState:
     """Partial trace over everything except the observer subsystem."""
-    if o_label not in rho_ms.layout.labels:
-        raise LayoutError(f"unknown observer label {o_label!r}")
     reduced = partial_trace(rho_ms, {o_label})
     return RestrictedState(o_density=reduced, source_kind=source_kind)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dualmeas.core import (
     projector,
     trace_distance,
 )
+from dualmeas.dynamics import MeasurementModel, branch_state, run_premeasurement
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0 + 0j, -1.0 + 0j])
@@ -64,6 +66,13 @@ class TestLayout:
     def test_dim_cap(self):
         with pytest.raises(LayoutError):
             CompositeLayout((("big", 5000),))
+
+    @pytest.mark.parametrize("n_atoms", [61, 62, 64])
+    def test_dim_cap_past_int64(self, n_atoms):
+        # 6 * 2**n wraps in int64 to -2**62, -2**63 and 0, all under the cap.
+        atoms = tuple((f"E{k}", 2) for k in range(n_atoms))
+        with pytest.raises(LayoutError, match=f"total dimension {6 << n_atoms} exceeds"):
+            CompositeLayout((("S", 2), ("O", 3)) + atoms)
 
     def test_flat_index_row_major(self):
         lay = CompositeLayout((("S", 2), ("O", 3)))
@@ -129,6 +138,42 @@ class TestPartialTrace:
         lhs = partial_trace(mixed, {"A"}).entries
         rhs = p * partial_trace(r1, {"A"}).entries + (1 - p) * partial_trace(r2, {"A"}).entries
         np.testing.assert_allclose(lhs, rhs, atol=TOL_ALGEBRAIC)
+
+
+class TestMixture:
+    @pytest.mark.parametrize("kind", ["state", "density"])
+    def test_equals_the_sum_of_validated_parts(self, kind):
+        rng = np.random.default_rng(17)
+        lay = CompositeLayout((("A", 3), ("B", 4)))
+        parts = [normalized(lay, rng.normal(size=12) + 1j * rng.normal(size=12)) for _ in range(5)]
+        if kind == "density":
+            parts = [p.to_density() for p in parts]
+        weights = rng.dirichlet(np.ones(5))
+        want = sum(w * (p.to_density() if kind == "state" else p).entries
+                   for w, p in zip(weights, parts))
+        got = DensityMatrix.mixture(weights, parts).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_validates_only_the_sum(self, monkeypatch):
+        # The 20 branches of an s_dim-20 premeasured state, n = 420: one n x n
+        # density is 2.7 MiB, the 20 validated parts would be 54 MiB.
+        model = MeasurementModel.calibrated(s_dim=20, o_dim=21)
+        s = StateVector(model.s_layout(), np.full(20, 20 ** -0.5))
+        layout = run_premeasurement(s, model).layout
+        branches = [branch_state(layout, i) for i in range(1, 21)]
+        DensityMatrix.mixture(np.full(2, 0.5), branches[:2])  # numpy's first-use allocations
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        tracemalloc.start()
+        try:
+            rho = DensityMatrix.mixture(np.full(20, 0.05), branches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(420, 420)]
+        assert peak < 16 * 2**20
+        assert rho.layout == layout
 
 
 class TestEvolveUnitary:
