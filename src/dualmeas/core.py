@@ -272,7 +272,7 @@ def expectation(rho, A: LinearOperator) -> float:
     if isinstance(rho, StateVector):
         val = complex(np.vdot(rho.amplitudes, A.entries @ rho.amplitudes))
     else:
-        val = complex(np.trace(rho.entries @ A.entries))
+        val = complex(np.einsum("ij,ji->", rho.entries, A.entries))  # sum_ij rho_ij A_ji
     if abs(val.imag) > 1e-9:
         raise InvariantError(f"expectation of Hermitian observable has imaginary part {val.imag}")
     return float(val.real)

@@ -8,12 +8,18 @@ outputs are byte-identical across repeated runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+try:  # the fingerprint's builtin SHA-256, as in random.py; hashlib (OpenSSL) only as fallback
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 import numpy as np
 import yaml
@@ -126,9 +132,7 @@ class Scenario:
         if self.delta_t <= 0:  # before model() divides by it
             raise ScenarioError("delta_t must be > 0")
         if amps.shape[0] != self.s_dim:
-            raise ScenarioError(
-                f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}"
-            )
+            raise ScenarioError(f"amplitudes length {amps.shape[0]} != s_dim {self.s_dim}")
         with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
             norm = float(np.linalg.norm(amps))
         scale = 1.0
@@ -411,7 +415,7 @@ def run(scenario: Scenario):
         seed=scenario.seed,
         n_events=scenario.n_events,
         tolerances={"algebraic": TOL_ALGEBRAIC, "roundtrip": TOL_ROUNDTRIP},
-        fingerprint=hashlib.sha256(payload.encode()).hexdigest()[:16],
+        fingerprint=sha256(payload.encode()).hexdigest()[:16],
         **fields,
     )
     return summary, records

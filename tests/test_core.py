@@ -306,6 +306,18 @@ class TestExpectation:
         rho = DensityMatrix(qubit(), np.eye(2) / 2)
         assert abs(expectation(rho, LinearOperator(qubit(), SX))) <= TOL_ALGEBRAIC
 
+    def test_complex_density_matches_trace_of_product(self):
+        # Tr(rho A) = sum_ij rho_ij A_ji: with complex rho and A, the sum
+        # without the transpose would read Tr(rho A*) instead.
+        rng = np.random.default_rng(3)
+        lay = CompositeLayout((("A", 3),))
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = LinearOperator(lay, m + m.conj().T)
+        psi = normalized(lay, rng.normal(size=3) + 1j * rng.normal(size=3))
+        ref = np.trace(psi.to_density().entries @ a.entries).real
+        assert abs(expectation(psi.to_density(), a) - ref) <= 1e-12
+        assert abs(expectation(psi, a) - ref) <= 1e-12
+
     def test_non_hermitian_rejected(self):
         # An observable is Hermitian by construction: the constructor rejects it.
         with pytest.raises(InvariantError):

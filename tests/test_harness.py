@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import cli, dual, harness
+from dualmeas import __version__, cli, dual, harness
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
@@ -1051,3 +1052,44 @@ class TestStartup:
                               text=True, env={"PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_runs_do_not_load_openssl(self):
+        # The fingerprint's SHA-256 is the interpreter's builtin one; hashlib
+        # would load OpenSSL (_hashlib, _ssl), about 3.5 MiB of a run's peak.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = _STARTUP_PROBE + 'print(*(m for m in ("hashlib", "_hashlib", "_ssl") if m in sys.modules))\n'
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == []
+
+
+_FINGERPRINT_EXTRA = {"decohere": "env: {n_atoms: 2}\nn_times: 5\n", "perception_timing": "n_times: 101\n"}
+FINGERPRINT_RUNS = [f"experiment: {e}\nn_events: 30\n" + _FINGERPRINT_EXTRA.get(e, "") for e in EXPERIMENTS]
+FINGERPRINT_RUNS.append("experiment: premeasure\nn_events: 30\nperception_mode: sample\n")
+FINGERPRINT_AMPS = {"real": "[0.6, 0.8]", "complex": "[[0.6, 0.0], [0.0, 0.8]]",
+                    "s_dim_3": "[0.48, 0.6, 0.64]"}
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("amps", FINGERPRINT_AMPS.values(), ids=FINGERPRINT_AMPS.keys())
+    @pytest.mark.parametrize("body", FINGERPRINT_RUNS, ids=[*EXPERIMENTS, "premeasure-sample"])
+    def test_equals_hashlib_sha256_of_the_payload(self, body, amps):
+        sc = parse_scenario(f"amplitudes: {amps}\nseed: 5\n" + body)
+        payload = json.dumps(sc.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
+        assert run(sc)[0].fingerprint == hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    def test_hashlib_fallback_gives_the_same_fingerprint(self):
+        # An interpreter built without the builtin SHA-256 modules: importing
+        # either raises ImportError, so harness takes hashlib's sha256.
+        probe = (
+            'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+            "import dualmeas.harness as h\n"
+            'assert h.sha256 is sys.modules["hashlib"].sha256\n'
+            f"print(h.run(h.parse_scenario({MINIMAL!r}))[0].fingerprint)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == run(parse_scenario(MINIMAL))[0].fingerprint
