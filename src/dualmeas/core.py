@@ -219,24 +219,29 @@ def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray
     return reduce(np.kron, mats)
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept subsystem labels (trace preserved)."""
+def partial_trace(state, keep) -> DensityMatrix:
+    """Reduced density matrix on the kept subsystem labels (trace preserved); of
+    a StateVector, M M^dagger with M its kept axes by the rest, never psi psi^dagger."""
     keep = set(keep) if not isinstance(keep, (set, frozenset)) else keep
-    labels = rho.layout.labels
+    labels = state.layout.labels
     unknown = keep - set(labels)
     if unknown:
         raise LayoutError(f"unknown labels {sorted(unknown)}; have {labels}")
     if not keep:
         raise LayoutError("must keep at least one subsystem")
-    dims = rho.layout.dims
+    dims = state.layout.dims
+    kept_layout = state.layout.restrict(tuple(keep))
+    d = kept_layout.total_dim
+    if isinstance(state, StateVector):
+        kept = [i for i, l in enumerate(labels) if l in keep]
+        m = np.moveaxis(state.amplitudes.reshape(dims), kept, range(len(kept))).reshape(d, -1)
+        return DensityMatrix(kept_layout, m @ m.conj().T)
     n_sub = len(dims)
-    m = rho.entries.reshape(dims + dims)
+    m = state.entries.reshape(dims + dims)
     # Trace out dropped axes from the back so earlier axis numbers stay valid.
     for ax in sorted((i for i, l in enumerate(labels) if l not in keep), reverse=True):
         m = np.trace(m, axis1=ax, axis2=ax + n_sub)
         n_sub -= 1
-    kept_layout = rho.layout.restrict(tuple(keep))
-    d = kept_layout.total_dim
     return DensityMatrix(kept_layout, m.reshape(d, d))
 
 

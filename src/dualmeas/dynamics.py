@@ -2,8 +2,8 @@
 
 Builds the system-observer coupling that copies the measured eigenstate into
 the observer pointer basis (exact transfer at coupling * duration = pi/2),
-the observer-environment dephasing Hamiltonian that suppresses pointer
-coherences, and exact unitary reversal used by the undoing experiment.
+premeasures with it in closed form, and builds the observer-environment
+dephasing Hamiltonian that suppresses pointer coherences.
 
 Label conventions: the measured system is "S", the observer "O" (a second
 observer is "O2"), environment atoms are "E0", "E1", ....
@@ -24,7 +24,6 @@ from .core import (
     LayoutError,
     LinearOperator,
     StateVector,
-    evolve_unitary,
 )
 
 S_LABEL = "S"
@@ -90,8 +89,8 @@ class MeasurementModel:
     @cached_property
     def hamiltonian(self) -> LinearOperator:
         """Coupling sum_i |s_i><s_i| (x) (|O_i><O_0| + h.c.) on ``so_layout()``,
-        built (and so diagonalized) once per model however many chains evolve
-        under it.
+        built (and so diagonalized) once per model, on first use:
+        ``run_premeasurement`` does not use it.
 
         Gated ladder form: each system eigenstate drives a two-level rotation
         between the observer ready state and its own pointer state, so the
@@ -110,6 +109,15 @@ class MeasurementModel:
         on ``so_layout()``."""
         ready = np.eye(self.o_dim, 1, dtype=complex).ravel()
         return StateVector(self.so_layout(), np.kron(np.asarray(amplitudes, dtype=complex), ready))
+
+    def transfer(self, amplitudes) -> np.ndarray:
+        """U(duration) (*amplitudes* (x) |O_0>) as an (s_dim, o_dim, ...) array: a_s
+        cos(coupling * duration) at (s, 0), -i a_s sin of it at (s, s + 1), else 0."""
+        a = np.asarray(amplitudes, dtype=complex)
+        out = np.zeros((self.s_dim, self.o_dim) + a.shape[1:], dtype=complex)
+        s, angle = np.arange(self.s_dim), self.coupling * self.duration
+        out[s, 0], out[s, s + 1] = a * math.cos(angle), -1j * a * math.sin(angle)
+        return out
 
 
 @dataclass(frozen=True)
@@ -142,14 +150,12 @@ class EnvironmentModel:
 
 
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
-    """Entangle the system with a ready observer over one interaction window.
-
-    Returns sum_i a_i |s_i>|O_i> up to the per-branch phase -i at the
-    calibration coupling * duration = pi/2.
-    """
+    """Entangle the system with a ready observer over one interaction window,
+    in closed form (``model.transfer``): sum_i a_i |s_i>|O_i> up to the
+    per-branch phase -i at the calibration coupling * duration = pi/2."""
     if psi_s.layout.labels != (S_LABEL,):
         raise LayoutError(f"expected a bare system state on ({S_LABEL!r},), got {psi_s.layout.labels}")
-    return evolve_unitary(model.input_state(psi_s.amplitudes), model.hamiltonian, model.duration)
+    return StateVector(model.so_layout(), model.transfer(psi_s.amplitudes))
 
 
 def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:

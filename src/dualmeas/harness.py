@@ -380,13 +380,15 @@ def _correlation(a, b):
 
 
 def _pure_vs_mixture(psi: StateVector, amplitudes):
-    """<B> on the premeasured pure state *psi* and on the mixture of its
-    branches |s_i>|O_i> with the same weights |a_i|^2, and both densities."""
-    b = interference_operator(psi.layout)
-    rho = psi.to_density()
-    branches = [branch_state(psi.layout, i) for i in range(1, len(amplitudes) + 1)]
-    mixed = DensityMatrix.mixture(np.abs(amplitudes) ** 2, branches)
-    return discriminate(rho, b), discriminate(mixed, b), rho, mixed
+    """<B> and the observer restriction of the premeasured pure state *psi* and
+    of the mixture of its branches b_i = |s_i>|O_i> with the same weights
+    |a_i|^2: sum_i |a_i|^2 <b_i|B|b_i> and sum_i |a_i|^2 |O_i><O_i|."""
+    b, weights = interference_operator(psi.layout), np.abs(amplitudes) ** 2
+    branches = range(1, len(amplitudes) + 1)
+    b_mixed = float(sum(w * discriminate(branch_state(psi.layout, i), b) for w, i in zip(weights, branches)))
+    pointers = [StateVector.basis(psi.layout.restrict((O_LABEL,)), {O_LABEL: i}) for i in branches]
+    return (discriminate(psi, b), b_mixed, restricted_state(psi, source_kind="pure_ensemble"),
+            restricted_state(DensityMatrix.mixture(weights, pointers), source_kind="mixed_ensemble"))
 
 
 def run(scenario: Scenario):
@@ -459,9 +461,7 @@ def _perceive(scenario: Scenario, phi_d, pdf=None) -> DualState:
 def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     weights = branch_weights(psi)
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
-    b_pure, b_mixed, rho, rho_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
-    r_pure = restricted_state(rho, source_kind="pure_ensemble")
-    r_mixed = restricted_state(rho_mixed, source_kind="mixed_ensemble")
+    b_pure, b_mixed, r_pure, r_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
     _, dist = breuer_distinguishable(r_pure, r_mixed)
 
     pdf = None
@@ -533,13 +533,12 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
 
 
 def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    # O2 measures S by O's generator: U (x) 1_O, U = exp(-iHt) on S (x) O2, and
-    # from O2's ready state, psi_t2[x, a, y] = sum_s U[(x, y), (s, 0)] psi[s, a].
+    # O2 measures S by O's rotation on S (x) O2 from O2's ready state, a column
+    # a of psi[s, a] at a time: psi_t2[x, a, y] = transfer(psi[:, a])[x, y].
     s_dim, o_dim = model.s_dim, model.o_dim
     p = psi.amplitudes.reshape(s_dim, o_dim)
-    cols = model.hamiltonian.unitary_at(model.duration)[:, ::o_dim]  # the columns (s, 0)
     layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim), (O2_LABEL, o_dim)))
-    psi_t2 = StateVector(layout, (cols @ p).reshape(s_dim, o_dim, o_dim).swapaxes(1, 2).ravel())
+    psi_t2 = StateVector(layout, model.transfer(p).swapaxes(1, 2).ravel())
 
     # Coherence between branches 1 and 2 available to the second observer
     # between the two measurements: nonzero certifies no objective collapse at
@@ -593,7 +592,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     psi_full = attach_environment(psi, env)
 
     b_so = interference_operator(psi.layout)
-    b_pure = discriminate(psi.to_density(), b_so)
+    b_pure = discriminate(psi, b_so)
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
     formula = [offdiag_suppression(env, float(t)) for t in times]
@@ -635,7 +634,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
 def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     """Matched dual and textbook-collapse ensembles, side by side."""
     fields, records = _run_undo(scenario, model, psi)
-    b_dual, b_baseline, _, _ = _pure_vs_mixture(psi, scenario.amplitudes)
+    b_dual, b_baseline, *_ = _pure_vs_mixture(psi, scenario.amplitudes)
     fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
     fields["checks"].append(_check("interference discriminator: dual nonzero, baseline zero",
                                    b_baseline, abs(b_baseline) <= TOL_ALGEBRAIC))

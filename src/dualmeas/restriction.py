@@ -53,9 +53,9 @@ class RestrictedState:
         return self.o_density.layout.total_dim
 
 
-def restricted_state(rho_ms: DensityMatrix, o_label=O_LABEL, source_kind="pure_ensemble") -> RestrictedState:
-    """Partial trace over everything except the observer subsystem."""
-    reduced = partial_trace(rho_ms, {o_label})
+def restricted_state(state, o_label=O_LABEL, source_kind="pure_ensemble") -> RestrictedState:
+    """Partial trace of a StateVector or DensityMatrix over all but the observer."""
+    reduced = partial_trace(state, {o_label})
     return RestrictedState(o_density=reduced, source_kind=source_kind)
 
 

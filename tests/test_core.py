@@ -140,6 +140,27 @@ class TestPartialTrace:
         np.testing.assert_allclose(lhs, rhs, atol=TOL_ALGEBRAIC)
 
 
+@st.composite
+def layouts_and_keeps(draw):
+    """A random complex state over 1-4 subsystems of dimension 1-4, and a
+    nonempty set of them to keep."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    layout = CompositeLayout(tuple((f"X{k}", d) for k, d in enumerate(dims)))
+    keep = draw(st.sets(st.sampled_from(layout.labels), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return StateVector(layout, a / np.linalg.norm(a)), keep
+
+
+@given(layouts_and_keeps())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_partial_trace_of_a_vector_equals_that_of_its_projector(case):
+    psi, keep = case
+    got, want = partial_trace(psi, keep), partial_trace(psi.to_density(), keep)
+    assert got.layout == want.layout
+    np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=1e-15)
+
+
 class TestMixture:
     @pytest.mark.parametrize("kind", ["state", "density"])
     def test_equals_the_sum_of_validated_parts(self, kind):

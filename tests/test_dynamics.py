@@ -179,6 +179,21 @@ class TestPremeasurement:
         after = expectation(out.to_density(), q_full)
         assert abs(before - after) <= TOL_ALGEBRAIC
 
+    @given(s_dim=st.integers(2, 5), extra_o=st.integers(1, 3),
+           parts=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=5, max_size=5),
+           delta_t=st.floats(0.1, 3.0), angle=st.floats(-3.14, 3.14))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_closed_form_equals_the_dense_evolution(self, s_dim, extra_o, parts, delta_t, angle):
+        # Complex amplitudes (never all 0), any coupling with |coupling| * duration < pi.
+        a = np.asarray(parts[:s_dim]) + 1e-3
+        model = MeasurementModel(s_dim=s_dim, o_dim=s_dim + extra_o, coupling=angle / delta_t,
+                                 duration=delta_t)
+        psi_s = StateVector(model.s_layout(), a / np.linalg.norm(a))
+        want = evolve_unitary(model.input_state(psi_s.amplitudes), model.hamiltonian, model.duration)
+        got = run_premeasurement(psi_s, model)
+        assert got.layout == want.layout
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
+
 
 class TestDephasingHamiltonian:
     def test_no_atoms_zero_operator(self, model):

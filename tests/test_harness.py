@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualmeas import __version__, cli, dual, harness
@@ -38,6 +38,7 @@ from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
+    branch_state,
     branch_weights,
     run_premeasurement,
 )
@@ -51,6 +52,7 @@ from dualmeas.harness import (
     parse_scenario,
     run,
 )
+from dualmeas.interference import interference_operator
 
 MINIMAL = """
 experiment: premeasure
@@ -422,21 +424,86 @@ class TestReductionBaselineCheck:
 
 
 @pytest.mark.parametrize("experiment, extra, calls", [
-    ("premeasure", "", 1),
+    ("premeasure", "", 0),
     ("premeasure", "perception_mode: sample\n", 1),
     ("undo", "", 1),
     ("reduction_compare", "", 1),
     ("perception_timing", "", 1),
-    ("decohere", "env: {n_atoms: 2}\nn_times: 5\n", 1),
-    ("two_observer", "", 1),
+    ("decohere", "env: {n_atoms: 2}\nn_times: 5\n", 0),
+    ("two_observer", "", 0),
 ])
 def test_each_generator_is_diagonalized_once_per_run(monkeypatch, experiment, extra, calls):
-    # Every run builds the one S (x) O generator, s_dim * o_dim = 6 wide.
+    # Premeasurement is the closed-form rotation; a run that evolves under the
+    # S (x) O generator (s_dim * o_dim = 6 wide) otherwise diagonalizes it once.
     eigh, seen = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or eigh(a))
     summary, _ = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
     assert all(c["passed"] for c in summary.checks)
     assert seen == [(6, 6)] * calls
+
+
+def test_premeasure_makes_no_eigh_and_only_observer_sized_eigvalsh(monkeypatch):
+    # s_dim 20, n = 420: the closed-form state, no psi psi^dagger, no n x n mixture.
+    amps = "[" + ", ".join([repr(20 ** -0.5)] * 20) + "]"
+    sc = parse_scenario(MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", amps))
+    seen = {"eigh": [], "eigvalsh": []}
+    for name, spied in seen.items():
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=f, spied=spied: spied.append(a.shape) or f(a))
+    summary, _ = run(sc)
+    assert all(c["passed"] for c in summary.checks)
+    assert seen["eigh"] == []
+    assert seen["eigvalsh"] and all(max(shape) <= 21 for shape in seen["eigvalsh"])
+
+
+def _dense_pure_vs_mixture(psi: StateVector, amps):
+    """<B> on psi psi^dagger and on sum_i |a_i|^2 |b_i><b_i|, both n x n, their
+    O restrictions by the trace over S, and the trace distance of those."""
+    layout, dims = psi.layout, psi.layout.dims
+    b = interference_operator(layout).op.entries
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    mixed = sum(abs(a) ** 2 * np.outer(v, v.conj()) for a, v in
+                zip(amps, (branch_state(layout, i).amplitudes for i in range(1, len(amps) + 1))))
+    r_pure, r_mixed = (np.trace(m.reshape(dims + dims), axis1=0, axis2=2) for m in (rho, mixed))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(r_pure - r_mixed)))
+    return np.trace(rho @ b).real, np.trace(mixed @ b).real, r_pure, r_mixed, dist
+
+
+@given(
+    s_dim=st.integers(2, 5),
+    extra_o=st.integers(1, 3),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)), min_size=5, max_size=5),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=5, max_size=5),
+    delta_t=st.floats(0.1, 3.0),
+    angle=st.one_of(st.none(), st.floats(-3.14, 3.14)),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_premeasure_matches_the_dense_densities(s_dim, extra_o, weights, phases, delta_t, angle):
+    # angle None is the calibration coupling * delta_t = pi/2, the only one a
+    # premeasure run accepts; any other |coupling| * delta_t < pi is compared
+    # before the run's perception step.
+    amps = np.sqrt(weights[:s_dim]) * np.exp(1j * np.array(phases[:s_dim]))
+    assume(np.linalg.norm(amps) > 0)
+    sc = Scenario(experiment="premeasure", amplitudes=amps / np.linalg.norm(amps), seed=1,
+                  n_events=20, s_dim=s_dim, o_dim=s_dim + extra_o, delta_t=delta_t,
+                  coupling=None if angle is None else angle / delta_t)
+    psi = run_premeasurement(StateVector(sc.model().s_layout(), sc.amplitudes), sc.model())
+    b_pure, b_mixed, r_pure, r_mixed, dist = _dense_pure_vs_mixture(psi, sc.amplitudes)
+    got = harness._pure_vs_mixture(psi, sc.amplitudes)
+    assert abs(got[0] - b_pure) <= 1e-12 and abs(got[1] - b_mixed) <= 1e-12
+    for r, want in zip(got[2:], (r_pure, r_mixed)):
+        np.testing.assert_allclose(r.o_density.entries, want, rtol=0, atol=1e-12)
+    if angle is not None:
+        return
+    summary, _ = run(sc)
+    assert all(c["passed"] for c in summary.checks), summary.checks
+    assert abs(summary.b_values["pure"] - b_pure) <= 1e-12
+    assert abs(summary.b_values["mixed"] - b_mixed) <= 1e-12
+    for key, want in (("pure_ensemble", r_pure), ("mixed_ensemble", r_mixed)):
+        emitted = np.array(summary.restricted_states[key]) @ [1, 1j]
+        np.testing.assert_allclose(emitted, want, rtol=0, atol=1e-12)
+    breuer = next(c for c in summary.checks if c["name"] == "pure and matched mixed restrictions coincide")
+    assert abs(breuer["value"] - dist) <= 1e-12
 
 
 def _two_observer_reference(sc: Scenario):
