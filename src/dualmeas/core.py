@@ -283,8 +283,13 @@ def expectation(rho, A: LinearOperator) -> float:
     return float(val.real)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) * sum |eigenvalues(a - b)|, in [0, 1]."""
+def trace_distance(a, b) -> float:
+    """(1/2) * sum |eigenvalues(a - b)|, in [0, 1]. Of two StateVectors it is
+    sqrt(1 - |<a|b>|^2), taken as ||b - <a|b> a||: the square root's form
+    turns 1e-16 rounding into 1e-8."""
     if a.layout != b.layout:
         raise LayoutError("trace distance needs matching layouts")
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        a, b = a.amplitudes, b.amplitudes
+        return float(np.linalg.norm(b - np.vdot(a, b) * a))
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))

@@ -392,10 +392,16 @@ class DualState:
             )
         return replace(out, flags=out.flags + ("re-perception",)).perceive(u)
 
+    def measure(self, model: MeasurementModel) -> DualState:
+        """One more interaction window, ``model.rotate`` over its duration: it
+        moves no weight between branches, so the no-jump rule holds every record."""
+        return replace(self, phi_d=model.rotate(self.phi_d, model.duration),
+                       clock=self.clock + model.duration)
+
     def undo(self, model: MeasurementModel) -> DualState:
-        """Exact reversal of the measurement: dynamics rewound under
-        ``model.hamiltonian`` (so ``phi_d`` lives on ``model.so_layout()``),
-        records erased (the step ``(clock, 0)``), events flagged "undo".
+        """Exact reversal of the measurement: ``model.rotate`` over -duration (so
+        ``phi_d`` lives on ``model.so_layout()``), records erased (the step
+        ``(clock, 0)``), events flagged "undo".
 
         A later re-measurement draws fresh records statistically independent
         of the erased ones; this is where the dual model departs from the
@@ -403,7 +409,7 @@ class DualState:
         """
         if not np.any(self.final_j):
             raise InvariantError("nothing to undo: no perception record is set")
-        phi_d = evolve_unitary(self.phi_d, model.hamiltonian, -model.duration)
+        phi_d = model.rotate(self.phi_d, -model.duration)
         if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
             raise InvariantError(
                 "reversal did not return the observer to its ready state; "
@@ -433,5 +439,5 @@ def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
             continue
         state = DualState(branch_state(model.so_layout(), j), np.count_nonzero(events),
                           clock=model.duration).record(model.duration, j).undo(model)
-        fresh[events] = state.evolve(model.hamiltonian, model.duration).perceive(u[events]).final_j
+        fresh[events] = state.measure(model).perceive(u[events]).final_j
     return fresh

@@ -89,8 +89,8 @@ class MeasurementModel:
     @cached_property
     def hamiltonian(self) -> LinearOperator:
         """Coupling sum_i |s_i><s_i| (x) (|O_i><O_0| + h.c.) on ``so_layout()``,
-        built (and so diagonalized) once per model, on first use:
-        ``run_premeasurement`` does not use it.
+        built (and so diagonalized) once per model, on first use: only
+        ``perception_time_pdf`` uses it; ``rotate`` is its U(t) in closed form.
 
         Gated ladder form: each system eigenstate drives a two-level rotation
         between the observer ready state and its own pointer state, so the
@@ -110,14 +110,37 @@ class MeasurementModel:
         ready = np.eye(self.o_dim, 1, dtype=complex).ravel()
         return StateVector(self.so_layout(), np.kron(np.asarray(amplitudes, dtype=complex), ready))
 
+    def _turn(self, x: np.ndarray, t: float) -> np.ndarray:
+        """U(t) on the leading (s_dim, o_dim) axes of *x*, in place: each pair
+        (x[s, 0], x[s, s + 1]) turns by coupling * t; no other entry moves."""
+        s, angle = np.arange(self.s_dim), self.coupling * t
+        c, sn = math.cos(angle), math.sin(angle)
+        ready, pointer = x[s, 0], x[s, s + 1]
+        x[s, 0], x[s, s + 1] = ready * c - 1j * pointer * sn, -1j * ready * sn + pointer * c
+        return x
+
+    def rotate(self, state, t: float):
+        """exp(-i hamiltonian t) in closed form on a state of ``so_layout()``:
+        U psi of a StateVector, U rho U^dagger of a DensityMatrix."""
+        if state.layout != self.so_layout():
+            raise LayoutError(f"expected a state on {self.so_layout().subsystems}, "
+                              f"got {state.layout.subsystems}")
+
+        def turn(m):  # U m, for m one column or n of them
+            return self._turn(m.reshape(self.s_dim, self.o_dim, -1).copy(), t).reshape(m.shape)
+        if isinstance(state, StateVector):
+            return StateVector(state.layout, turn(state.amplitudes))
+        m = turn(turn(state.entries).conj().T)  # U (U rho)^dagger = U rho U^dagger
+        return DensityMatrix(state.layout, 0.5 * (m + m.conj().T))  # Hermitian to the last bit
+
     def transfer(self, amplitudes) -> np.ndarray:
-        """U(duration) (*amplitudes* (x) |O_0>) as an (s_dim, o_dim, ...) array: a_s
-        cos(coupling * duration) at (s, 0), -i a_s sin of it at (s, s + 1), else 0."""
+        """U(duration) (*amplitudes* (x) |O_0>) as an (s_dim, o_dim, ...) array,
+        ``rotate``'s ready-observer case: a_s cos(coupling * duration) at
+        (s, 0), -i a_s sin of it at (s, s + 1), else 0."""
         a = np.asarray(amplitudes, dtype=complex)
         out = np.zeros((self.s_dim, self.o_dim) + a.shape[1:], dtype=complex)
-        s, angle = np.arange(self.s_dim), self.coupling * self.duration
-        out[s, 0], out[s, s + 1] = a * math.cos(angle), -1j * a * math.sin(angle)
-        return out
+        out[:, 0] = a
+        return self._turn(out, self.duration)
 
 
 @dataclass(frozen=True)

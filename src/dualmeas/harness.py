@@ -380,15 +380,13 @@ def _correlation(a, b):
 
 
 def _pure_vs_mixture(psi: StateVector, amplitudes):
-    """<B> and the observer restriction of the premeasured pure state *psi* and
-    of the mixture of its branches b_i = |s_i>|O_i> with the same weights
-    |a_i|^2: sum_i |a_i|^2 <b_i|B|b_i> and sum_i |a_i|^2 |O_i><O_i|."""
+    """<B> on the premeasured pure state *psi* and on the mixture of its
+    branches b_i = |s_i>|O_i> with the same weights |a_i|^2, as
+    sum_i |a_i|^2 <b_i|B|b_i>: from vectors, no density."""
     b, weights = interference_operator(psi.layout), np.abs(amplitudes) ** 2
     branches = range(1, len(amplitudes) + 1)
     b_mixed = float(sum(w * discriminate(branch_state(psi.layout, i), b) for w, i in zip(weights, branches)))
-    pointers = [StateVector.basis(psi.layout.restrict((O_LABEL,)), {O_LABEL: i}) for i in branches]
-    return (discriminate(psi, b), b_mixed, restricted_state(psi, source_kind="pure_ensemble"),
-            restricted_state(DensityMatrix.mixture(weights, pointers), source_kind="mixed_ensemble"))
+    return discriminate(psi, b), b_mixed
 
 
 def run(scenario: Scenario):
@@ -461,7 +459,13 @@ def _perceive(scenario: Scenario, phi_d, pdf=None) -> DualState:
 def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     weights = branch_weights(psi)
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
-    b_pure, b_mixed, r_pure, r_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
+    b_pure, b_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
+    # The observer restrictions of psi and of the matched mixture, sum_i |a_i|^2 |O_i><O_i|.
+    pointers = [StateVector.basis(model.so_layout().restrict((O_LABEL,)), {O_LABEL: i})
+                for i in range(1, model.s_dim + 1)]
+    r_pure = restricted_state(psi, source_kind="pure_ensemble")
+    r_mixed = restricted_state(DensityMatrix.mixture(np.abs(scenario.amplitudes) ** 2, pointers),
+                               source_kind="mixed_ensemble")
     _, dist = breuer_distinguishable(r_pure, r_mixed)
 
     pdf = None
@@ -488,7 +492,6 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
 
 
 def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    rho0 = model.input_state(scenario.amplitudes).to_density()
     weights = branch_weights(psi)
     undone, persisted = None, 0
 
@@ -497,7 +500,7 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
         # dynamical chain is shared by all events; only the two draws differ.
         nonlocal undone, persisted
         undone = DualState(psi, len(u[0]), clock=scenario.delta_t).perceive(u[0]).undo(model)
-        state = undone.evolve(model.hamiltonian, model.duration).perceive(u[1])
+        state = undone.measure(model).perceive(u[1])
         # Textbook collapse on the same draws: the events whose re-measured
         # outcome is the one they collapsed onto.
         collapsed = state.steps[0][1]
@@ -505,7 +508,7 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
         return state
 
     records = _sample(scenario, events)
-    recovery = trace_distance(undone.phi_d.to_density(), rho0)
+    recovery = trace_distance(model.input_state(scenario.amplitudes), undone.phi_d)
     corr_dual = _correlation(records.steps[0][1], records.final_j)
     persistence = persisted / scenario.n_events
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
@@ -634,7 +637,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
 def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     """Matched dual and textbook-collapse ensembles, side by side."""
     fields, records = _run_undo(scenario, model, psi)
-    b_dual, b_baseline, *_ = _pure_vs_mixture(psi, scenario.amplitudes)
+    b_dual, b_baseline = _pure_vs_mixture(psi, scenario.amplitudes)
     fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
     fields["checks"].append(_check("interference discriminator: dual nonzero, baseline zero",
                                    b_baseline, abs(b_baseline) <= TOL_ALGEBRAIC))

@@ -10,29 +10,35 @@ observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     CompositeLayout,
-    InvariantError,
     LayoutError,
     LinearOperator,
+    StateVector,
     embed,
-    expectation,
 )
 from .dynamics import O_LABEL, S_LABEL, default_pointer_values
 
 
 @dataclass(frozen=True)
 class InterferenceObservable:
-    """Hermitian, traceless coherence probe between two measurement branches."""
+    """Hermitian, traceless coherence probe B = sum_k |r1_k><r2_k| + h.c.
+    between two measurement branches, kept as its rows: r1_k is branch i and
+    r2_k branch j, each beside the k-th basis state of the other subsystems."""
 
-    op: LinearOperator
+    layout: CompositeLayout
+    rows: tuple  # (r1, r2), index arrays into the flat basis of layout
 
-    def __post_init__(self):
-        if abs(np.trace(self.op.entries)) > 1e-12:
-            raise InvariantError("interference observable must be traceless")
+    @cached_property
+    def op(self) -> LinearOperator:
+        """B as a dense n x n operator, built on first use."""
+        b = np.zeros((self.layout.total_dim,) * 2, dtype=complex)
+        b[self.rows] = b[self.rows[::-1]] = 1.0
+        return LinearOperator(self.layout, b)
 
 
 def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> InterferenceObservable:
@@ -48,19 +54,22 @@ def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> Interfere
             raise LayoutError(f"branch index {b} invalid for dims S={s_d}, O={o_d}")
     if i == j:
         raise LayoutError("branch indices must differ")
-    s_flip = np.zeros((s_d, s_d), dtype=complex)
-    s_flip[i - 1, j - 1] = 1.0
-    o_flip = np.zeros((o_d, o_d), dtype=complex)
-    o_flip[i, j] = 1.0
-    half = embed(layout, {S_LABEL: s_flip, O_LABEL: o_flip})
-    b = half + half.conj().T
-    return InterferenceObservable(op=LinearOperator(layout, b))
+    axes = (layout.axis(S_LABEL), layout.axis(O_LABEL))
+    flat = np.moveaxis(np.arange(layout.total_dim).reshape(layout.dims), axes, (0, 1))
+    return InterferenceObservable(layout, (flat[i - 1, i].ravel(), flat[j - 1, j].ravel()))
 
 
 def discriminate(rho, b: InterferenceObservable) -> float:
-    """Expectation Tr(rho B): zero for branch mixtures, nonzero for coherent
+    """Expectation Tr(rho B) from the entries B pairs: 2 Re sum_k
+    conj(psi[r1_k]) psi[r2_k] of a StateVector, 2 Re sum_k rho[r2_k, r1_k] of
+    a DensityMatrix. Zero for branch mixtures, nonzero for coherent
     superpositions (2 Re(a_i a_j*) on the post-measurement pure state)."""
-    return expectation(rho, b.op)
+    if rho.layout != b.layout:
+        raise LayoutError("observable and state layouts differ")
+    r1, r2 = b.rows
+    if isinstance(rho, StateVector):
+        return 2.0 * float(np.vdot(rho.amplitudes[r1], rho.amplitudes[r2]).real)
+    return 2.0 * float(rho.entries[r2, r1].sum().real)
 
 
 def pointer_incompatibility(layout: CompositeLayout, b: InterferenceObservable, pointer_values=None) -> float:

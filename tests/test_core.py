@@ -361,6 +361,25 @@ class TestTraceDistance:
         b = DensityMatrix(qubit(), np.eye(2) / 2)
         assert abs(trace_distance(a, b) - 0.5) <= TOL_ALGEBRAIC
 
+    @given(n=st.integers(2, 40), log_eps=st.floats(-16.0, -3.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_pure_pair_matches_the_densities(self, n, log_eps, seed):
+        # Near-identical pure states: the vector form ||b - <a|b> a|| agrees
+        # with the eigenvalues of the n x n difference of the densities.
+        rng = np.random.default_rng(seed)
+        layout = CompositeLayout((("S", n),))
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = a / np.linalg.norm(a) + 10.0**log_eps * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        a, b = (StateVector(layout, v / np.linalg.norm(v)) for v in (a, b))
+        dense = trace_distance(b.to_density(), a.to_density())
+        assert abs(trace_distance(a, b) - dense) <= 1e-15
+        assert trace_distance(a, a) <= 1e-15
+
+    def test_pure_pair_makes_no_eigvalsh(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        b = StateVector(qubit(), [0.6, 0.8j])
+        assert abs(trace_distance(StateVector.basis(qubit(), {}), b) - 0.8) <= TOL_ALGEBRAIC
+
 
 class TestInvariantEnforcement:
     def test_unnormalized_state_rejected(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualmeas.core import (
     CompositeLayout,
+    DensityMatrix,
     InvariantError,
     LayoutError,
     StateVector,
@@ -193,6 +194,43 @@ class TestPremeasurement:
         got = run_premeasurement(psi_s, model)
         assert got.layout == want.layout
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-13)
+
+
+class TestRotate:
+    """``MeasurementModel.rotate``, the closed-form U(t), on any S (x) O input."""
+
+    @given(s_dim=st.integers(2, 5), extra_o=st.integers(1, 3), coupling=st.floats(-4.0, 4.0),
+           t=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1), density=st.booleans())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_equals_the_dense_unitary(self, s_dim, extra_o, coupling, t, seed, density):
+        # Complex inputs with weight off the ready state, any coupling, either sign of t.
+        model = MeasurementModel(s_dim=s_dim, o_dim=s_dim + extra_o, coupling=coupling, duration=1.0)
+        layout, n = model.so_layout(), s_dim * (s_dim + extra_o)
+        rng = np.random.default_rng(seed)
+        vs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        u = model.hamiltonian.unitary_at(t)
+        if density:
+            w = rng.dirichlet(np.ones(3))
+            state = DensityMatrix(layout, np.einsum("k,ki,kj->ij", w, vs, vs.conj()))
+            got, want = model.rotate(state, t).entries, u @ state.entries @ u.conj().T
+        else:
+            state = StateVector(layout, vs[0])
+            got, want = model.rotate(state, t).amplitudes, u @ state.amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_inverse_and_ready_case(self, model):
+        psi = model.input_state(s_state(0.6, 0.8j).amplitudes)
+        post = model.rotate(psi, model.duration)
+        premeasured = run_premeasurement(s_state(0.6, 0.8j), model)
+        np.testing.assert_array_equal(post.amplitudes, premeasured.amplitudes)
+        np.testing.assert_allclose(model.rotate(post, -model.duration).amplitudes, psi.amplitudes,
+                                   rtol=0, atol=1e-16)
+
+    def test_rejects_another_layout(self, model):
+        layout = CompositeLayout((("S", 2), ("O", 3), ("O2", 3)))
+        with pytest.raises(LayoutError):
+            model.rotate(StateVector.basis(layout, {}), 1.0)
 
 
 class TestDephasingHamiltonian:

@@ -53,6 +53,7 @@ from dualmeas.harness import (
     run,
 )
 from dualmeas.interference import interference_operator
+from dualmeas.restriction import restricted_state
 
 MINIMAL = """
 experiment: premeasure
@@ -426,20 +427,55 @@ class TestReductionBaselineCheck:
 @pytest.mark.parametrize("experiment, extra, calls", [
     ("premeasure", "", 0),
     ("premeasure", "perception_mode: sample\n", 1),
-    ("undo", "", 1),
-    ("reduction_compare", "", 1),
+    ("undo", "", 0),
+    ("reduction_compare", "", 0),
     ("perception_timing", "", 1),
     ("decohere", "env: {n_atoms: 2}\nn_times: 5\n", 0),
     ("two_observer", "", 0),
 ])
 def test_each_generator_is_diagonalized_once_per_run(monkeypatch, experiment, extra, calls):
-    # Premeasurement is the closed-form rotation; a run that evolves under the
-    # S (x) O generator (s_dim * o_dim = 6 wide) otherwise diagonalizes it once.
+    # Premeasurement, undo and re-measurement are the closed-form rotation; a
+    # run that samples perception times diagonalizes the S (x) O generator
+    # (s_dim * o_dim = 6 wide) once.
     eigh, seen = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or eigh(a))
     summary, _ = run(parse_scenario(MINIMAL.replace("premeasure", experiment) + extra))
     assert all(c["passed"] for c in summary.checks)
     assert seen == [(6, 6)] * calls
+
+
+@pytest.mark.parametrize("experiment", ["undo", "reduction_compare"])
+def test_undo_makes_no_eigh_eigvalsh_or_dense_unitary(monkeypatch, experiment):
+    # Reversal and re-measurement are the closed-form rotation, the recovery
+    # the distance of two vectors; complex amplitudes at s_dim 3.
+    amps = "[0.4472135954999579, [0.0, 0.5477225575051661], -0.7071067811865476]"
+    sc = parse_scenario(MINIMAL.replace("premeasure", experiment)
+                        .replace("[0.5477225575051661, 0.8366600265340756]", amps))
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=f, name=name: seen.append(name) or f(a))
+    monkeypatch.setattr(LinearOperator, "unitary_at", lambda self, t: seen.append("unitary_at"))
+    summary, _ = run(sc)
+    assert all(c["passed"] for c in summary.checks), summary.checks
+    assert seen == []
+
+
+def test_planted_reversal_error_fails_the_recovery_check(monkeypatch):
+    # A reversal whose coupling is off by 1e-6 leaves the undone state 1e-6
+    # from the input, at the acceptance size of 1e4 events.
+    sc = parse_scenario(MINIMAL.replace("premeasure", "undo").replace("n_events: 200", "n_events: 10000"))
+    value = {}
+    for planted in (False, True):
+        if planted:
+            undo = DualState.undo
+            monkeypatch.setattr(DualState, "undo", lambda self, model: undo(
+                self, replace(model, coupling=model.coupling + 1e-6)))
+        summary, _ = run(sc)
+        check = next(c for c in summary.checks if c["name"] == "undo restores the initial dynamical state")
+        assert check["passed"] is not planted
+        value[planted] = check["value"]
+    assert value[False] <= 1e-15 and value[True] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_premeasure_makes_no_eigh_and_only_observer_sized_eigvalsh(monkeypatch):
@@ -491,8 +527,7 @@ def test_premeasure_matches_the_dense_densities(s_dim, extra_o, weights, phases,
     b_pure, b_mixed, r_pure, r_mixed, dist = _dense_pure_vs_mixture(psi, sc.amplitudes)
     got = harness._pure_vs_mixture(psi, sc.amplitudes)
     assert abs(got[0] - b_pure) <= 1e-12 and abs(got[1] - b_mixed) <= 1e-12
-    for r, want in zip(got[2:], (r_pure, r_mixed)):
-        np.testing.assert_allclose(r.o_density.entries, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(restricted_state(psi).o_density.entries, r_pure, rtol=0, atol=1e-12)
     if angle is not None:
         return
     summary, _ = run(sc)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from dualmeas.core import (
+    CompositeLayout,
     DensityMatrix,
     InvariantError,
     LayoutError,
     LinearOperator,
     StateVector,
+    embed,
 )
 from dualmeas.dynamics import (
     EnvironmentModel,
@@ -105,6 +107,55 @@ class TestDiscrimination:
         psi = post_measurement((1 / math.sqrt(2), 1 / math.sqrt(2)))
         b = interference_operator(SO)
         assert discriminate(psi, b) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEntryForm:
+    """``discriminate`` reads B's entries; the dense ``op`` is built only on demand."""
+
+    @pytest.mark.parametrize("subsystems, branches", [
+        ((("S", 2), ("O", 3)), (1, 2)),
+        ((("S", 3), ("O", 5)), (3, 1)),
+        ((("S", 3), ("O", 4), ("E0", 2), ("E1", 2)), (2, 3)),
+        ((("E0", 2), ("O", 4), ("X", 3), ("S", 3)), (1, 3)),
+    ])
+    def test_matches_the_dense_operator(self, subsystems, branches):
+        layout = CompositeLayout(subsystems)
+        rng = np.random.default_rng(len(subsystems) + branches[0])
+        n = layout.total_dim
+        vs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        rho = DensityMatrix(layout, np.einsum("k,ki,kj->ij", [0.5, 0.3, 0.2], vs, vs.conj()))
+        psi = StateVector(layout, vs[0])
+        for state in (psi, rho):
+            b = interference_operator(layout, branches)
+            got = discriminate(state, b)
+            assert "op" not in vars(b)
+            m = b.op.entries
+            i, j = branches
+            s_d, o_d = layout.dim("S"), layout.dim("O")
+            s_flip, o_flip = np.zeros((2, s_d, s_d)), np.zeros((2, o_d, o_d))
+            s_flip[0, i - 1, j - 1] = s_flip[1, j - 1, i - 1] = o_flip[0, i, j] = o_flip[1, j, i] = 1.0
+            dense = sum(embed(layout, {"S": s_flip[k], "O": o_flip[k]}) for k in (0, 1))
+            np.testing.assert_array_equal(m, dense)
+            want = np.vdot(psi.amplitudes, m @ psi.amplitudes) if state is psi else np.trace(rho.entries @ m)
+            assert abs(got - want.real) <= 1e-14
+
+    def test_layout_mismatch_rejected(self):
+        b = interference_operator(SO)
+        with pytest.raises(LayoutError):
+            discriminate(StateVector.basis(CompositeLayout((("S", 2), ("O", 4))), {}), b)
+
+    def test_decohere_builds_no_kron(self, monkeypatch):
+        from dualmeas import core, interference
+        from dualmeas.harness import Scenario, run
+
+        calls = []
+        for module in (core, interference):
+            monkeypatch.setattr(module, "embed", lambda *a: calls.append(a))
+        sc = Scenario(experiment="decohere", amplitudes=np.array([0.6, 0.8j]), seed=3,
+                      n_events=50, env_atoms=3, n_times=4)
+        summary, _ = run(sc)
+        assert all(c["passed"] for c in summary.checks) and calls == []
 
 
 class TestPointerIncompatibility:
