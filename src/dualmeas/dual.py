@@ -8,8 +8,8 @@ back-reacts on the dynamical component, so an external observer sees unbroken
 Schrodinger evolution while the internal observer registers one definite
 outcome per event. Undoing the measurement erases the record, and a repeat
 measurement draws afresh. The textbook collapse comparator
-(`reduction_baseline`) runs the same chain on each event's collapsed branch
-instead, so its outcome survives the undo.
+(`reduction_baseline`) runs the same chain on each event's collapsed branch,
+all branches as rows of one array, so its outcome survives the undo.
 """
 
 from __future__ import annotations
@@ -34,16 +34,13 @@ from .dynamics import (
     branch_weights,
 )
 
-# Events per block of the Philox kernel, of a run's sampling loop and of the
-# events writer: bounds the temporaries of each, whatever the run's size.
+# Events per block of the Philox kernel, a run's sampling loop and the events writer, and
+# entries per stack of perception_time_pdf's unitaries: bounds the temporaries of each.
 EVENT_BLOCK = 1 << 14
 # A perception weight below this is treated as "branch absent".
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
 JUMP_TOL = 1e-12
-# Complex entries per stack of unitaries in perception_time_pdf: a whole
-# window at small layouts, one time per block at the dense cap.
-_PDF_BLOCK = 1 << 20
 # Buckets per CDF node in sample_perception_time's lookup table. At 16, about
 # 3% of draws from the perception density step past their bucket's node, by
 # at most 1 node at 201 nodes and 3 at 501.
@@ -242,14 +239,14 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     n = psi0.layout.total_dim
     on_o = np.arange(n) % model.o_dim  # each amplitude's pointer index
     masks = [(on_o == j)[:, None] for j in range(1, model.o_dim)]
-    block = max(1, _PDF_BLOCK // n**2)
+    block = max(1, EVENT_BLOCK // n**2)
 
     def raw(ts):
-        # A block of times at once: psi(t) from the stack of unitaries, then
-        # <psi| P H |psi> as (1, n) @ (n, 1) products, P a mask on the O
-        # axis. These give the bits of np.vdot on each time alone;
-        # np.sum(conj * x) does not, and the sampled perception times depend
-        # on those bits.
+        # A block of times at once, its stack of unitaries at most EVENT_BLOCK
+        # entries: psi(t) from the stack, then <psi| P H |psi> as (1, n) @
+        # (n, 1) products, P a mask on the O axis. These give the bits of
+        # np.vdot on each time alone; np.sum(conj * x) does not, and the
+        # sampled perception times depend on those bits.
         out = np.empty(len(ts))
         for lo in range(0, len(ts), block):
             psi = h.unitary_at(ts[lo:lo + block]) @ psi0.amplitudes
@@ -317,6 +314,21 @@ def jump_forbidden(H: LinearOperator, t: float):
     return bool(np.max(p - np.diag(np.diag(p))) <= JUMP_TOL), p
 
 
+def _draw_perceived(w: np.ndarray, u):
+    """``draw_index(w, u)`` of a completed measurement's pointer weights *w*, the ready state absent."""
+    if w[0] > READY_WEIGHT_TOL:
+        raise InvariantError(f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}")
+    w[0] = 0.0  # absent; its residue, cos^2(pi/2) ~ 4e-33, would take a uniform of 0.0
+    return draw_index(w, u)
+
+
+def _check_undone(w: np.ndarray):
+    """Pointer weights *w* of a reversal must be back on the ready state."""
+    if w[0] < 1.0 - READY_WEIGHT_TOL:
+        raise InvariantError("reversal did not return the observer to its ready state; "
+                             "the state was not a post-measurement state of this model")
+
+
 @dataclass(frozen=True)
 class DualState:
     """The dual state of ``n_events`` events: one dynamical state, per-event records.
@@ -366,13 +378,7 @@ class DualState:
         private records change. Requires the measurement to have completed
         (no residual ready-state weight).
         """
-        w = branch_weights(self.phi_d)
-        if w[0] > READY_WEIGHT_TOL:
-            raise InvariantError(
-                f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}"
-            )
-        w[0] = 0.0  # absent; its residue, cos^2(pi/2) ~ 4e-33, would take a uniform of 0.0
-        return self.record(self.clock if t is None else t, draw_index(w, u))
+        return self.record(self.clock if t is None else t, _draw_perceived(branch_weights(self.phi_d), u))
 
     def evolve(self, H: LinearOperator, t: float, u=None) -> DualState:
         """Advance ``phi_d`` by exp(-iHt); the records obey the no-jump rule.
@@ -410,11 +416,7 @@ class DualState:
         if not np.any(self.final_j):
             raise InvariantError("nothing to undo: no perception record is set")
         phi_d = model.rotate(self.phi_d, -model.duration)
-        if branch_weights(phi_d)[0] < 1.0 - READY_WEIGHT_TOL:
-            raise InvariantError(
-                "reversal did not return the observer to its ready state; "
-                "the state was not a post-measurement state of this model"
-            )
+        _check_undone(branch_weights(phi_d))
         out = replace(self, phi_d=phi_d, clock=self.clock + model.duration,
                       flags=self.flags + ("undo",))
         return out.record(out.clock, 0)
@@ -423,21 +425,24 @@ class DualState:
 def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
     """Textbook collapse comparator over an ensemble: each event's re-measured index.
 
-    Event e collapses S onto its record ``collapsed[e]`` in 1..s_dim, leaving
-    the branch |s_j>|O_j> with the record j. The events that share a
-    collapsed index j run one chain: undo, the measurement again, and
-    perceive a fresh record, one per uniform in the column *u*. The undo
-    rewinds the observer but not the collapse, so every event re-measures its
-    collapsed index; this persistence is the discriminating prediction
-    against the dual model. An event whose record is no system index is not
-    re-measured and gets -1.
+    Event e collapses S onto its record, the pointer index ``collapsed[e]``,
+    leaving the branch |s_j>|O_j> with the record j if it is a system index
+    (1..s_dim). Its chain (undo, the measurement again, a fresh record per
+    uniform in [0, 1) of the column *u*) stays on the row s_j, so the chains
+    are the rows of one (s_dim, o_dim) array. The undo rewinds the observer
+    but not the collapse, so every event re-measures its collapsed index;
+    this persistence is the discriminating prediction against the dual
+    model. An event whose record is no system index gets -1.
     """
+    chains = np.eye(model.s_dim, model.o_dim, 1, dtype=complex)  # row j - 1: |O_j> of chain j
+    turned = np.stack([model._turn(chains, -model.duration).copy(), model._turn(chains, model.duration)])
+    p = np.clip((turned * turned.conj()).real, 0.0, None)
+    undone, measured = p / p.sum(axis=2, keepdims=True)  # each chain's branch_weights
+    order = np.argsort(collapsed, kind="stable")  # the events of each j: one sort, not a scan per j
+    ends = np.cumsum(np.bincount(collapsed, minlength=model.s_dim + 1))
     fresh = np.full_like(collapsed, -1)
-    for j in range(1, model.s_dim + 1):
-        events = collapsed == j
-        if not events.any():
-            continue
-        state = DualState(branch_state(model.so_layout(), j), np.count_nonzero(events),
-                          clock=model.duration).record(model.duration, j).undo(model)
-        fresh[events] = state.measure(model).perceive(u[events]).final_j
+    for row in np.flatnonzero(ends[1:model.s_dim + 1] > ends[:model.s_dim]):  # j = row + 1
+        events = order[ends[row]:ends[row + 1]]
+        _check_undone(undone[row])
+        fresh[events] = _draw_perceived(measured[row], u[events])
     return fresh

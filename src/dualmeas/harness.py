@@ -56,7 +56,6 @@ from .dynamics import (
     EnvironmentModel,
     MeasurementModel,
     attach_environment,
-    branch_state,
     branch_weights,
     default_pointer_values,
     offdiag_suppression,
@@ -381,12 +380,12 @@ def _correlation(a, b):
 
 def _pure_vs_mixture(psi: StateVector, amplitudes):
     """<B> on the premeasured pure state *psi* and on the mixture of its
-    branches b_i = |s_i>|O_i> with the same weights |a_i|^2, as
-    sum_i |a_i|^2 <b_i|B|b_i>: from vectors, no density."""
+    branches b_i = |s_i>|O_i> with the same weights |a_i|^2, sum_i |a_i|^2
+    <b_i|B|b_i>: b_i is 1 on one row, so 2 per pair of the probe's rows on it."""
     b, weights = interference_operator(psi.layout), np.abs(amplitudes) ** 2
-    branches = range(1, len(amplitudes) + 1)
-    b_mixed = float(sum(w * discriminate(branch_state(psi.layout, i), b) for w, i in zip(weights, branches)))
-    return discriminate(psi, b), b_mixed
+    rows = np.array([[psi.layout.flat_index({S_LABEL: i, O_LABEL: i + 1})] for i in range(len(weights))])
+    on_both = (b.rows[0] == rows) & (b.rows[1] == rows)  # one row per branch
+    return discriminate(psi, b), float(sum(weights * (2.0 * on_both.sum(axis=1))))
 
 
 def run(scenario: Scenario):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -318,12 +319,24 @@ class TestPerceptionTiming:
         grid = delta_t * np.linspace(*span, n_times)
         # A small block constant makes both the internal window and the
         # caller's grid cross block boundaries.
-        size = dual._PDF_BLOCK if block is None else block * model.so_layout().total_dim ** 2
-        with patch.object(dual, "_PDF_BLOCK", size):
+        size = dual.EVENT_BLOCK if block is None else block * model.so_layout().total_dim ** 2
+        with patch.object(dual, "EVENT_BLOCK", size):
             pdf = perception_time_pdf(model, amps, grid)
         density, c_p = _per_point_pdf(model, amps, grid)
         assert np.array_equal(pdf.density.view(np.uint64), density.view(np.uint64))
         assert pdf.normalization.hex() == c_p.hex()
+
+    @pytest.mark.parametrize("amps", [(0.6, 0.8j), (0.5, 0.5j, -0.5, 0.5 * np.exp(0.7j))])
+    def test_density_bits_do_not_depend_on_the_stack_size(self, amps, monkeypatch):
+        model = MeasurementModel.calibrated(s_dim=len(amps), o_dim=len(amps) + 1)
+        grid = np.linspace(0.0, model.duration, 201)
+        pdfs = []
+        for times in (1, 7, 2001):  # per stack: one time, a few, the whole window
+            monkeypatch.setattr(dual, "EVENT_BLOCK", times * model.so_layout().total_dim ** 2)
+            pdfs.append(perception_time_pdf(model, amps, grid))
+        for pdf in pdfs[1:]:
+            assert pdf.density.tobytes() == pdfs[0].density.tobytes()
+            assert pdf.normalization.hex() == pdfs[0].normalization.hex()
 
     @pytest.mark.parametrize("grid", [[], 0.5, [[0.1, 0.2]], [0.0, math.nan], [math.inf]])
     def test_malformed_grid_rejected(self, grid):
@@ -561,8 +574,61 @@ def collapse_records(amplitudes, n, seed):
     return model, DualState(psi, n, clock=model.duration).perceive(u[:, 0]).final_j, u[:, 1]
 
 
+def chain_baseline(model, collapsed, u):
+    """``reduction_baseline`` as one DualState chain per collapsed index j:
+    the branch |s_j>|O_j> with the record j, undone, measured again and
+    perceived with the uniforms of the events that collapsed onto j."""
+    fresh = np.full_like(collapsed, -1)
+    for j in range(1, model.s_dim + 1):
+        events = collapsed == j
+        if events.any():
+            state = DualState(branch_state(model.so_layout(), j), np.count_nonzero(events),
+                              clock=model.duration).record(model.duration, j)
+            fresh[events] = state.undo(model).measure(model).perceive(u[events]).final_j
+    return fresh
+
+
 class TestReductionBaseline:
     """The collapse comparator on an ensemble's first records."""
+
+    @given(
+        s_dim=st.integers(2, 6),
+        extra_o=st.integers(1, 3),
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+        seed=st.sampled_from([56, 57]),
+        edge=st.sampled_from([None, 2.0**-53, 1.0 - 2.0**-53]),
+        angle=st.sampled_from([None, math.pi / 2 + 1e-5, 1.0]),
+    )
+    @example(s_dim=6, extra_o=3, parts=[0.5, 0.0, -0.3, 0.2, 0.1, 0.4] * 2, seed=56, edge=None,
+             angle=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_per_chain_form(self, s_dim, extra_o, parts, seed, edge, angle):
+        # Element by element and in dtype, or in the error the first failing
+        # chain raises (an off-calibration coupling near pi/2 passes the
+        # undo's check, 1.0 does not). The first records include indices
+        # that name no system state.
+        amps = np.array(parts[:s_dim]) + 1j * np.array(parts[6:6 + s_dim])
+        assume(np.linalg.norm(amps) > 0.1)
+        amps /= np.linalg.norm(amps)
+        calibrated = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
+        model = calibrated if angle is None else replace(calibrated, coupling=angle)
+        psi = run_premeasurement(StateVector(model.s_layout(), amps), calibrated)
+        u = event_uniforms(seed, 400)
+        collapsed = DualState(psi, 400, clock=model.duration).perceive(u[:, 0]).final_j
+        collapsed[:3] = [0, s_dim + 1, model.o_dim - 1]
+        fresh = u[:, 1] if edge is None else np.full(400, edge)
+
+        def outcome(comparator):
+            try:
+                return comparator(model, collapsed, fresh)
+            except InvariantError as err:
+                return str(err)
+        got, want = outcome(reduction_baseline), outcome(chain_baseline)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_collapsed_state_is_an_eigenstate(self):
         # Undone and measured again, each collapsed branch is back on the

@@ -52,7 +52,7 @@ from dualmeas.harness import (
     parse_scenario,
     run,
 )
-from dualmeas.interference import interference_operator
+from dualmeas.interference import discriminate, interference_operator
 from dualmeas.restriction import restricted_state
 
 MINIMAL = """
@@ -503,6 +503,26 @@ def _dense_pure_vs_mixture(psi: StateVector, amps):
     r_pure, r_mixed = (np.trace(m.reshape(dims + dims), axis1=0, axis2=2) for m in (rho, mixed))
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(r_pure - r_mixed)))
     return np.trace(rho @ b).real, np.trace(mixed @ b).real, r_pure, r_mixed, dist
+
+
+@given(
+    s_dim=st.integers(2, 5),
+    extra_o=st.integers(1, 3),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mixed_probe_matches_the_branch_vectors(s_dim, extra_o, parts):
+    # b_mixed from the probe's rows has the bits of the sum over the
+    # full-size branch vectors |s_i>|O_i>.
+    amps = np.array(parts[:s_dim]) + 1j * np.array(parts[5:5 + s_dim])
+    assume(np.linalg.norm(amps) > 0.1)
+    amps /= np.linalg.norm(amps)
+    model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
+    psi = run_premeasurement(StateVector(model.s_layout(), amps), model)
+    b = interference_operator(psi.layout)
+    want = float(sum(abs(a) ** 2 * discriminate(branch_state(psi.layout, i), b)
+                     for i, a in enumerate(amps, start=1)))
+    assert harness._pure_vs_mixture(psi, amps)[1].hex() == want.hex()
 
 
 @given(
