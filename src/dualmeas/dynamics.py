@@ -235,37 +235,36 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
 
     At time t the state is exp(-i h t) * psi, h the phase vector of
     ``build_dephasing_hamiltonian``. With S and O leading, it is a matrix M
-    whose row s * o_dim + o is the rest of the system beside |s>|O_o>, and the
-    reduced state is rho_SO = M M^dagger. Returns an iterator of (rho_SO,
-    overlap) per time, each formed only when it is asked for, so a caller that
-    consumes them in turn keeps no rho_SO past its time. The overlap is the
-    simulated <E_1(t)|E_2(t)> of the environment states tied to the first two
-    pointer branches, rows r_i = (i - 1) * o_dim + i, read from rho_SO as
-    rho[r_2, r_1] / sqrt(rho[r_1, r_1] rho[r_2, r_2]) (independent of the
-    closed-form cosine product, which tests compare against). That includes
-    the relative phase of the two branch amplitudes, divided out as the phase
-    of the input state's own value (the |+> bath starts at overlap 1). It is 1
-    when a branch is empty: no coherence to suppress. The layout is checked,
-    and the phase vector built, before this returns.
+    whose row s * o_dim + o is the rest of the system beside |s>|O_o>; only
+    the rows r_i = (i - 1) * o_dim + i of the first two pointer branches are
+    evolved. Returns an iterator of (coherence, overlap) per time, each formed
+    only when it is asked for. The coherence is <row r_1|row r_2>, the entry
+    rho_SO[r_2, r_1] of the reduced state rho_SO = M M^dagger. The overlap is
+    the simulated <E_1(t)|E_2(t)> of the environment states tied to the two
+    branches, the coherence over the two row norms, which the phases leave
+    as they are (independent of the closed-form cosine product, which tests
+    compare against). That includes the relative phase of the two branch
+    amplitudes, divided out as the phase of the input state's own value (the
+    |+> bath starts at overlap 1). It is 1 when a branch is empty: no
+    coherence to suppress. The layout is checked, and the phase vector built,
+    before this returns.
     """
     labels, dims = state.layout.labels, state.layout.dims
     if labels[:2] != (S_LABEL, O_LABEL):
         raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, got {labels}")
-    generator = -1j * build_dephasing_hamiltonian(env, state.layout)
-    so = state.layout.restrict((S_LABEL, O_LABEL))
-    r1, r2 = 1, dims[1] + 2
+    rows, n_so = [1, dims[1] + 2], dims[0] * dims[1]
+    generator = -1j * build_dephasing_hamiltonian(env, state.layout).reshape(n_so, -1)[rows]
+    psi = state.amplitudes.reshape(n_so, -1)[rows]
+    w1, w2 = (psi * psi.conj()).real.sum(axis=1)  # a phase keeps each row's norm
+    empty = min(w1, w2) < EMPTY_BRANCH_NORM**2
+    unphase = 1.0 if empty else np.exp(-1j * np.angle(np.vdot(*psi))) / math.sqrt(w1 * w2)
 
     def at(t):
-        m = (np.exp(generator * t) * state.amplitudes).reshape(dims[0] * dims[1], -1)
-        rho = DensityMatrix(so, m @ m.conj().T)
-        w1, w2 = rho.entries[r1, r1].real, rho.entries[r2, r2].real
-        if min(w1, w2) < EMPTY_BRANCH_NORM**2:
-            return rho, 1.0 + 0j
-        return rho, complex(rho.entries[r2, r1] / math.sqrt(w1 * w2))
+        m1, m2 = np.exp(generator * t) * psi
+        coherence = np.vdot(m1, m2)
+        return coherence, 1.0 + 0j if empty else complex(coherence * unphase)
 
-    unphase = np.exp(-1j * np.angle(at(0.0)[1]))
-    return ((rho, complex(overlap * unphase))
-            for rho, overlap in map(at, np.asarray(times, dtype=float)))
+    return map(at, np.asarray(times, dtype=float))
 
 
 def branch_state(layout: CompositeLayout, i: int) -> StateVector:

@@ -224,10 +224,7 @@ def _amplitudes(value, key):
     out = []
     for pos, x in enumerate(value):
         parts = x if isinstance(x, list) and len(x) == 2 else [x]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
-            raise ScenarioError(
-                f"{key}[{pos}]: expected a real number or a [re, im] pair, got {x!r}")
-        out.append(complex(*parts))
+        out.append(complex(*(_convert(float, part, f"{key}[{pos}]") for part in parts)))
     return out
 
 
@@ -460,10 +457,10 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
     b_pure, b_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
     # The observer restrictions of psi and of the matched mixture, sum_i |a_i|^2 |O_i><O_i|.
-    pointers = [StateVector.basis(model.so_layout().restrict((O_LABEL,)), {O_LABEL: i})
-                for i in range(1, model.s_dim + 1)]
+    mixed = np.zeros(model.o_dim, dtype=complex)
+    mixed[1:1 + model.s_dim] = np.abs(scenario.amplitudes) ** 2
     r_pure = restricted_state(psi, source_kind="pure_ensemble")
-    r_mixed = restricted_state(DensityMatrix.mixture(np.abs(scenario.amplitudes) ** 2, pointers),
+    r_mixed = restricted_state(DensityMatrix(model.so_layout().restrict((O_LABEL,)), np.diag(mixed)),
                                source_kind="mixed_ensemble")
     _, dist = breuer_distinguishable(r_pure, r_mixed)
 
@@ -599,9 +596,9 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
     formula = [offdiag_suppression(env, float(t)) for t in times]
     simulated, b_vals = [], []
-    for rho, overlap in run_decoherence(psi_full, env, times):  # no rho_SO outlives its time
+    for coherence, overlap in run_decoherence(psi_full, env, times):
         simulated.append(overlap)
-        b_vals.append(discriminate(rho, b_so))
+        b_vals.append(2.0 * coherence.real)  # discriminate(rho_SO, b_so): 2 Re rho_SO[r_2, r_1]
     # The cosine product is the decay of the coherence of branches 1 and 2;
     # with either branch empty there is none to compare (the simulated factor
     # is then 1).

@@ -32,6 +32,7 @@ from dualmeas.dynamics import (
     run_decoherence,
     run_premeasurement,
 )
+from dualmeas.interference import discriminate, interference_operator
 
 
 def s_state(*amps):
@@ -292,23 +293,28 @@ class TestDecoherence:
     def test_branch_weights_untouched(self, model):
         env = EnvironmentModel.default(4, model.o_dim)
         psi = attach_environment(run_premeasurement(s_state(0.6, 0.8), model), env)
-        w0 = branch_weights(psi)
-        ((out, _),) = run_decoherence(psi, env, [0.83])
-        np.testing.assert_allclose(branch_weights(out), w0, atol=TOL_ALGEBRAIC)
+        h = build_dephasing_hamiltonian(env, psi.layout)
+        out = StateVector(psi.layout, np.exp(-1j * h * 0.83) * psi.amplitudes)
+        np.testing.assert_allclose(branch_weights(out), branch_weights(psi), atol=TOL_ALGEBRAIC)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         s_dim=st.integers(2, 4),
+        extra_o=st.integers(1, 3),
+        empty=st.sampled_from([None, 1, 2]),
         n_atoms=st.integers(0, 5),
         t=st.floats(-3.0, 3.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_phase_vector_matches_dense_generator(self, seed, s_dim, n_atoms, t):
-        # Complex amplitudes with nonzero branches 1 and 2; reference: the
-        # dense sum_k g_k embed(q (x) sigma_z^(k)) through evolve_unitary.
+    def test_phase_vector_matches_dense_generator(self, seed, s_dim, extra_o, empty, n_atoms, t):
+        # Complex amplitudes, o_dim from s_dim + 1 to s_dim + 3, branch 1 or 2
+        # possibly empty; reference: the dense sum_k g_k embed(q (x)
+        # sigma_z^(k)) through evolve_unitary, reduced to S (x) O.
         rng = np.random.default_rng(seed)
         amps = rng.uniform(0.1, 1.0, s_dim) * np.exp(2j * np.pi * rng.random(s_dim))
-        model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + 1)
+        if empty is not None:
+            amps[empty - 1] = 0.0
+        model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
         env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.0, 2.0, n_atoms))
         psi = attach_environment(run_premeasurement(s_state(*amps), model), env)
         layout = psi.layout
@@ -319,11 +325,15 @@ class TestDecoherence:
         want = evolve_unitary(psi, LinearOperator(layout, h), t)
         got = np.exp(-1j * build_dephasing_hamiltonian(env, layout) * t) * psi.amplitudes
         np.testing.assert_allclose(got, want.amplitudes, rtol=0, atol=1e-12)
-        ((rho, factor),) = run_decoherence(psi, env, [t])
+        ((coherence, factor),) = run_decoherence(psi, env, [t])
+        r1, r2 = 1, model.o_dim + 2  # |s_0 O_1> and |s_1 O_2>
         reduced = partial_trace(want.to_density(), {"S", "O"})
-        assert rho.layout == reduced.layout
-        np.testing.assert_allclose(rho.entries, reduced.entries, rtol=0, atol=1e-12)
-        assert abs(factor - offdiag_suppression(env, t)) <= 1e-10
+        assert abs(coherence - reduced.entries[r2, r1]) <= 1e-12
+        # The interference probe on S (x) O reads 2 Re of that one entry.
+        b = discriminate(reduced, interference_operator(reduced.layout))
+        assert abs(2.0 * coherence.real - b) <= 1e-12
+        want_factor = 1.0 if empty else offdiag_suppression(env, t)
+        assert abs(factor - want_factor) <= 1e-10
 
     def test_overlap_needs_system_and_observer_leading(self, model):
         env = EnvironmentModel.default(2, model.o_dim)

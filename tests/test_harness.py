@@ -99,6 +99,18 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"amplitudes\[1\]"):
             parse_scenario("experiment: premeasure\namplitudes: [0.6, notanumber]\nseed: 1\n")
 
+    @pytest.mark.parametrize("entry", ["true", "[0.6, false]", "[notanumber, 0.0]"])
+    def test_amplitude_entry_names_its_position(self, entry):
+        with pytest.raises(ScenarioError, match=r"^amplitudes\[1\]: "):
+            parse_scenario(f"experiment: premeasure\namplitudes: [0.6, {entry}]\nseed: 1\n")
+
+    def test_amplitudes_in_exponent_form(self):
+        # PyYAML reads 6e-1, without a decimal point, as a string; an
+        # amplitude converts it as every other real key does.
+        sc = parse_scenario("experiment: premeasure\namplitudes: [6e-1, [0, 8e-1]]\nseed: 1\n")
+        want = parse_scenario("experiment: premeasure\namplitudes: [0.6, [0, 0.8]]\nseed: 1\n")
+        np.testing.assert_array_equal(sc.amplitudes, want.amplitudes)
+
     def test_unnormalized_amplitudes_warn_and_normalize(self):
         with pytest.warns(UserWarning, match="normaliz"):
             sc = parse_scenario("experiment: premeasure\namplitudes: [3.0, 4.0]\nseed: 1\n")
@@ -265,8 +277,9 @@ class TestRunner:
         # At 9 atoms one S x O x E state is 48 KiB: the states of all 1000
         # times would be 47 MiB, where one time at a time holds a few vectors.
         (2, 9, 1000),
-        # At s_dim 12 one reduced state is 156 x 156, 380 KiB: those of all
-        # 100 times would be 37 MiB, where the 2-atom states are 10 KiB each.
+        # At s_dim 12 one reduced state would be 156 x 156, 380 KiB, and
+        # those of all 100 times 37 MiB; a time reads two rows of 4 entries
+        # of the 10 KiB 2-atom state.
         (12, 2, 100),
     ])
     def test_decohere_memory_does_not_grow_with_the_time_grid(self, s_dim, n_atoms, n_times):
@@ -444,13 +457,15 @@ def test_each_generator_is_diagonalized_once_per_run(monkeypatch, experiment, ex
     assert seen == [(6, 6)] * calls
 
 
-@pytest.mark.parametrize("experiment", ["undo", "reduction_compare"])
-def test_undo_makes_no_eigh_eigvalsh_or_dense_unitary(monkeypatch, experiment):
+@pytest.mark.parametrize("experiment", ["undo", "reduction_compare", "decohere"])
+def test_undo_and_decohere_make_no_eigh_eigvalsh_or_dense_unitary(monkeypatch, experiment):
     # Reversal and re-measurement are the closed-form rotation, the recovery
-    # the distance of two vectors; complex amplitudes at s_dim 3.
+    # the distance of two vectors; decohere reads two rows of the dephased
+    # state, with no reduced state to validate. Complex amplitudes at s_dim 3.
     amps = "[0.4472135954999579, [0.0, 0.5477225575051661], -0.7071067811865476]"
+    extra = "env: {n_atoms: 2}\nn_times: 5\n" if experiment == "decohere" else ""
     sc = parse_scenario(MINIMAL.replace("premeasure", experiment)
-                        .replace("[0.5477225575051661, 0.8366600265340756]", amps))
+                        .replace("[0.5477225575051661, 0.8366600265340756]", amps) + extra)
     seen = []
     for name in ("eigh", "eigvalsh"):
         f = getattr(np.linalg, name)
@@ -980,6 +995,7 @@ class TestCli:
             MINIMAL + "env: {coupling_range: [false, true]}\n",
             MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[true, false]"),
             MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[[0.6, true], 0.8]"),
+            MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", f"[{10**400}, 1]"),
         ],
         ids=[
             "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -995,7 +1011,7 @@ class TestCli:
             "output_empty_list", "output_empty_string", "timing_past_pi", "timing_at_pi",
             "sample_past_pi", "decohere_t_max_past_rounding_floor", "delta_t_yes",
             "lambda_true", "t_max_true", "coupling_range_bool", "amplitudes_bool",
-            "amplitude_pair_bool",
+            "amplitude_pair_bool", "amplitude_past_float_range",
         ],
     )
     def test_invalid_scenario_exit_two(self, tmp_path, capsys, body):
