@@ -30,7 +30,6 @@ from .dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
-    branch_state,
     branch_weights,
 )
 
@@ -303,14 +302,14 @@ def jump_forbidden(H: LinearOperator, t: float):
     """No-spontaneous-jump rule between post-measurement branches.
 
     Computes the transition matrix P'_ij = |<Psi_i| U(t) |Psi_j>|^2 over the
-    branch states |s_i>|O_i> of the generator's layout. Returns
+    branch states |s_i>|O_i> of the generator's layout. Each is one basis
+    state, so P' is |U(t)|^2 at their rows and columns. Returns
     ``(forbidden, P')`` where forbidden is True iff every off-diagonal entry
     vanishes, in which case the perception records must be held fixed.
     """
     layout = H.layout
-    branches = np.array([branch_state(layout, i).amplitudes
-                         for i in range(1, layout.dim(S_LABEL) + 1)])
-    p = np.abs(branches.conj() @ H.unitary_at(t) @ branches.T) ** 2
+    rows = [layout.flat_index({S_LABEL: i - 1, O_LABEL: i}) for i in range(1, layout.dim(S_LABEL) + 1)]
+    p = np.abs(H.unitary_at(t)[np.ix_(rows, rows)]) ** 2
     return bool(np.max(p - np.diag(np.diag(p))) <= JUMP_TOL), p
 
 

@@ -267,11 +267,6 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     return map(at, np.asarray(times, dtype=float))
 
 
-def branch_state(layout: CompositeLayout, i: int) -> StateVector:
-    """Post-measurement branch |s_i>|O_i> (remaining subsystems at index 0)."""
-    return StateVector.basis(layout, {S_LABEL: i - 1, O_LABEL: i})
-
-
 def branch_weights(state, observer=O_LABEL) -> np.ndarray:
     """Pointer weights P_j = Tr(P_j rho) over the *observer* basis: the
     diagonal of the state (|psi|^2, or Re diag rho) reshaped to the layout's

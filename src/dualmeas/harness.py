@@ -65,15 +65,6 @@ from .dynamics import (
 from .interference import discriminate, interference_operator
 from .restriction import breuer_distinguishable, restricted_state
 
-EXPERIMENTS = (
-    "premeasure",
-    "undo",
-    "two_observer",
-    "decohere",
-    "reduction_compare",
-    "perception_timing",
-)
-
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
@@ -137,7 +128,9 @@ class Scenario:
         scale = 1.0
         if norm in (0.0, math.inf) and np.any(amps):  # the squares under- or overflowed
             scale = float(np.abs([amps.real, amps.imag]).max())
-            amps = amps / scale
+            # Part by part: numpy divides a complex array by a real scalar
+            # through its reciprocal, which overflows for a subnormal scale.
+            amps = amps.real / scale + 1j * (amps.imag / scale)
             norm = float(np.linalg.norm(amps))
         if norm == 0:
             raise ScenarioError("amplitudes are all zero")
@@ -394,17 +387,9 @@ def run(scenario: Scenario):
     the one sampling loop ``_sample``: event ``eid``'s two uniforms come from
     its counter-based substream, the row ``eid`` of ``event_uniforms``.
     """
-    runner = {
-        "premeasure": _run_premeasure,
-        "undo": _run_undo,
-        "two_observer": _run_two_observer,
-        "decohere": _run_decohere,
-        "reduction_compare": _run_reduction_compare,
-        "perception_timing": _run_perception_timing,
-    }[scenario.experiment]
     model = scenario.model()
     psi = run_premeasurement(StateVector(model.s_layout(), scenario.amplitudes), model)
-    fields, records = runner(scenario, model, psi)
+    fields, records = _RUNNERS[scenario.experiment](scenario, model, psi)
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
     summary = RunSummary(
         experiment=scenario.experiment,
@@ -670,6 +655,19 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: Sta
             freq_check,
         ],
     ), records
+
+
+# Each experiment's runner: the one list of experiments, in the order a
+# scenario error names them.
+_RUNNERS = {
+    "premeasure": _run_premeasure,
+    "undo": _run_undo,
+    "two_observer": _run_two_observer,
+    "decohere": _run_decohere,
+    "reduction_compare": _run_reduction_compare,
+    "perception_timing": _run_perception_timing,
+}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # Bytes per block of the events writer's matrix, so its temporaries stay

@@ -10,17 +10,10 @@ observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    CompositeLayout,
-    LayoutError,
-    LinearOperator,
-    StateVector,
-    embed,
-)
+from .core import CompositeLayout, LayoutError, StateVector
 from .dynamics import O_LABEL, S_LABEL, default_pointer_values
 
 
@@ -32,13 +25,6 @@ class InterferenceObservable:
 
     layout: CompositeLayout
     rows: tuple  # (r1, r2), index arrays into the flat basis of layout
-
-    @cached_property
-    def op(self) -> LinearOperator:
-        """B as a dense n x n operator, built on first use."""
-        b = np.zeros((self.layout.total_dim,) * 2, dtype=complex)
-        b[self.rows] = b[self.rows[::-1]] = 1.0
-        return LinearOperator(self.layout, b)
 
 
 def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> InterferenceObservable:
@@ -74,9 +60,17 @@ def discriminate(rho, b: InterferenceObservable) -> float:
 
 def pointer_incompatibility(layout: CompositeLayout, b: InterferenceObservable, pointer_values=None) -> float:
     """Operator norm of [Q_O, B]; positive whenever the branch pointer values
-    differ, which is why the internal observer cannot probe B."""
+    differ, which is why the internal observer cannot probe B.
+
+    B pairs disjoint rows (r1_k, r2_k), so [Q_O, B] is block-diagonal, each
+    block (q(r1_k) - q(r2_k)) [[0, 1], [-1, 0]] with q(r) the pointer value of
+    row r's O index: the norm is the largest |q(r1_k) - q(r2_k)|.
+    """
+    if b.layout != layout:
+        raise LayoutError("observable and pointer layouts differ")
     o_d = layout.dim(O_LABEL)
     q = default_pointer_values(o_d) if pointer_values is None else np.asarray(pointer_values, float)
-    q_op = embed(layout, {O_LABEL: np.diag(q.astype(complex))})
-    comm = q_op @ b.op.entries - b.op.entries @ q_op
-    return float(np.linalg.norm(comm, ord=2))
+    if q.shape != (o_d,):
+        raise LayoutError(f"pointer values of shape {q.shape}, expected ({o_d},)")
+    r1, r2 = (np.unravel_index(r, layout.dims)[layout.axis(O_LABEL)] for r in b.rows)
+    return float(np.max(np.abs(q[r1] - q[r2])))

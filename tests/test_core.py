@@ -22,7 +22,7 @@ from dualmeas.core import (
     projector,
     trace_distance,
 )
-from dualmeas.dynamics import MeasurementModel, branch_state, run_premeasurement
+from dualmeas.dynamics import MeasurementModel, run_premeasurement
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0 + 0j, -1.0 + 0j])
@@ -181,7 +181,7 @@ class TestMixture:
         model = MeasurementModel.calibrated(s_dim=20, o_dim=21)
         s = StateVector(model.s_layout(), np.full(20, 20 ** -0.5))
         layout = run_premeasurement(s, model).layout
-        branches = [branch_state(layout, i) for i in range(1, 21)]
+        branches = [StateVector.basis(layout, {"S": i - 1, "O": i}) for i in range(1, 21)]
         DensityMatrix.mixture(np.full(2, 0.5), branches[:2])  # numpy's first-use allocations
         calls = []
         eigvalsh = np.linalg.eigvalsh

@@ -26,7 +26,6 @@ from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
-    branch_state,
     branch_weights,
     run_premeasurement,
 )
@@ -438,8 +437,8 @@ def test_cdf_lookup_rejects_what_np_interp_would_clamp():
 
 def _swap_generator(layout):
     """Hermitian generator that rotates branch 1 into branch 2."""
-    b1 = branch_state(layout, 1).amplitudes
-    b2 = branch_state(layout, 2).amplitudes
+    b1 = StateVector.basis(layout, {S_LABEL: 0, O_LABEL: 1}).amplitudes
+    b2 = StateVector.basis(layout, {S_LABEL: 1, O_LABEL: 2}).amplitudes
     m = (math.pi / 2) * (np.outer(b1, b2.conj()) + np.outer(b2, b1.conj()))
     return LinearOperator(layout, m)
 
@@ -466,6 +465,27 @@ class TestNoJumpRule:
         # at this angle the swap is complete
         assert abs(p[0, 1] - 1.0) < 1e-12
         assert abs(p[1, 0] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("subsystems", [
+        ((S_LABEL, 2), (O_LABEL, 3)),
+        ((S_LABEL, 3), (O_LABEL, 5)),
+        ((S_LABEL, 3), (O_LABEL, 4), ("E0", 2)),
+        (("E0", 2), (O_LABEL, 4), ("X", 3), (S_LABEL, 3)),
+    ])
+    def test_matches_the_branch_vector_form(self, subsystems):
+        # P' read off U(t) at the branch rows against B^H U(t) B, B's columns
+        # the full-size branch vectors |s_i>|O_i>, for a random generator.
+        layout = CompositeLayout(subsystems)
+        rng = np.random.default_rng(layout.total_dim)
+        x, y = rng.normal(size=(2, layout.total_dim, layout.total_dim))
+        m = x + 1j * y
+        h = LinearOperator(layout, m + m.conj().T)
+        b = np.array([StateVector.basis(layout, {S_LABEL: i - 1, O_LABEL: i}).amplitudes
+                      for i in range(1, layout.dim(S_LABEL) + 1)]).T
+        for t in (0.0, 0.37, 2.5):
+            forbidden, p = jump_forbidden(h, t)
+            np.testing.assert_array_equal(p, np.abs(b.conj().T @ h.unitary_at(t) @ b) ** 2)
+            assert forbidden == (t == 0.0)
 
     def test_evolve_holds_record_when_forbidden(self):
         state = measured(n=8).perceive(event_uniforms(34, 8)[:, 0])
@@ -531,7 +551,7 @@ class TestUndo:
     def test_reverses_only_the_model_layout(self):
         # The reversal runs under model.hamiltonian, on so_layout() alone.
         layout = CompositeLayout(((S_LABEL, 2), (O_LABEL, 3), ("O2", 3)))
-        state = DualState(branch_state(layout, 1), 1).record(1.0, 1)
+        state = DualState(StateVector.basis(layout, {S_LABEL: 0, O_LABEL: 1}), 1).record(1.0, 1)
         with pytest.raises(LayoutError):
             state.undo(MODEL)
 
@@ -582,7 +602,8 @@ def chain_baseline(model, collapsed, u):
     for j in range(1, model.s_dim + 1):
         events = collapsed == j
         if events.any():
-            state = DualState(branch_state(model.so_layout(), j), np.count_nonzero(events),
+            branch = StateVector.basis(model.so_layout(), {S_LABEL: j - 1, O_LABEL: j})
+            state = DualState(branch, np.count_nonzero(events),
                               clock=model.duration).record(model.duration, j)
             fresh[events] = state.undo(model).measure(model).perceive(u[events]).final_j
     return fresh

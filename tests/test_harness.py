@@ -27,6 +27,7 @@ from dualmeas import __version__, cli, dual, harness
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
+    DensityMatrix,
     InvariantError,
     LinearOperator,
     StateVector,
@@ -38,7 +39,6 @@ from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
-    branch_state,
     branch_weights,
     run_premeasurement,
 )
@@ -116,6 +116,20 @@ class TestParsing:
             sc = parse_scenario("experiment: premeasure\namplitudes: [3.0, 4.0]\nseed: 1\n")
         assert np.linalg.norm(sc.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert abs(sc.amplitudes[0]) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("entries, want", [
+        ("[1.0e-320, 3.0e-320]", np.array([1, 3]) / math.sqrt(10)),
+        ("[[1.0e-320, -2.0e-320], 2.0e-320]", np.array([1 - 2j, 2]) / 3),
+    ])
+    def test_subnormal_amplitudes_normalize(self, entries, want):
+        # Their squares underflow to 0, and 1 / 3e-320 overflows, so the
+        # rescale must not go through the reciprocal of the largest part.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sc = parse_scenario(f"experiment: premeasure\namplitudes: {entries}\nseed: 1\n")
+        assert [w.category for w in caught] == [UserWarning]
+        assert "normaliz" in str(caught[0].message)
+        assert np.max(np.abs(sc.amplitudes - want)) <= 1e-15
 
     def test_normalization_warning_names_the_caller(self):
         with pytest.warns(UserWarning, match="normaliz") as caught:
@@ -437,6 +451,46 @@ class TestReductionBaselineCheck:
         assert check["value"] == summary.correlations["baseline_old_new"] < 0.7  # 0.3**2 + 0.7**2
 
 
+AGREE = "second observer's perceived index equals the first's in every event"
+COINCIDE = "pure and matched mixed restrictions coincide"
+
+
+def test_planted_marginal_record_fails_the_agreement_check(monkeypatch):
+    # A second observer that draws its record from the premeasured marginal
+    # (0.3, 0.7), not from the row of the first's record, agrees in about
+    # 0.3**2 + 0.7**2 = 0.58 of the events, at the acceptance size of 1e4.
+    sc = parse_scenario(MINIMAL.replace("premeasure", "two_observer")
+                        .replace("n_events: 200", "n_events: 10000"))
+    marginal = np.r_[0.0, np.abs(sc.amplitudes) ** 2]
+    for planted in (False, True):
+        if planted:
+            monkeypatch.setattr(harness, "draw_index", lambda row, u: draw_index(marginal, u))
+        summary, _ = run(sc)
+        check = next(c for c in summary.checks if c["name"] == AGREE)
+        assert check["passed"] is not planted
+    assert abs(check["value"] - 0.58) < 4.0 * math.sqrt(0.58 * 0.42 / sc.n_events)
+
+
+def test_planted_swapped_mixture_fails_the_restriction_check(monkeypatch):
+    # The matched mixture with its two weights swapped, 0.7 and 0.3, lies
+    # 0.4 in trace distance from the pure state's observer restriction.
+    sc = parse_scenario(MINIMAL)
+    exact = harness.restricted_state
+
+    def swapped(state, source_kind):
+        if source_kind == "mixed_ensemble":
+            state = DensityMatrix(state.layout, state.entries[[0, 2, 1]][:, [0, 2, 1]])
+        return exact(state, source_kind=source_kind)
+
+    for planted in (False, True):
+        if planted:
+            monkeypatch.setattr(harness, "restricted_state", swapped)
+        summary, _ = run(sc)
+        check = next(c for c in summary.checks if c["name"] == COINCIDE)
+        assert check["passed"] is not planted
+    assert check["value"] == pytest.approx(0.4, abs=1e-12)
+
+
 @pytest.mark.parametrize("experiment, extra, calls", [
     ("premeasure", "", 0),
     ("premeasure", "perception_mode: sample\n", 1),
@@ -511,10 +565,13 @@ def _dense_pure_vs_mixture(psi: StateVector, amps):
     """<B> on psi psi^dagger and on sum_i |a_i|^2 |b_i><b_i|, both n x n, their
     O restrictions by the trace over S, and the trace distance of those."""
     layout, dims = psi.layout, psi.layout.dims
-    b = interference_operator(layout).op.entries
+    rows = interference_operator(layout).rows
+    b = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    b[rows] = b[rows[::-1]] = 1.0
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    mixed = sum(abs(a) ** 2 * np.outer(v, v.conj()) for a, v in
-                zip(amps, (branch_state(layout, i).amplitudes for i in range(1, len(amps) + 1))))
+    branches = (StateVector.basis(layout, {S_LABEL: i - 1, O_LABEL: i}).amplitudes
+                for i in range(1, len(amps) + 1))
+    mixed = sum(abs(a) ** 2 * np.outer(v, v.conj()) for a, v in zip(amps, branches))
     r_pure, r_mixed = (np.trace(m.reshape(dims + dims), axis1=0, axis2=2) for m in (rho, mixed))
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(r_pure - r_mixed)))
     return np.trace(rho @ b).real, np.trace(mixed @ b).real, r_pure, r_mixed, dist
@@ -535,8 +592,8 @@ def test_mixed_probe_matches_the_branch_vectors(s_dim, extra_o, parts):
     model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
     psi = run_premeasurement(StateVector(model.s_layout(), amps), model)
     b = interference_operator(psi.layout)
-    want = float(sum(abs(a) ** 2 * discriminate(branch_state(psi.layout, i), b)
-                     for i, a in enumerate(amps, start=1)))
+    branches = (StateVector.basis(psi.layout, {S_LABEL: i - 1, O_LABEL: i}) for i in range(1, s_dim + 1))
+    want = float(sum(abs(a) ** 2 * discriminate(v, b) for a, v in zip(amps, branches)))
     assert harness._pure_vs_mixture(psi, amps)[1].hex() == want.hex()
 
 
@@ -1024,10 +1081,12 @@ class TestCli:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_amplitude_norms_past_float_range(self, tmp_path, capsys, fmt):
-        # The squares of 1e200 overflow and those of 1e-170 underflow: both
-        # vectors are [1, 1] scaled, and run as [1, 1] does.
+        # The squares of 1e200 overflow and those of 1e-170 and of the
+        # subnormal 1e-320 underflow: each vector is [1, 1] scaled, and runs
+        # as [1, 1] does.
         outputs = []
-        for k, amps in enumerate(["[1, 1]", "[1.0e+200, 1.0e+200]", "[1.0e-170, 1.0e-170]"]):
+        for k, amps in enumerate(["[1, 1]", "[1.0e+200, 1.0e+200]", "[1.0e-170, 1.0e-170]",
+                                  "[1.0e-320, 1.0e-320]"]):
             body = MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", amps)
             out = tmp_path / f"out{k}"
             code = main(["--scenario", self._write(tmp_path, body), "--out", str(out),
@@ -1038,7 +1097,7 @@ class TestCli:
             assert re.fullmatch(r"dualmeas: warning: amplitudes norm \S+ != 1; normalizing\n", err)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(outputs[0]) == ["events." + fmt, "summary.json"]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert all(out == outputs[0] for out in outputs[1:])
 
     def test_unnormalized_amplitudes_under_warnings_as_errors(self, tmp_path):
         # -W error turns the normalization warning into an exception; the CLI

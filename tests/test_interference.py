@@ -17,7 +17,7 @@ from dualmeas.core import (
 from dualmeas.dynamics import (
     EnvironmentModel,
     MeasurementModel,
-    branch_state,
+    default_pointer_values,
     offdiag_suppression,
     run_decoherence,
     run_premeasurement,
@@ -38,22 +38,41 @@ def post_measurement(amplitudes):
     return run_premeasurement(psi_s, MODEL)
 
 
+def branch_state(layout, i):
+    """The post-measurement branch |s_i>|O_i>, other subsystems at index 0."""
+    return StateVector.basis(layout, {"S": i - 1, "O": i})
+
+
 def branch_mixture(weights):
     states = [branch_state(SO, i + 1) for i in range(len(weights))]
     return DensityMatrix.mixture(weights, states)
 
 
+def dense_probe(b):
+    """B as an n x n matrix, 1 at each pair of its rows and their mirror."""
+    m = np.zeros((b.layout.total_dim,) * 2, dtype=complex)
+    m[b.rows] = m[b.rows[::-1]] = 1.0
+    return m
+
+
+LAYOUTS = [
+    ((("S", 2), ("O", 3)), (1, 2)),
+    ((("S", 3), ("O", 5)), (3, 1)),
+    ((("S", 3), ("O", 4), ("E0", 2), ("E1", 2)), (2, 3)),
+    ((("E0", 2), ("O", 4), ("X", 3), ("S", 3)), (1, 3)),
+]
+
+
 class TestOperatorStructure:
     def test_hermitian_and_traceless(self):
-        b = interference_operator(SO)
-        m = b.op.entries
+        m = dense_probe(interference_operator(SO))
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert abs(np.trace(m)) < 1e-12
 
     def test_square_is_identity_on_branch_plane(self):
         # B^2 acts as the identity on span{|s_0>|O_1>, |s_1>|O_2>}
-        b = interference_operator(SO)
-        sq = b.op.entries @ b.op.entries
+        m = dense_probe(interference_operator(SO))
+        sq = m @ m
         for i in (1, 2):
             v = branch_state(SO, i).amplitudes
             assert np.max(np.abs(sq @ v - v)) < 1e-12
@@ -110,14 +129,9 @@ class TestDiscrimination:
 
 
 class TestEntryForm:
-    """``discriminate`` reads B's entries; the dense ``op`` is built only on demand."""
+    """``discriminate`` reads B's entries; B is never formed as a matrix."""
 
-    @pytest.mark.parametrize("subsystems, branches", [
-        ((("S", 2), ("O", 3)), (1, 2)),
-        ((("S", 3), ("O", 5)), (3, 1)),
-        ((("S", 3), ("O", 4), ("E0", 2), ("E1", 2)), (2, 3)),
-        ((("E0", 2), ("O", 4), ("X", 3), ("S", 3)), (1, 3)),
-    ])
+    @pytest.mark.parametrize("subsystems, branches", LAYOUTS)
     def test_matches_the_dense_operator(self, subsystems, branches):
         layout = CompositeLayout(subsystems)
         rng = np.random.default_rng(len(subsystems) + branches[0])
@@ -129,8 +143,8 @@ class TestEntryForm:
         for state in (psi, rho):
             b = interference_operator(layout, branches)
             got = discriminate(state, b)
-            assert "op" not in vars(b)
-            m = b.op.entries
+            assert not hasattr(b, "op")
+            m = dense_probe(b)
             i, j = branches
             s_d, o_d = layout.dim("S"), layout.dim("O")
             s_flip, o_flip = np.zeros((2, s_d, s_d)), np.zeros((2, o_d, o_d))
@@ -146,12 +160,11 @@ class TestEntryForm:
             discriminate(StateVector.basis(CompositeLayout((("S", 2), ("O", 4))), {}), b)
 
     def test_decohere_builds_no_kron(self, monkeypatch):
-        from dualmeas import core, interference
+        from dualmeas import core
         from dualmeas.harness import Scenario, run
 
         calls = []
-        for module in (core, interference):
-            monkeypatch.setattr(module, "embed", lambda *a: calls.append(a))
+        monkeypatch.setattr(core, "embed", lambda *a: calls.append(a))
         sc = Scenario(experiment="decohere", amplitudes=np.array([0.6, 0.8j]), seed=3,
                       n_events=50, env_atoms=3, n_times=4)
         summary, _ = run(sc)
@@ -173,6 +186,37 @@ class TestPointerIncompatibility:
         for gap in (0.5, 1.0, 3.0):
             got = pointer_incompatibility(SO, b, pointer_values=(0.0, gap, 0.0))
             assert got == pytest.approx(gap, abs=1e-12)
+
+    @pytest.mark.parametrize("subsystems, branches", LAYOUTS)
+    def test_matches_the_dense_commutator_norm(self, subsystems, branches):
+        # The norm read off the rows against ||Q B - B Q||_2 of the n x n
+        # matrices, Q by embed, on the default and on random pointer values
+        # and branch pairs.
+        layout = CompositeLayout(subsystems)
+        rng = np.random.default_rng(len(subsystems) + branches[0])
+        s_d, o_d = layout.dim("S"), layout.dim("O")
+        cases = [(branches, None)]
+        for _ in range(5):
+            pair = tuple(int(k) for k in rng.choice(np.arange(1, min(s_d, o_d - 1) + 1), 2, replace=False))
+            cases.append((pair, rng.normal(scale=3.0, size=o_d)))
+        for pair, q in cases:
+            b = interference_operator(layout, pair)
+            got = pointer_incompatibility(layout, b, pointer_values=q)
+            q_op = embed(layout, {"O": np.diag(default_pointer_values(o_d) if q is None else q)})
+            m = dense_probe(b)
+            want = np.linalg.norm(q_op @ m - m @ q_op, ord=2)
+            assert abs(got - want) <= 1e-12
+
+    def test_layout_mismatch_rejected(self):
+        # (S 2, O 6) and (S 3, O 4) have the same size but other rows.
+        b = interference_operator(CompositeLayout((("S", 2), ("O", 6))))
+        with pytest.raises(LayoutError):
+            pointer_incompatibility(CompositeLayout((("S", 3), ("O", 4))), b)
+
+    def test_pointer_values_must_match_the_observer(self):
+        b = interference_operator(SO)
+        with pytest.raises(LayoutError):
+            pointer_incompatibility(SO, b, pointer_values=(0.0, 1.0, -1.0, 2.0))
 
 
 class TestDecoherenceDamping:
