@@ -53,12 +53,6 @@ from .interference import (
     interference_operator,
     pointer_incompatibility,
 )
-from .harness import (
-    RunSummary,
-    Scenario,
-    ScenarioError,
-    emit,
-    load_scenario,
-    parse_scenario,
-    run,
-)
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .harness import RunSummary, run
+from .writer import emit

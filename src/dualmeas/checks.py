@@ -15,8 +15,9 @@ import numpy as np
 from .core import CompositeLayout, LinearOperator, StateVector
 from .dual import jump_forbidden
 from .dynamics import MeasurementModel, S_LABEL, run_premeasurement
-from .harness import Scenario, run
+from .harness import run
 from .interference import interference_operator, pointer_incompatibility
+from .scenario import Scenario
 
 SQ03, SQ07 = math.sqrt(0.3), math.sqrt(0.7)
 
@@ -57,7 +58,7 @@ def run_all(verbose=True) -> bool:
     results.append(("no-jump rule holds for a branch-preserving generator", forbidden, None))
 
     b = interference_operator(post.layout)
-    norm = pointer_incompatibility(post.layout, b)
+    norm = pointer_incompatibility(b)
     results.append(
         ("interference probe incompatible with the pointer observable", norm > 0, norm)
     )

@@ -12,7 +12,9 @@ import warnings
 from dataclasses import replace
 
 from .core import InvariantError, LayoutError
-from .harness import ScenarioError, emit, load_scenario, run
+from .harness import run
+from .scenario import ScenarioError, load_scenario
+from .writer import emit
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -58,16 +58,15 @@ def discriminate(rho, b: InterferenceObservable) -> float:
     return 2.0 * float(rho.entries[r2, r1].sum().real)
 
 
-def pointer_incompatibility(layout: CompositeLayout, b: InterferenceObservable, pointer_values=None) -> float:
-    """Operator norm of [Q_O, B]; positive whenever the branch pointer values
-    differ, which is why the internal observer cannot probe B.
+def pointer_incompatibility(b: InterferenceObservable, pointer_values=None) -> float:
+    """Operator norm of [Q_O, B] on B's layout; positive whenever the branch
+    pointer values differ, which is why the internal observer cannot probe B.
 
     B pairs disjoint rows (r1_k, r2_k), so [Q_O, B] is block-diagonal, each
     block (q(r1_k) - q(r2_k)) [[0, 1], [-1, 0]] with q(r) the pointer value of
     row r's O index: the norm is the largest |q(r1_k) - q(r2_k)|.
     """
-    if b.layout != layout:
-        raise LayoutError("observable and pointer layouts differ")
+    layout = b.layout
     o_d = layout.dim(O_LABEL)
     q = default_pointer_values(o_d) if pointer_values is None else np.asarray(pointer_values, float)
     if q.shape != (o_d,):

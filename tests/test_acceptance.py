@@ -23,9 +23,11 @@ from dualmeas.dynamics import (
     run_premeasurement,
 )
 from dualmeas.core import LinearOperator, embed
-from dualmeas.harness import Scenario, emit, run
+from dualmeas.harness import run
 from dualmeas.interference import discriminate, interference_operator
 from dualmeas.restriction import breuer_distinguishable, restricted_state
+from dualmeas.scenario import Scenario
+from dualmeas.writer import emit
 
 SEED = 20260826
 AMPS = (math.sqrt(0.3), math.sqrt(0.7))

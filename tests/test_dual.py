@@ -42,7 +42,8 @@ from dualmeas.dual import (
     sample_perception_time,
     simpson,
 )
-from dualmeas.harness import Scenario, run
+from dualmeas.harness import run
+from dualmeas.scenario import Scenario
 
 MODEL = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 SO = MODEL.so_layout()

@@ -39,7 +39,9 @@ from pathlib import Path
 
 import pytest
 
-from dualmeas.harness import EXPERIMENTS, emit, parse_scenario, run
+from dualmeas.harness import EXPERIMENTS, run
+from dualmeas.scenario import parse_scenario
+from dualmeas.writer import emit
 
 REFERENCES = Path(__file__).parent / "golden" / "references.json"
 SEED = 20260826

@@ -23,7 +23,7 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import __version__, cli, dual, harness
+from dualmeas import __version__, cli, dual, harness, writer
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
@@ -42,18 +42,11 @@ from dualmeas.dynamics import (
     branch_weights,
     run_premeasurement,
 )
-from dualmeas.harness import (
-    EXPERIMENTS,
-    RunSummary,
-    Scenario,
-    ScenarioError,
-    emit,
-    load_scenario,
-    parse_scenario,
-    run,
-)
+from dualmeas.harness import EXPERIMENTS, RunSummary, run
 from dualmeas.interference import discriminate, interference_operator
 from dualmeas.restriction import restricted_state
+from dualmeas.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from dualmeas.writer import emit
 
 MINIMAL = """
 experiment: premeasure
@@ -491,6 +484,26 @@ def test_planted_swapped_mixture_fails_the_restriction_check(monkeypatch):
     assert check["value"] == pytest.approx(0.4, abs=1e-12)
 
 
+FREQUENCIES = "empirical frequencies within 4 sigma of P_j"
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_planted_reversed_weights_fail_the_frequency_check(monkeypatch, experiment):
+    # Records drawn from the reversed weights (0.7, 0.3), not (0.3, 0.7): at
+    # the acceptance size of 1e4 events each frequency is 0.4, about 87 sigma,
+    # off its P_j. The plant reverses the pointer weights every perception
+    # draws from, so each runner's checked column comes from them.
+    sc = replace(parse_scenario(SAMPLING[experiment]), n_events=10000)
+    draw = dual._draw_perceived
+    for planted in (False, True):
+        if planted:
+            monkeypatch.setattr(dual, "_draw_perceived", lambda w, u: draw(np.r_[w[:1], w[:0:-1]], u))
+        summary, _ = run(sc)
+        check = next(c for c in summary.checks if c["name"] == FREQUENCIES)
+        assert check["passed"] is not planted
+    assert abs(check["value"] - 0.4) < 4.0 * math.sqrt(0.21 / sc.n_events)
+
+
 @pytest.mark.parametrize("experiment, extra, calls", [
     ("premeasure", "", 0),
     ("premeasure", "perception_mode: sample\n", 1),
@@ -695,8 +708,8 @@ def _per_event_dump(records: DualState, fmt: str) -> str:
 
 # Rows of three column steps and the flag "undo" that fill one block of the
 # events writer: a 192-byte template and seven cells of at most
-# harness._CELL_BYTES.
-JSON_K3_BLOCK = harness._EMIT_BYTES // (192 + harness._CELL_BYTES * 7)
+# writer._CELL_BYTES.
+JSON_K3_BLOCK = writer._EMIT_BYTES // (192 + writer._CELL_BYTES * 7)
 
 
 class TestEmission:
@@ -774,7 +787,7 @@ class TestEmission:
         # of 2500 rows 10**4 is a block edge; with 4000 (2557 in JSON, whose
         # wider rows bound the block first) it falls inside a block, which then
         # compacts. One negative record puts a sign slot into its block alone.
-        monkeypatch.setattr(harness, "EVENT_BLOCK", block)
+        monkeypatch.setattr(writer, "EVENT_BLOCK", block)
         n = 12001
         js = np.random.default_rng(block).integers(0, 10, n)
         if negative is not None:
@@ -795,7 +808,7 @@ class TestEmission:
         # blocks only, so it narrows as the ids widen (the row width stays)
         # and widens again; its middle block has no padded cell and is
         # written as it stands.
-        monkeypatch.setattr(harness, "EVENT_BLOCK", 100)
+        monkeypatch.setattr(writer, "EVENT_BLOCK", 100)
         n = 300
         rng = np.random.default_rng(3)
         js = rng.integers(0, 10, n)
@@ -806,14 +819,14 @@ class TestEmission:
         else:
             js[[50, 250]] = -1
             steps = ((0.5, js),)
-        seen, real = [], harness._cells  # (width, padded) per column per block, ids first
+        seen, real = [], writer._cells  # (width, padded) per column per block, ids first
 
         def cells(values):
             out = real(values)
             seen.append((out.shape[1], not out.all()))
             return out
 
-        monkeypatch.setattr(harness, "_cells", cells)
+        monkeypatch.setattr(writer, "_cells", cells)
         records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
         summary = RunSummary(experiment="premeasure", seed=0, n_events=n, frequencies={})
         _, events_path = emit(summary, records, tmp_path, fmt=fmt)
@@ -832,7 +845,7 @@ class TestEmission:
         # as large, and a re-lay the new buffer beside the old one. So the
         # peak stays near two blocks, and one more block-sized temporary per
         # block (a copy of the rows, a NUL mask) would exceed the bound.
-        monkeypatch.setattr(harness, "EVENT_BLOCK", 1000)
+        monkeypatch.setattr(writer, "EVENT_BLOCK", 1000)
         n = 4001
         rng = np.random.default_rng(5)
         steps = tuple((float(i + 1), rng.integers(0, 3, n)) for i in range(3))
@@ -891,8 +904,8 @@ DYADIC = st.integers(1, 2**18 - 1).map(lambda j: j / 2**18)
 
 
 def _cell_texts(values) -> list:
-    cells = harness._cells(np.array(values, dtype=float))
-    assert cells.shape[0] == len(values) and cells.shape[1] <= harness._CELL_BYTES
+    cells = writer._cells(np.array(values, dtype=float))
+    assert cells.shape[0] == len(values) and cells.shape[1] <= writer._CELL_BYTES
     return [row[row != 0].tobytes().decode() for row in cells]
 
 
@@ -940,7 +953,7 @@ class TestFloatCells:
 
     def test_kernel_sweep_is_float_repr(self):
         x = _kernel_sweep()
-        cells = harness._cells(x)
+        cells = writer._cells(x)
         lines = np.hstack([cells, np.full((len(x), 1), ord("\n"), np.uint8)])
         got = lines.tobytes().translate(None, b"\0").decode()
         want = "".join(f"{v!r}\n" for v in x.tolist())
@@ -957,8 +970,8 @@ class TestFloatCells:
             left.extend(x.tolist())
             return repr_cells(x)
 
-        repr_cells = harness._repr_cells
-        monkeypatch.setattr(harness, "_repr_cells", fallback)
+        repr_cells = writer._repr_cells
+        monkeypatch.setattr(writer, "_repr_cells", fallback)
         u = np.random.default_rng(5).random(10_000)
         assert _cell_texts(u) == list(map(float.__repr__, u.tolist()))
         assert all(x < 1e-4 for x in left) and len(left) <= 5

@@ -161,7 +161,8 @@ class TestEntryForm:
 
     def test_decohere_builds_no_kron(self, monkeypatch):
         from dualmeas import core
-        from dualmeas.harness import Scenario, run
+        from dualmeas.harness import run
+        from dualmeas.scenario import Scenario
 
         calls = []
         monkeypatch.setattr(core, "embed", lambda *a: calls.append(a))
@@ -175,16 +176,16 @@ class TestPointerIncompatibility:
     def test_default_pointer_values_give_two(self):
         # default q = (0, +1, -1): |q_1 - q_2| * ||B|| = 2
         b = interference_operator(SO)
-        assert pointer_incompatibility(SO, b) == pytest.approx(2.0, abs=1e-12)
+        assert pointer_incompatibility(b) == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_pointer_values_commute(self):
         b = interference_operator(SO)
-        assert pointer_incompatibility(SO, b, pointer_values=(0.0, 1.0, 1.0)) < 1e-12
+        assert pointer_incompatibility(b, pointer_values=(0.0, 1.0, 1.0)) < 1e-12
 
     def test_norm_scales_with_pointer_gap(self):
         b = interference_operator(SO)
         for gap in (0.5, 1.0, 3.0):
-            got = pointer_incompatibility(SO, b, pointer_values=(0.0, gap, 0.0))
+            got = pointer_incompatibility(b, pointer_values=(0.0, gap, 0.0))
             assert got == pytest.approx(gap, abs=1e-12)
 
     @pytest.mark.parametrize("subsystems, branches", LAYOUTS)
@@ -201,22 +202,26 @@ class TestPointerIncompatibility:
             cases.append((pair, rng.normal(scale=3.0, size=o_d)))
         for pair, q in cases:
             b = interference_operator(layout, pair)
-            got = pointer_incompatibility(layout, b, pointer_values=q)
+            got = pointer_incompatibility(b, pointer_values=q)
             q_op = embed(layout, {"O": np.diag(default_pointer_values(o_d) if q is None else q)})
             m = dense_probe(b)
             want = np.linalg.norm(q_op @ m - m @ q_op, ord=2)
             assert abs(got - want) <= 1e-12
 
     def test_layout_mismatch_rejected(self):
-        # (S 2, O 6) and (S 3, O 4) have the same size but other rows.
+        # (S 2, O 6) and (S 3, O 4) have the same size but other rows. The
+        # probe carries its layout: pointer values of the other observer are
+        # rejected, and its own give |q_1 - q_2| = 2, where reading its rows
+        # on (S 3, O 4) gave 1.
         b = interference_operator(CompositeLayout((("S", 2), ("O", 6))))
         with pytest.raises(LayoutError):
-            pointer_incompatibility(CompositeLayout((("S", 3), ("O", 4))), b)
+            pointer_incompatibility(b, pointer_values=default_pointer_values(4))
+        assert pointer_incompatibility(b) == pytest.approx(2.0, abs=1e-12)
 
     def test_pointer_values_must_match_the_observer(self):
         b = interference_operator(SO)
         with pytest.raises(LayoutError):
-            pointer_incompatibility(SO, b, pointer_values=(0.0, 1.0, -1.0, 2.0))
+            pointer_incompatibility(b, pointer_values=(0.0, 1.0, -1.0, 2.0))
 
 
 class TestDecoherenceDamping:
