@@ -405,8 +405,8 @@ class DualState:
 
     def undo(self, model: MeasurementModel) -> DualState:
         """Exact reversal of the measurement: ``model.rotate`` over -duration (so
-        ``phi_d`` lives on ``model.so_layout()``), records erased (the step
-        ``(clock, 0)``), events flagged "undo".
+        S and O lead the layout of ``phi_d``; a bath after them rides along),
+        records erased (the step ``(clock, 0)``), events flagged "undo".
 
         A later re-measurement draws fresh records statistically independent
         of the erased ones; this is where the dual model departs from the
@@ -431,15 +431,15 @@ def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
     are the rows of one (s_dim, o_dim) array. The undo rewinds the observer
     but not the collapse, so every event re-measures its collapsed index;
     this persistence is the discriminating prediction against the dual
-    model. An event whose record is no system index gets -1.
+    model. An event whose record is no system index gets -1, in intp.
     """
-    chains = np.eye(model.s_dim, model.o_dim, 1, dtype=complex)  # row j - 1: |O_j> of chain j
-    turned = np.stack([model._turn(chains, -model.duration).copy(), model._turn(chains, model.duration)])
+    chains = model.rotate(np.eye(model.s_dim, model.o_dim, 1), -model.duration)  # row j - 1: chain j
+    turned = np.stack([chains, model.rotate(chains, model.duration)])
     p = np.clip((turned * turned.conj()).real, 0.0, None)
     undone, measured = p / p.sum(axis=2, keepdims=True)  # each chain's branch_weights
     order = np.argsort(collapsed, kind="stable")  # the events of each j: one sort, not a scan per j
     ends = np.cumsum(np.bincount(collapsed, minlength=model.s_dim + 1))
-    fresh = np.full_like(collapsed, -1)
+    fresh = np.full(len(collapsed), -1, dtype=np.intp)  # a record column may be unsigned
     for row in np.flatnonzero(ends[1:model.s_dim + 1] > ends[:model.s_dim]):  # j = row + 1
         events = order[ends[row]:ends[row + 1]]
         _check_undone(undone[row])

@@ -106,41 +106,35 @@ class MeasurementModel:
 
     def input_state(self, amplitudes) -> StateVector:
         """The system state *amplitudes* beside a ready observer, S (x) |O_0>,
-        on ``so_layout()``."""
-        ready = np.eye(self.o_dim, 1, dtype=complex).ravel()
-        return StateVector(self.so_layout(), np.kron(np.asarray(amplitudes, dtype=complex), ready))
+        on ``so_layout()``: a_s at (s, 0), an exact +0 elsewhere."""
+        psi = np.zeros((len(amplitudes), self.o_dim), dtype=complex)
+        psi[:, 0] = amplitudes
+        return StateVector(self.so_layout(), psi.ravel())
 
-    def _turn(self, x: np.ndarray, t: float) -> np.ndarray:
-        """U(t) on the leading (s_dim, o_dim) axes of *x*, in place: each pair
-        (x[s, 0], x[s, s + 1]) turns by coupling * t; no other entry moves."""
+    def rotate(self, x, t: float):
+        """exp(-i hamiltonian t) (x) 1 in closed form: each pair (s, 0), (s, s + 1)
+        of the leading (s_dim, o_dim) axes turns by coupling * t, and no other
+        entry moves. Of an array with those leading axes, its turned copy; of a
+        StateVector or DensityMatrix on a layout that S and O lead, U psi or
+        U rho U^dagger. Later axes and subsystems ride along."""
+        if isinstance(x, (StateVector, DensityMatrix)):
+            if x.layout.subsystems[:2] != self.so_layout().subsystems:
+                raise LayoutError(f"expected {self.so_layout().subsystems} to lead {x.layout.subsystems}")
+
+            def turn(m):  # U m, for m one column or n of them
+                return self.rotate(m.reshape(self.s_dim, self.o_dim, -1), t).reshape(m.shape)
+            if isinstance(x, StateVector):
+                return StateVector(x.layout, turn(x.amplitudes))
+            m = turn(turn(x.entries).conj().T)  # U (U rho)^dagger = U rho U^dagger
+            return DensityMatrix(x.layout, 0.5 * (m + m.conj().T))  # Hermitian to the last bit
+        x = np.array(x, dtype=complex)  # the copy that turns in place
+        if x.shape[:2] != (self.s_dim, self.o_dim):
+            raise LayoutError(f"expected leading axes ({self.s_dim}, {self.o_dim}), got {x.shape}")
         s, angle = np.arange(self.s_dim), self.coupling * t
         c, sn = math.cos(angle), math.sin(angle)
         ready, pointer = x[s, 0], x[s, s + 1]
         x[s, 0], x[s, s + 1] = ready * c - 1j * pointer * sn, -1j * ready * sn + pointer * c
         return x
-
-    def rotate(self, state, t: float):
-        """exp(-i hamiltonian t) in closed form on a state of ``so_layout()``:
-        U psi of a StateVector, U rho U^dagger of a DensityMatrix."""
-        if state.layout != self.so_layout():
-            raise LayoutError(f"expected a state on {self.so_layout().subsystems}, "
-                              f"got {state.layout.subsystems}")
-
-        def turn(m):  # U m, for m one column or n of them
-            return self._turn(m.reshape(self.s_dim, self.o_dim, -1).copy(), t).reshape(m.shape)
-        if isinstance(state, StateVector):
-            return StateVector(state.layout, turn(state.amplitudes))
-        m = turn(turn(state.entries).conj().T)  # U (U rho)^dagger = U rho U^dagger
-        return DensityMatrix(state.layout, 0.5 * (m + m.conj().T))  # Hermitian to the last bit
-
-    def transfer(self, amplitudes) -> np.ndarray:
-        """U(duration) (*amplitudes* (x) |O_0>) as an (s_dim, o_dim, ...) array,
-        ``rotate``'s ready-observer case: a_s cos(coupling * duration) at
-        (s, 0), -i a_s sin of it at (s, s + 1), else 0."""
-        a = np.asarray(amplitudes, dtype=complex)
-        out = np.zeros((self.s_dim, self.o_dim) + a.shape[1:], dtype=complex)
-        out[:, 0] = a
-        return self._turn(out, self.duration)
 
 
 @dataclass(frozen=True)
@@ -174,11 +168,11 @@ class EnvironmentModel:
 
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
     """Entangle the system with a ready observer over one interaction window,
-    in closed form (``model.transfer``): sum_i a_i |s_i>|O_i> up to the
-    per-branch phase -i at the calibration coupling * duration = pi/2."""
+    in closed form (``model.rotate`` over the duration): sum_i a_i |s_i>|O_i>
+    up to the per-branch phase -i at the calibration coupling * duration = pi/2."""
     if psi_s.layout.labels != (S_LABEL,):
         raise LayoutError(f"expected a bare system state on ({S_LABEL!r},), got {psi_s.layout.labels}")
-    return StateVector(model.so_layout(), model.transfer(psi_s.amplitudes))
+    return model.rotate(model.input_state(psi_s.amplitudes), model.duration)
 
 
 def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:

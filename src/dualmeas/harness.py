@@ -278,12 +278,14 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
 
 
 def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    # O2 measures S by O's rotation on S (x) O2 from O2's ready state, a column
-    # a of psi[s, a] at a time: psi_t2[x, a, y] = transfer(psi[:, a])[x, y].
+    # O2 measures S by O's rotation: psi beside a ready O2, as an (S, O2, O)
+    # array, turned on its leading S and O2 axes while O rides along.
     s_dim, o_dim = model.s_dim, model.o_dim
     p = psi.amplitudes.reshape(s_dim, o_dim)
+    beside = np.zeros((s_dim, o_dim, o_dim), dtype=complex)
+    beside[:, 0] = p
     layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim), (O2_LABEL, o_dim)))
-    psi_t2 = StateVector(layout, model.transfer(p).swapaxes(1, 2).ravel())
+    psi_t2 = StateVector(layout, model.rotate(beside, model.duration).swapaxes(1, 2).ravel())
 
     # Coherence between branches 1 and 2 available to the second observer
     # between the two measurements: nonzero certifies no objective collapse at

@@ -20,13 +20,19 @@ from dualmeas.core import (
     embed,
     evolve_unitary,
     expectation,
+    partial_trace,
     projector,
 )
 from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
+    EnvironmentModel,
     MeasurementModel,
+    attach_environment,
     branch_weights,
+    build_dephasing_hamiltonian,
+    default_pointer_values,
+    offdiag_suppression,
     run_premeasurement,
 )
 from dualmeas.dual import (
@@ -550,11 +556,37 @@ class TestUndo:
         assert np.max(np.abs(out.phi_d.entries - rho0.entries)) < 1e-10
 
     def test_reverses_only_the_model_layout(self):
-        # The reversal runs under model.hamiltonian, on so_layout() alone.
+        # The reversal turns the model's S and O on any layout they lead: a
+        # second observer after them rides along. With O2 between them, it refuses.
         layout = CompositeLayout(((S_LABEL, 2), (O_LABEL, 3), ("O2", 3)))
-        state = DualState(StateVector.basis(layout, {S_LABEL: 0, O_LABEL: 1}), 1).record(1.0, 1)
+        post = StateVector.basis(layout, {S_LABEL: 1, O_LABEL: 2, "O2": 2})
+        out = DualState(post, 1).record(1.0, 2).undo(MODEL)
+        want = 1j * StateVector.basis(layout, {S_LABEL: 1, "O2": 2}).amplitudes
+        np.testing.assert_allclose(out.phi_d.amplitudes, want, rtol=0, atol=1e-16)
+        swapped = CompositeLayout(((S_LABEL, 2), ("O2", 3), (O_LABEL, 3)))
+        state = DualState(StateVector.basis(swapped, {S_LABEL: 0, O_LABEL: 1}), 1).record(1.0, 1)
         with pytest.raises(LayoutError):
             state.undo(MODEL)
+
+    @pytest.mark.parametrize("amplitudes", [
+        (0.6j, -0.8), (math.sqrt(0.3) * np.exp(0.4j), math.sqrt(0.7) * np.exp(-1.1j))])
+    def test_undo_after_dephasing_leaves_the_bath_record(self, amplitudes):
+        # Once a bath holds a record of the pointer, reversing S-O returns O
+        # to ready, but S keeps only the coherence the bath's two records
+        # overlap in, the cosine product r(t): rho_S[0, 1] = a_0 a_1* r(t).
+        # A re-measurement turns the state back to the dephased one.
+        env = EnvironmentModel(6, np.linspace(0.2, 1.2, 6), default_pointer_values(3))
+        psi = attach_environment(run_premeasurement(StateVector(MODEL.s_layout(), amplitudes), MODEL), env)
+        h, a = build_dephasing_hamiltonian(env, psi.layout), np.asarray(amplitudes)
+        for t in (0.0, 0.3, 1.0, 2.5):
+            dephased = StateVector(psi.layout, np.exp(-1j * h * t) * psi.amplitudes)
+            undone = DualState(dephased, 1, clock=MODEL.duration).record(MODEL.duration, 1).undo(MODEL)
+            assert undone.phi_d.layout == psi.layout
+            assert branch_weights(undone.phi_d)[0] == pytest.approx(1.0, rel=0, abs=1e-15)
+            rho_s = partial_trace(undone.phi_d, {S_LABEL}).entries
+            assert abs(rho_s[0, 1] - a[0] * a[1].conj() * offdiag_suppression(env, t)) <= 1e-12
+            np.testing.assert_allclose(undone.measure(MODEL).phi_d.amplitudes, dephased.amplitudes,
+                                       rtol=0, atol=1e-15)
 
     def test_rejects_non_postmeasurement_state(self):
         state = DualState(ready_density(), 1).record(0.0, 1)
@@ -676,6 +708,18 @@ class TestReductionBaseline:
     def test_outcome_frequencies_are_born(self):
         model, collapsed, u = collapse_records(AMPS, 5000, 54)
         assert abs(np.mean(reduction_baseline(model, collapsed, u) == 1) - 0.3) < 0.03
+
+    def test_takes_the_record_column_of_a_run(self):
+        # A run stores its records as uint8 (o_dim <= 256), where -1 does not
+        # fit: the comparator returns an intp column whatever the input's type.
+        sc = Scenario(experiment="undo", amplitudes=np.array(AMPS), seed=58, n_events=300)
+        collapsed = run(sc)[1].steps[0][1]
+        assert collapsed.dtype == np.uint8
+        u = event_uniforms(58, 300)[:, 1]
+        fresh = reduction_baseline(sc.model(), collapsed, u)
+        assert fresh.dtype == np.intp and np.array_equal(fresh, collapsed)
+        no_index = reduction_baseline(MODEL, np.array([0, 1, 2], np.uint8), u[:3])
+        assert no_index.dtype == np.intp and no_index.tolist()[0] == -1
 
     def test_record_that_is_no_system_index_is_not_remeasured(self):
         collapsed = np.array([0, 1, 2, 3, 2])

@@ -228,10 +228,45 @@ class TestRotate:
         np.testing.assert_allclose(model.rotate(post, -model.duration).amplitudes, psi.amplitudes,
                                    rtol=0, atol=1e-16)
 
+    @given(s_dim=st.integers(2, 3), extra_o=st.integers(1, 2), rest=st.sampled_from(["O2", 1, 2, 3]),
+           t=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["array", "state", "density"]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_riding_subsystems_equal_the_dense_unitary(self, s_dim, extra_o, rest, t, seed, kind):
+        # U(t) (x) 1 on (S, O, O2) or (S, O, E0, ...): the later subsystems, or
+        # an array's trailing axes, ride along. Complex inputs, either sign of t.
+        model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
+        later = (("O2", model.o_dim),) if rest == "O2" else tuple((env_label(k), 2) for k in range(rest))
+        layout = CompositeLayout(model.so_layout().subsystems + later)
+        m = layout.total_dim // model.so_layout().total_dim
+        u = np.kron(model.hamiltonian.unitary_at(t), np.eye(m))
+        rng = np.random.default_rng(seed)
+        vs = rng.normal(size=(2, layout.total_dim)) + 1j * rng.normal(size=(2, layout.total_dim))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        if kind == "array":  # no normalization asked of an array
+            x = (3.0 * vs[0]).reshape(s_dim, model.o_dim, *(d for _, d in later))
+            got, want = model.rotate(x, t).ravel(), u @ x.ravel()
+            assert np.array_equal(x.ravel(), 3.0 * vs[0])  # the input is left as it was
+        elif kind == "state":
+            state = StateVector(layout, vs[0])
+            got, want = model.rotate(state, t).amplitudes, u @ state.amplitudes
+        else:
+            state = DensityMatrix(layout, 0.4 * np.outer(vs[0], vs[0].conj())
+                                  + 0.6 * np.outer(vs[1], vs[1].conj()))
+            got, want = model.rotate(state, t).entries, u @ state.entries @ u.conj().T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
     def test_rejects_another_layout(self, model):
-        layout = CompositeLayout((("S", 2), ("O", 3), ("O2", 3)))
-        with pytest.raises(LayoutError):
-            model.rotate(StateVector.basis(layout, {}), 1.0)
+        # S and O must lead, in that order and at the model's dimensions.
+        for subsystems in [(("S", 2), ("O2", 3), ("O", 3)), (("O", 3), ("S", 2)),
+                           (("S", 2), ("O", 4)), (("S", 2),)]:
+            layout = CompositeLayout(subsystems)
+            for state in (StateVector.basis(layout, {}), StateVector.basis(layout, {}).to_density()):
+                with pytest.raises(LayoutError):
+                    model.rotate(state, 1.0)
+        for shape in [(3, 2), (2, 4), (6,), (2, 2, 3)]:
+            with pytest.raises(LayoutError):
+                model.rotate(np.zeros(shape), 1.0)
 
 
 class TestDephasingHamiltonian:

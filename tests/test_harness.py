@@ -560,6 +560,96 @@ def test_planted_reversal_error_fails_the_recovery_check(monkeypatch):
     assert value[False] <= 1e-15 and value[True] == pytest.approx(1e-6, rel=1e-3)
 
 
+def _acceptance(experiment):
+    """*experiment* on the amplitudes (sqrt 0.3, sqrt 0.7) at the size of its
+    acceptance criterion: 1e5 events for premeasure, 8 atoms and 50 times
+    for decohere, 1e4 events for the others."""
+    size = {"premeasure": dict(n_events=100000),
+            "decohere": dict(n_events=100, env_atoms=8, n_times=50)}.get(experiment, {})
+    return replace(parse_scenario(MINIMAL.replace("premeasure", experiment)),
+                   **{"n_events": 10000, **size})
+
+
+def _caught(monkeypatch, scenario, name, plant):
+    """The check *name* of *scenario*'s run passes, and fails once
+    ``plant(monkeypatch)`` plants its defect; returns the two values."""
+    values = []
+    for planted in (False, True):
+        if planted:
+            plant(monkeypatch)
+        check = next(c for c in run(scenario)[0].checks if c["name"] == name)
+        assert check["passed"] is not planted, check
+        values.append(check["value"])
+    return values
+
+
+def _self_paired(monkeypatch):
+    """A probe that pairs its first branch's row with itself: on a branch
+    mixture it reads twice that branch's weight, not 0."""
+    exact = harness.interference_operator
+
+    def planted(layout):
+        b = exact(layout)
+        return replace(b, rows=(b.rows[0], b.rows[0]))
+    monkeypatch.setattr(harness, "interference_operator", planted)
+
+
+def test_planted_off_calibration_fails_the_branch_weight_check():
+    # lambda = (pi/2)(1 + 1e-6) leaves sin^2 short of 1 by 2.5e-12: branch 2
+    # falls 1.7e-12 below |a_2|^2 = 0.7, and the ready weight of 2.5e-12 still
+    # lets the run complete.
+    sc = _acceptance("premeasure")
+    for planted in (False, True):
+        summary, _ = run(replace(sc, coupling=math.pi / 2 * (1 + 1e-6)) if planted else sc)
+        check = next(c for c in summary.checks if c["name"] == "branch weights equal |a_i|^2")
+        assert check["passed"] is not planted
+    assert check["value"] == pytest.approx(0.7 * math.sin(math.pi / 2 * 1e-6) ** 2, rel=1e-3)
+
+
+def test_planted_self_paired_probe_fails_the_pure_mixed_check(monkeypatch):
+    values = _caught(monkeypatch, _acceptance("premeasure"),
+                     "interference expectation distinguishes pure from mixed ensembles", _self_paired)
+    assert values == [0.0, pytest.approx(0.6, abs=1e-12)]
+
+
+def test_planted_self_paired_probe_fails_the_discriminator_check(monkeypatch):
+    values = _caught(monkeypatch, _acceptance("reduction_compare"),
+                     "interference discriminator: dual nonzero, baseline zero", _self_paired)
+    assert values == [0.0, pytest.approx(0.6, abs=1e-12)]
+
+
+def test_planted_reused_uniform_fails_the_uncorrelated_check(monkeypatch):
+    # Re-measuring with the first uniform redraws the erased record itself.
+    blocks = harness.uniform_blocks
+    values = _caught(monkeypatch, _acceptance("undo"),
+                     "dual model: erased and fresh outcomes uncorrelated",
+                     lambda mp: mp.setattr(harness, "uniform_blocks", lambda seed, n: (
+                         (lo, [u[0], u[0]]) for lo, u in blocks(seed, n))))
+    assert values[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_planted_collapse_fails_the_coherence_between_measurements_check(monkeypatch):
+    # psi collapsed onto its first branch before O2 measures: no coherence is left.
+    exact = harness._RUNNERS["two_observer"]
+
+    def collapsed(scenario, model, psi):
+        return exact(scenario, model, StateVector.basis(psi.layout, {S_LABEL: 0, O_LABEL: 1}))
+    values = _caught(monkeypatch, _acceptance("two_observer"),
+                     "interference expectation nonzero between the two measurements",
+                     lambda mp: mp.setitem(harness._RUNNERS, "two_observer", collapsed))
+    assert values == [pytest.approx(2.0 * math.sqrt(0.21), abs=1e-12), 0.0]
+
+
+def test_planted_discriminator_error_fails_the_damping_check(monkeypatch):
+    # <B> on the undamped state off by 0.1%: at t = 0 the damped value
+    # differs from it by 1e-3 * 2 sqrt(0.21).
+    exact = harness.discriminate
+    values = _caught(monkeypatch, _acceptance("decohere"),
+                     "interference damped exactly by the off-diagonal factor",
+                     lambda mp: mp.setattr(harness, "discriminate", lambda rho, b: 1.001 * exact(rho, b)))
+    assert values[1] == pytest.approx(1e-3 * 2.0 * math.sqrt(0.21), rel=1e-6)
+
+
 def test_premeasure_makes_no_eigh_and_only_observer_sized_eigvalsh(monkeypatch):
     # s_dim 20, n = 420: the closed-form state, no psi psi^dagger, no n x n mixture.
     amps = "[" + ", ".join([repr(20 ** -0.5)] * 20) + "]"
