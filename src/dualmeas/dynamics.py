@@ -2,8 +2,8 @@
 
 Builds the system-observer coupling that copies the measured eigenstate into
 the observer pointer basis (exact transfer at coupling * duration = pi/2),
-premeasures with it in closed form, and builds the observer-environment
-dephasing Hamiltonian that suppresses pointer coherences.
+premeasures with it in closed form, and dephases the pointer coherences
+against a bath of atoms held as one product state per pointer branch.
 
 Label conventions: the measured system is "S", the observer "O" (a second
 observer is "O2"), environment atoms are "E0", "E1", ....
@@ -224,38 +224,37 @@ def offdiag_suppression(env: EnvironmentModel, t: float) -> float:
 
 
 def run_decoherence(state: StateVector, env: EnvironmentModel, times):
-    """Dephase a post-measurement state against the environment, one time of
-    the 1-d grid *times* at a time.
+    """Dephase a post-measurement state against the bath *env*, one time of
+    the 1-d grid *times* at a time, in O(N) per time and with no 2^N vector.
 
-    At time t the state is exp(-i h t) * psi, h the phase vector of
-    ``build_dephasing_hamiltonian``. With S and O leading, it is a matrix M
-    whose row s * o_dim + o is the rest of the system beside |s>|O_o>; only
-    the rows r_i = (i - 1) * o_dim + i of the first two pointer branches are
-    evolved. Returns an iterator of (coherence, overlap) per time, each formed
-    only when it is asked for. The coherence is <row r_1|row r_2>, the entry
-    rho_SO[r_2, r_1] of the reduced state rho_SO = M M^dagger. The overlap is
-    the simulated <E_1(t)|E_2(t)> of the environment states tied to the two
-    branches, the coherence over the two row norms, which the phases leave
-    as they are (independent of the closed-form cosine product, which tests
-    compare against). That includes the relative phase of the two branch
-    amplitudes, divided out as the phase of the input state's own value (the
-    |+> bath starts at overlap 1). It is 1 when a branch is empty: no
-    coherence to suppress. The layout is checked, and the phase vector built,
-    before this returns.
+    The |+>^N bath's generator is diagonal in the pointer basis, so at time t
+    it is one product state per branch, |E_o(t)> = prod_k (e |0> + conj(e)
+    |1>) / sqrt(2) with e = exp(-i q_o g_k t). With S and O leading, *state*
+    is a matrix M whose row s * o_dim + o is the rest of the system beside
+    |s>|O_o>; only the rows r_i = (i - 1) * o_dim + i of the first two
+    branches are read. Returns an iterator of (coherence, overlap) per time,
+    each formed only when asked for. The coherence is <row r_1|row r_2>
+    <E_1(t)|E_2(t)>, the entry rho_SO[r_2, r_1] of the reduced state, with
+    <E_1|E_2> = prod_k Re(conj(e_1) e_2). The overlap is
+    the coherence over the row norms and over the phase of the input's own
+    value, or 1 when a branch is empty: no coherence to suppress. The layout
+    is checked before this returns.
     """
-    labels, dims = state.layout.labels, state.layout.dims
-    if labels[:2] != (S_LABEL, O_LABEL):
-        raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, got {labels}")
+    labels, dims, q = state.layout.labels, state.layout.dims, env.pointer_values
+    if labels[:2] != (S_LABEL, O_LABEL) or len(q) != dims[1]:
+        raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, and a pointer "
+                          f"value per O state, got {labels} and {len(q)} values")
     rows, n_so = [1, dims[1] + 2], dims[0] * dims[1]
-    generator = -1j * build_dephasing_hamiltonian(env, state.layout).reshape(n_so, -1)[rows]
+    generator = -1j * np.outer(q[1:3], env.couplings)  # branch rows of the (pointer, atom) table
     psi = state.amplitudes.reshape(n_so, -1)[rows]
-    w1, w2 = (psi * psi.conj()).real.sum(axis=1)  # a phase keeps each row's norm
+    w1, w2 = (psi * psi.conj()).real.sum(axis=1)
     empty = min(w1, w2) < EMPTY_BRANCH_NORM**2
-    unphase = 1.0 if empty else np.exp(-1j * np.angle(np.vdot(*psi))) / math.sqrt(w1 * w2)
+    bare = np.vdot(*psi)
+    unphase = 1.0 if empty else np.exp(-1j * np.angle(bare)) / math.sqrt(w1 * w2)
 
     def at(t):
-        m1, m2 = np.exp(generator * t) * psi
-        coherence = np.vdot(m1, m2)
+        e1, e2 = np.exp(generator * t)  # <e_1|e_2> per atom: (conj(e_1) e_2 + e_1 conj(e_2)) / 2
+        coherence = bare * np.prod((e1.conj() * e2).real)
         return coherence, 1.0 + 0j if empty else complex(coherence * unphase)
 
     return map(at, np.asarray(times, dtype=float))

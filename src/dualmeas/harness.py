@@ -49,7 +49,6 @@ from .dynamics import (
     O_LABEL,
     S_LABEL,
     MeasurementModel,
-    attach_environment,
     branch_weights,
     offdiag_suppression,
     run_decoherence,
@@ -336,17 +335,14 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
 
 def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     env = scenario.environment()
-    psi_full = attach_environment(psi, env)
-
-    b_so = interference_operator(psi.layout)
-    b_pure = discriminate(psi, b_so)
+    b_pure = discriminate(psi, interference_operator(psi.layout))
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
     formula = [offdiag_suppression(env, float(t)) for t in times]
     simulated, b_vals = [], []
-    for coherence, overlap in run_decoherence(psi_full, env, times):
+    for coherence, overlap in run_decoherence(psi, env, times):
         simulated.append(overlap)
-        b_vals.append(2.0 * coherence.real)  # discriminate(rho_SO, b_so): 2 Re rho_SO[r_2, r_1]
+        b_vals.append(2.0 * coherence.real)  # discriminate(rho_SO, B): 2 Re rho_SO[r_2, r_1]
     # The cosine product is the decay of the coherence of branches 1 and 2;
     # with either branch empty there is none to compare (the simulated factor
     # is then 1).
@@ -354,9 +350,9 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     worst_factor = max(abs(f - e) for f, e in zip(simulated, formula)) if coherent else 0.0
     worst_b = max(abs(b - b_pure * f.real) for b, f in zip(b_vals, simulated))
 
-    # Perception statistics are untouched by dephasing.
-    weights = branch_weights(psi_full)
-    records = _perceive(scenario, psi_full)
+    # Each branch's bath state has norm 1: dephasing leaves psi's weights.
+    weights = branch_weights(psi)
+    records = _perceive(scenario, psi)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,

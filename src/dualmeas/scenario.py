@@ -114,18 +114,15 @@ class Scenario:
         if sampled and abs(coupling) * self.delta_t >= math.pi:
             raise ScenarioError("perception times need |lambda| * delta_t < pi, "
                                 f"got {abs(coupling) * self.delta_t:.6g}")
-        # The layout the experiment builds: S x O, S x O x O2 for two_observer,
-        # S x O x 2**n_atoms for decohere; the capped shift still exceeds the
-        # cap when n_atoms does, without building a huge integer.
-        extra = {"two_observer": self.o_dim,
-                 "decohere": 1 << min(self.env_atoms, MAX_TOTAL_DIM.bit_length())}
-        if self.s_dim * self.o_dim * extra.get(self.experiment, 1) > MAX_TOTAL_DIM:
+        # The layout the experiment builds: S x O, S x O x O2 for two_observer.
+        if self.s_dim * self.o_dim ** (1 + (self.experiment == "two_observer")) > MAX_TOTAL_DIM:
             raise ScenarioError(f"{self.experiment} layout exceeds the dense cap {MAX_TOTAL_DIM}")
-        # The simulation rounds the phases (sum_k g_k q z_k) t and the closed
-        # form (q_i - q_j) g_k t; their difference is of order
-        # eps * t * sum_k g_k * max|q_i - q_j|, which past the checks' bound
-        # fails the cosine-product check on rounding alone.
         if self.experiment == "decohere":
+            if self.env_atoms > MAX_TOTAL_DIM:  # the bath is a phase per atom and pointer
+                raise ScenarioError(f"decohere n_atoms {self.env_atoms} exceeds the cap {MAX_TOTAL_DIM}")
+            # The product and the closed form each multiply n_atoms factors that round
+            # their own phases (q_i or q_i - q_j) g_k t: they differ by about eps * t *
+            # n_atoms * g_high * max|q_i - q_j|, past the checks' bound a failure by rounding.
             floor = (np.finfo(float).eps * abs(self.t_max) * self.env_atoms * hi
                      * np.ptp(default_pointer_values(self.o_dim)))
             if floor > DECOHERE_TOL:

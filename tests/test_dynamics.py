@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -305,31 +306,32 @@ class TestDephasingHamiltonian:
 class TestDecoherence:
     def test_no_evolution_factor_one(self, model):
         env = EnvironmentModel.default(3, model.o_dim)
-        psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        ((_, factor),) = run_decoherence(psi, env, [0.0])
+        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), env, [0.0])
         assert abs(factor - 1.0) <= TOL_ALGEBRAIC
 
     def test_single_atom_exact_zero(self, model):
         # q1 - q2 = 2, g = 1, t = pi/4: cos(pi/2) = 0
         env = EnvironmentModel.default(1, model.o_dim)
-        psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
-        ((_, factor),) = run_decoherence(psi, env, [math.pi / 4])
+        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), env, [math.pi / 4])
         assert abs(factor) <= 1e-10
 
     def test_eight_atoms_product_formula(self, model):
-        # dual route: full unitary simulation vs the closed-form product
+        # The per-atom product of bath overlaps against the closed-form cosine product.
         rng = np.random.default_rng(17)
         env = EnvironmentModel.default(8, model.o_dim, couplings=rng.uniform(0.5, 1.5, 8))
-        psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
+        psi = run_premeasurement(s_state(1, 1), model)
         times = np.linspace(0.0, 1.2, 7)
         for t, (_, factor) in zip(times, run_decoherence(psi, env, times)):
             assert abs(abs(factor) - abs(offdiag_suppression(env, float(t)))) <= 1e-10
 
     def test_branch_weights_untouched(self, model):
+        # Each branch's bath state has norm 1: the dephased 2^N state has the
+        # pointer weights of the bare S (x) O state that decohere draws from.
         env = EnvironmentModel.default(4, model.o_dim)
-        psi = attach_environment(run_premeasurement(s_state(0.6, 0.8), model), env)
-        h = build_dephasing_hamiltonian(env, psi.layout)
-        out = StateVector(psi.layout, np.exp(-1j * h * 0.83) * psi.amplitudes)
+        psi = run_premeasurement(s_state(0.6, 0.8), model)
+        full = attach_environment(psi, env)
+        h = build_dephasing_hamiltonian(env, full.layout)
+        out = StateVector(full.layout, np.exp(-1j * h * 0.83) * full.amplitudes)
         np.testing.assert_allclose(branch_weights(out), branch_weights(psi), atol=TOL_ALGEBRAIC)
 
     @given(
@@ -351,14 +353,15 @@ class TestDecoherence:
             amps[empty - 1] = 0.0
         model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
         env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.0, 2.0, n_atoms))
-        psi = attach_environment(run_premeasurement(s_state(*amps), model), env)
-        layout = psi.layout
+        psi = run_premeasurement(s_state(*amps), model)
+        full = attach_environment(psi, env)
+        layout = full.layout
         h = np.zeros((layout.total_dim, layout.total_dim), complex)
         for k in range(n_atoms):
             q_sz = {"O": np.diag(env.pointer_values), env_label(k): np.diag([1.0, -1.0])}
             h += env.couplings[k] * embed(layout, q_sz)
-        want = evolve_unitary(psi, LinearOperator(layout, h), t)
-        got = np.exp(-1j * build_dephasing_hamiltonian(env, layout) * t) * psi.amplitudes
+        want = evolve_unitary(full, LinearOperator(layout, h), t)
+        got = np.exp(-1j * build_dephasing_hamiltonian(env, layout) * t) * full.amplitudes
         np.testing.assert_allclose(got, want.amplitudes, rtol=0, atol=1e-12)
         ((coherence, factor),) = run_decoherence(psi, env, [t])
         r1, r2 = 1, model.o_dim + 2  # |s_0 O_1> and |s_1 O_2>
@@ -370,13 +373,54 @@ class TestDecoherence:
         want_factor = 1.0 if empty else offdiag_suppression(env, t)
         assert abs(factor - want_factor) <= 1e-10
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s_dim=st.integers(2, 4),
+        extra_o=st.integers(1, 2),
+        empty=st.sampled_from([None, 1, 2]),
+        n_atoms=st.integers(0, 10),
+        t=st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_product_form_matches_the_dense_bath(self, seed, s_dim, extra_o, empty, n_atoms, t):
+        # The independent side of the cosine-product check: the 2^N state
+        # and its phases from np.kron and np.exp alone, none of the package's
+        # bath code. |+>^N beside psi on S (x) O, each amplitude's phase
+        # -i sum_k g_k q_o z_k t, and the coherence <row r_1|row r_2> of the
+        # (s * o, 2^N) matrix.
+        rng = np.random.default_rng(seed)
+        amps = rng.uniform(0.1, 1.0, s_dim) * np.exp(2j * np.pi * rng.random(s_dim))
+        if empty is not None:
+            amps[empty - 1] = 0.0
+        model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
+        q, g = default_pointer_values(model.o_dim), rng.uniform(0.0, 2.0, n_atoms)
+        env = EnvironmentModel(n_atoms, g, q)
+        psi = run_premeasurement(s_state(*amps), model)
+        plus, z, one = np.full(2, 2**-0.5), np.array([1.0, -1.0]), np.ones(2)
+        full = psi.amplitudes
+        h = np.zeros(model.s_dim * model.o_dim * 2**n_atoms)
+        for k in range(n_atoms):
+            full = np.kron(full, plus)
+            z_k = [z if i == k else one for i in range(n_atoms)]
+            h += g[k] * np.kron(np.kron(np.ones(model.s_dim), q), reduce(np.kron, z_k, np.ones(1)))
+        rows = (np.exp(-1j * h * t) * full).reshape(model.s_dim * model.o_dim, -1)
+        r1, r2 = 1, model.o_dim + 2
+        want = np.vdot(rows[r1], rows[r2])
+        ((coherence, factor),) = run_decoherence(psi, env, [t])
+        assert abs(coherence - want) <= 1e-12
+        a1, a2 = psi.amplitudes[r1], psi.amplitudes[r2]
+        want_factor = 1.0 if empty else want * np.exp(-1j * np.angle(a1.conj() * a2)) / abs(a1 * a2)
+        assert abs(factor - want_factor) <= 1e-12
+
     def test_overlap_needs_system_and_observer_leading(self, model):
         env = EnvironmentModel.default(2, model.o_dim)
-        psi = attach_environment(run_premeasurement(s_state(1, 1), model), env)
+        psi = run_premeasurement(s_state(1, 1), model)
         swapped = psi.amplitudes.reshape(psi.layout.dims).swapaxes(0, 1)
-        layout = CompositeLayout((("O", model.o_dim), ("S", model.s_dim)) + psi.layout.subsystems[2:])
+        layout = CompositeLayout((("O", model.o_dim), ("S", model.s_dim)))
         with pytest.raises(LayoutError, match="lead the layout"):
             run_decoherence(StateVector(layout, swapped.ravel()), env, [0.3])
+        with pytest.raises(LayoutError, match="a pointer value per O state"):
+            run_decoherence(psi, EnvironmentModel.default(2, model.o_dim + 1), [0.3])
 
     def test_monotone_suppression_in_atom_count(self, model):
         t = 0.2  # all g_k * t in (0, pi/4)

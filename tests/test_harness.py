@@ -280,13 +280,27 @@ class TestRunner:
         assert summary.checks[0]["name"] == COSINE
         assert summary.checks[0]["passed"] is passed
 
+    def test_planted_coupling_off_by_1e_6_fails_the_cosine_product(self, monkeypatch):
+        # At spin_bath's size (8 atoms, t_max 1), one bath coupling off by
+        # 1e-6 on the simulated side only moves the factor by about 1e-6.
+        scenario = parse_scenario(MINIMAL.replace("premeasure", "decohere")
+                                  + "env: {n_atoms: 8}\nt_max: 1.0\nn_times: 10\n")
+        exact = harness.run_decoherence
+        off = np.eye(8)[3] * 1e-6
+        for planted in (False, True):
+            if planted:
+                monkeypatch.setattr(harness, "run_decoherence", lambda psi, env, times: exact(
+                    psi, replace(env, couplings=env.couplings + off), times))
+            check = run(scenario)[0].checks[0]
+            assert check["name"] == COSINE
+            assert check["passed"] is not planted, check
+
     @pytest.mark.parametrize("s_dim, n_atoms, n_times", [
-        # At 9 atoms one S x O x E state is 48 KiB: the states of all 1000
-        # times would be 47 MiB, where one time at a time holds a few vectors.
+        # At 9 atoms one S x O x E state would be 48 KiB and the states of
+        # all 1000 times 47 MiB, where a time forms two rows of 9 phases.
         (2, 9, 1000),
         # At s_dim 12 one reduced state would be 156 x 156, 380 KiB, and
-        # those of all 100 times 37 MiB; a time reads two rows of 4 entries
-        # of the 10 KiB 2-atom state.
+        # those of all 100 times 37 MiB; a time reads two entries of psi.
         (12, 2, 100),
     ])
     def test_decohere_memory_does_not_grow_with_the_time_grid(self, s_dim, n_atoms, n_times):
@@ -1114,7 +1128,7 @@ class TestCli:
             MINIMAL + "o_dim: abc\n",
             MINIMAL + "env: {coupling_range: [a, b]}\n",
             MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: -1}\n",
-            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 10}\n",
+            MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 4097}\n",
             MINIMAL.replace("premeasure", "decohere") + "n_times: 0\n",
             MINIMAL.replace("premeasure", "perception_timing") + "n_times: 0\n",
             MINIMAL.replace("premeasure", "perception_timing") + "n_times: 2\n",
@@ -1181,6 +1195,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+
+    def test_a_billion_atoms_exit_two_before_any_bath_is_formed(self, tmp_path, capsys):
+        body = MINIMAL.replace("premeasure", "decohere") + "env: {n_atoms: 1000000000}\n"
+        tracemalloc.start()
+        try:
+            code = main(["--scenario", self._write(tmp_path, body), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("dualmeas: scenario error: ") and err.count("\n") == 1
+        assert "exceeds the cap 4096" in err and peak < 2**20
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_amplitude_norms_past_float_range(self, tmp_path, capsys, fmt):

@@ -230,11 +230,9 @@ class TestDecoherenceDamping:
         psi = post_measurement((a1, a2))
         env = EnvironmentModel.default(n_atoms=4, o_dim=3,
                                        couplings=(0.6, 0.9, 1.1, 1.4))
-        from dualmeas.dynamics import attach_environment
-        state0 = attach_environment(psi, env)
         bare = 2 * a1 * a2
         times = np.linspace(0.0, 1.5, 7)
-        for t, (coherence, factor) in zip(times, run_decoherence(state0, env, times)):
+        for t, (coherence, factor) in zip(times, run_decoherence(psi, env, times)):
             expected = bare * np.real(offdiag_suppression(env, t))
             assert abs(2.0 * coherence.real - expected) < 1e-10
             assert abs(factor - offdiag_suppression(env, t)) < 1e-10
