@@ -40,8 +40,6 @@ EVENT_BLOCK = 1 << 14
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
 JUMP_TOL = 1e-12
-# Counters philox_uniforms walks in int words: ~22 us each, ~0.24 ms on arrays (x86-64).
-_INT_COUNTERS = 8
 # Buckets per CDF node in sample_perception_time's lookup table. At 16, about
 # 3% of draws from the perception density step past their bucket's node, by
 # at most 1 node at 201 nodes and 3 at 501.
@@ -93,12 +91,12 @@ def _philox(seed: int, c0, c2, n: int, n_words: int):
     """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``,
     EVENT_BLOCK counters at a time: yields ``(lo, u)``, where ``u[i][r]`` is
     the uniform ``(word >> 11) * 2**-53`` of word i of counter lo + r, for
-    the first *n_words* (2 or 4) words. Each of c0 and c2 is an int or the
-    ``range`` of the counters' values; with both ints, n is 1 and each
-    ``u[i]`` is a float. A word that is the same for every counter stays an
-    int, with exact products; every other lives in one of nine block buffers
-    made once per call, and each ``u[i]`` is a float64 view of one of them,
-    overwritten by the next block. The last round makes only the words read."""
+    the first *n_words* (2 or 4) words. One of c0 and c2 is an int, the other
+    the ``range`` of the counters' values. A word that is the same for every
+    counter stays an int, with exact products; every other lives in one of
+    nine block buffers made once per call, and each ``u[i]`` is a float64 view
+    of one of them, overwritten by the next block. The last round makes only
+    the words read."""
     iota = np.arange(min(n, EVENT_BLOCK), dtype=np.uint64)
     buffers = np.empty((9, len(iota)), np.uint64)
 
@@ -126,9 +124,6 @@ def _philox(seed: int, c0, c2, n: int, n_words: int):
                 hi0, lo0 = product(_PHILOX_M[0], x[0])
                 words += [xor(hi0, x[3], k1), lo0]
             x, k0, k1 = words, (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
-        if isinstance(x[0], int):  # one counter: every word an int, and each float exact
-            yield lo, [(w >> 11) * 2.0**-53 for w in x]
-            continue
         for w in x:  # in place: each element is read before its float is written
             w >>= np.uint64(11)
             np.multiply(w, 2.0**-53, out=w.view(np.float64))
@@ -168,9 +163,6 @@ def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
     ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
     rows = -(-n // 4)
-    if rows <= _INT_COUNTERS:  # one counter at a time, in int words
-        blocks = (u for c0 in range(1, rows + 1) for _, u in _philox(seed, c0, int(stream), 1, 4))
-        return np.array([w for u in blocks for w in u][:n])
     out = _gather(_philox(seed, range(1, rows + 1), int(stream), rows, 4), np.empty((rows, 4)))
     return out.ravel()[:n]
 

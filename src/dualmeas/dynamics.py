@@ -238,12 +238,15 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     <E_1|E_2> = prod_k Re(conj(e_1) e_2). The overlap is
     the coherence over the row norms and over the phase of the input's own
     value, or 1 when a branch is empty: no coherence to suppress. The layout
-    is checked before this returns.
+    is checked before this returns; a state that already holds bath atoms
+    E0, E1, ... is refused, not dephased twice.
     """
     labels, dims, q = state.layout.labels, state.layout.dims, env.pointer_values
     if labels[:2] != (S_LABEL, O_LABEL) or len(q) != dims[1]:
         raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, and a pointer "
                           f"value per O state, got {labels} and {len(q)} values")
+    if any(env_label(k) in labels for k in range(env.n_atoms)):  # the bath is phases, not subsystems
+        raise LayoutError(f"expected the state without the bath's atoms, got {labels}")
     rows, n_so = [1, dims[1] + 2], dims[0] * dims[1]
     generator = -1j * np.outer(q[1:3], env.couplings)  # branch rows of the (pointer, atom) table
     psi = state.amplitudes.reshape(n_so, -1)[rows]

@@ -345,7 +345,10 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
         b_vals.append(2.0 * coherence.real)  # discriminate(rho_SO, B): 2 Re rho_SO[r_2, r_1]
     # The cosine product is the decay of the coherence of branches 1 and 2;
     # with either branch empty there is none to compare (the simulated factor
-    # is then 1).
+    # is then 1). Both sides are product forms over the same couplings and
+    # pointer values, so this is a rounding consistency check; the 2^N side
+    # lives in the tests. Its absolute bound passes any factor below
+    # DECOHERE_TOL, most times at hundreds of atoms (ROADMAP item 4).
     coherent = np.all(np.abs(scenario.amplitudes[:2]) >= EMPTY_BRANCH_NORM)
     worst_factor = max(abs(f - e) for f, e in zip(simulated, formula)) if coherent else 0.0
     worst_b = max(abs(b - b_pure * f.real) for b, f in zip(b_vals, simulated))

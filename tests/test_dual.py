@@ -127,16 +127,6 @@ class TestEventRng:
             assert u.shape == (n,)
             assert np.array_equal(u, event_rng(seed, stream).random(n))
 
-    @pytest.mark.parametrize("seed", [0, 7, 20260826, 2**64 - 1])
-    def test_bath_draws_match_event_rng_across_the_int_cutoff(self, seed):
-        # Up to dual._INT_COUNTERS blocks of 4 draws walk the kernel in int
-        # words, one counter at a time; past it, in arrays.
-        assert 4 * dual._INT_COUNTERS < 40
-        for n in range(1, 41):
-            u = philox_uniforms(seed, 1 << 62, n)
-            assert u.dtype == np.float64 and u.shape == (n,)
-            assert np.array_equal(u, event_rng(seed, 1 << 62).random(n))
-
     @given(seed=st.integers(0, 2**64 - 1),
            stream=st.one_of(st.sampled_from([0, 1 << 62]), st.integers(0, 2**64 - 1)))
     @settings(max_examples=100, deadline=None)
