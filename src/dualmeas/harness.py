@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .core import (
     CompositeLayout,
-    DensityMatrix,
     StateVector,
     TOL_ALGEBRAIC,
     TOL_ROUNDTRIP,
@@ -55,7 +54,7 @@ from .dynamics import (
     run_premeasurement,
 )
 from .interference import discriminate, interference_operator
-from .restriction import breuer_distinguishable, restricted_state
+from .restriction import premeasured_restrictions
 from .scenario import (
     DECOHERE_TOL,
     Scenario,
@@ -87,7 +86,8 @@ class RunSummary:
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+    m = np.asarray(m, complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _check(name: str, value, passed) -> dict:
@@ -201,13 +201,8 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     weights = branch_weights(psi)
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
     b_pure, b_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
-    # The observer restrictions of psi and of the matched mixture, sum_i |a_i|^2 |O_i><O_i|.
-    mixed = np.zeros(model.o_dim, dtype=complex)
-    mixed[1:1 + model.s_dim] = np.abs(scenario.amplitudes) ** 2
-    r_pure = restricted_state(psi, source_kind="pure_ensemble")
-    r_mixed = restricted_state(DensityMatrix(model.so_layout().restrict((O_LABEL,)), np.diag(mixed)),
-                               source_kind="mixed_ensemble")
-    _, dist = breuer_distinguishable(r_pure, r_mixed)
+    r_pure, r_mixed, dist = premeasured_restrictions(
+        psi.amplitudes.reshape(model.s_dim, model.o_dim), scenario.amplitudes)
 
     pdf = None
     if scenario.perception_mode == "sample":
@@ -219,8 +214,8 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
         frequencies=freqs,
         b_values={"pure": b_pure, "mixed": b_mixed},
         restricted_states={
-            "pure_ensemble": _complex_matrix_to_json(r_pure.o_density.entries),
-            "mixed_ensemble": _complex_matrix_to_json(r_mixed.o_density.entries),
+            "pure_ensemble": _complex_matrix_to_json(r_pure),
+            "mixed_ensemble": _complex_matrix_to_json(r_mixed),
         },
         checks=[
             _check("branch weights equal |a_i|^2", dev, dev <= TOL_ALGEBRAIC),

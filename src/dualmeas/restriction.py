@@ -3,7 +3,9 @@
 The observer's self-description of the composite state is its reduction onto
 the observer subsystem. Two composite states whose restrictions coincide are
 indistinguishable "from inside": this module computes the restrictions and
-the trace-distance verdict. Pointer weights, of a restriction or of any
+the trace-distance verdict. ``premeasured_restrictions`` gives both
+restrictions of a premeasured state and its matched mixture, and a bound on
+their distance, in closed form. Pointer weights, of a restriction or of any
 composite state, are ``dynamics.branch_weights``.
 """
 
@@ -70,3 +72,40 @@ def breuer_distinguishable(a: RestrictedState, b: RestrictedState, tol=DISTINGUI
     d = trace_distance(a.o_density, b.o_density)
     return d > tol, d
 
+
+def premeasured_restrictions(psi, amplitudes):
+    """O's restrictions of the premeasured state *psi* and of its matched
+    mixture sum_s |a_s|^2 |O_{s+1}><O_{s+1}|, and a bound on their trace
+    distance, from the two branch entries of each row of *psi*.
+
+    *psi* is the S (x) O state as an (s_dim, o_dim) array, as
+    ``MeasurementModel.rotate`` leaves it: row s holds weight only at its
+    ready entry (s, 0) and its pointer entry (s, s + 1). A row with weight
+    anywhere else raises InvariantError. Returns ``(pure, mixed, distance)``.
+    ``pure`` is diagonal but for its ready row and column: |psi[s, o]|^2 on
+    the diagonal, psi[s, 0] conj(psi[s, s + 1]) at (0, s + 1). ``mixed`` is
+    diag(0, |a_1|^2, ...). Their difference is the sum over s of the blocks
+    D_s = [[alpha, beta], [conj(beta), gamma]] on (O_0, O_{s+1}), so by the
+    triangle inequality ``distance`` = (1/2) sum_s ||D_s||_1 is at least the
+    exact trace distance, and needs no o x o eigensolve.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    s_dim, o_dim = psi.shape
+    s = np.arange(s_dim)
+    ready, pointer = psi[:, 0], psi[s, s + 1]
+    if np.count_nonzero(psi) != np.count_nonzero(ready) + np.count_nonzero(pointer):
+        raise InvariantError("a row of the premeasured state holds weight off its ready and pointer entries")
+    alpha, on_pointer = (ready * ready.conj()).real, (pointer * pointer.conj()).real
+    beta = ready * pointer.conj()
+    weights = np.abs(amplitudes) ** 2
+    pure = np.zeros((o_dim, o_dim), dtype=complex)
+    pure[0, 0] = alpha.sum()
+    pure[s + 1, s + 1] = on_pointer
+    pure[0, s + 1], pure[s + 1, 0] = beta, beta.conj()
+    mixed = np.zeros((o_dim, o_dim), dtype=complex)
+    mixed[s + 1, s + 1] = weights
+    # ||D_s||_1 = |tr D_s| when its eigenvalues share a sign, else their
+    # spread; |beta|^2 = alpha |psi[s, s + 1]|^2.
+    gamma = on_pointer - weights
+    norms = np.maximum(np.abs(alpha + gamma), np.sqrt((alpha - gamma) ** 2 + 4.0 * alpha * on_pointer))
+    return pure, mixed, 0.5 * float(norms.sum())

@@ -25,14 +25,22 @@ correlation of ``undo``. ``decohere-degenerate`` was re-recorded when its
 a coherence that does not exist: with branch 2 empty the check's value is 0.0
 and it passes (events unchanged).
 
+The events must not depend on the host's SIMD level either: numpy and
+OpenBLAS pick their kernels at run time, so the cases are rerun in child
+processes with lower levels forced through ``NPY_DISABLE_CPU_FEATURES`` and
+``OPENBLAS_CORETYPE``, and every events file must keep its recorded sha256.
+
 ``PYTHONPATH=src python3 tests/test_golden.py NAME ...`` re-records only the
 named cases and leaves every other entry byte-identical; with no names it
 re-records every case.
 """
 
+import ctypes
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -150,6 +158,70 @@ def test_diff_tolerates_only_float_rounding():
     assert _diff(True, 1) != []
     assert _diff(None, None) == []
     assert _diff([1.0], [1.0, 2.0]) != []
+
+
+def dispatch_level() -> str:
+    """The SIMD level numpy dispatches to in this process and the core
+    OpenBLAS runs, as far as either can be read; elsewhere the host's own."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    # numpy 2 names the x86-64 levels; numpy 1 only their features.
+    levels = (("X86_V4", "X86_V3", "X86_V2") if "X86_V2" in __cpu_features__
+              else ("AVX512_SKX", "AVX2", "SSE42"))
+    level = next((f for f in levels if __cpu_features__.get(f)), "the host's own")
+    core = "the host's own"
+    maps = Path("/proc/self/maps")
+    libs = {line.split()[-1] for line in maps.read_text().splitlines()
+            if "openblas" in line} if maps.exists() else set()
+    for lib in sorted(libs):
+        for symbol in ("openblas_get_corename", "openblas_get_corename64_",
+                       "scipy_openblas_get_corename64_"):
+            corename = getattr(ctypes.CDLL(lib), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                core = corename().decode()
+    return f"numpy {level}, OpenBLAS {core}"
+
+
+# Each child's environment differs from the test's only by these settings.
+_LOW_NUMPY = "X86_V4 AVX512_ICL AVX512_SPR"
+DISPATCH = {
+    "numpy X86_V3": {"NPY_DISABLE_CPU_FEATURES": _LOW_NUMPY},
+    "numpy X86_V2": {"NPY_DISABLE_CPU_FEATURES": _LOW_NUMPY + " X86_V3"},
+    "OpenBLAS Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+}
+_CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, {tests!r})
+from test_golden import CASES, _outputs, dispatch_level
+with tempfile.TemporaryDirectory() as tmp:
+    outs = {{name: _outputs(doc, Path(tmp) / name) for name, doc in CASES.items()}}
+print(json.dumps({{"level": dispatch_level(), "events": {{
+    name: [o["events_json_sha256"], o["events_csv_sha256"]] for name, o in outs.items()}}}}))
+"""
+
+
+def test_events_do_not_depend_on_cpu_dispatch(references):
+    # The three children run at once; each reruns every case.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
+    children = {
+        name: subprocess.Popen([sys.executable, "-c", _CHILD.format(tests=str(here))],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                               env={**os.environ, "PYTHONPATH": path, **settings})
+        for name, settings in DISPATCH.items()
+    }
+    want = {name: [ref["events_json_sha256"], ref["events_csv_sha256"]] for name, ref in references.items()}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        got = json.loads(out.splitlines()[-1])
+        print(f"{name} child ran at {got['level']}")
+        differ = sorted(case for case in want if got["events"].get(case) != want[case])
+        assert differ == [], f"{name}: events of {differ} differ from the references"
 
 
 def record(names=()) -> None:

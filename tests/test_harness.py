@@ -23,11 +23,10 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import __version__, cli, dual, harness, writer
+from dualmeas import __version__, cli, core, dual, harness, restriction, writer
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
-    DensityMatrix,
     InvariantError,
     LinearOperator,
     StateVector,
@@ -44,7 +43,7 @@ from dualmeas.dynamics import (
 )
 from dualmeas.harness import EXPERIMENTS, RunSummary, run
 from dualmeas.interference import discriminate, interference_operator
-from dualmeas.restriction import restricted_state
+from dualmeas.restriction import premeasured_restrictions, restricted_state
 from dualmeas.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from dualmeas.writer import emit
 
@@ -482,16 +481,10 @@ def test_planted_swapped_mixture_fails_the_restriction_check(monkeypatch):
     # The matched mixture with its two weights swapped, 0.7 and 0.3, lies
     # 0.4 in trace distance from the pure state's observer restriction.
     sc = parse_scenario(MINIMAL)
-    exact = harness.restricted_state
-
-    def swapped(state, source_kind):
-        if source_kind == "mixed_ensemble":
-            state = DensityMatrix(state.layout, state.entries[[0, 2, 1]][:, [0, 2, 1]])
-        return exact(state, source_kind=source_kind)
-
+    exact = harness.premeasured_restrictions
     for planted in (False, True):
         if planted:
-            monkeypatch.setattr(harness, "restricted_state", swapped)
+            monkeypatch.setattr(harness, "premeasured_restrictions", lambda psi, amps: exact(psi, amps[::-1]))
         summary, _ = run(sc)
         check = next(c for c in summary.checks if c["name"] == COINCIDE)
         assert check["passed"] is not planted
@@ -620,6 +613,18 @@ def test_planted_off_calibration_fails_the_branch_weight_check():
     assert check["value"] == pytest.approx(0.7 * math.sin(math.pi / 2 * 1e-6) ** 2, rel=1e-3)
 
 
+def test_planted_off_calibration_fails_the_restriction_check():
+    # lambda = (pi/2)(1 + 1e-6) leaves each ready entry at a_s cos(lambda delta):
+    # the bound reads sum_s |a_s|^2 |cos| = 1.57e-6 (the exact trace distance
+    # 1.2e-6), far above the check's 1e-12.
+    sc = _acceptance("premeasure")
+    for planted in (False, True):
+        summary, _ = run(replace(sc, coupling=math.pi / 2 * (1 + 1e-6)) if planted else sc)
+        check = next(c for c in summary.checks if c["name"] == COINCIDE)
+        assert check["passed"] is not planted
+    assert check["value"] == pytest.approx(math.sin(math.pi / 2 * 1e-6), rel=1e-6)
+
+
 def test_planted_self_paired_probe_fails_the_pure_mixed_check(monkeypatch):
     values = _caught(monkeypatch, _acceptance("premeasure"),
                      "interference expectation distinguishes pure from mixed ensembles", _self_paired)
@@ -665,17 +670,19 @@ def test_planted_discriminator_error_fails_the_damping_check(monkeypatch):
 
 
 def test_premeasure_makes_no_eigh_and_only_observer_sized_eigvalsh(monkeypatch):
-    # s_dim 20, n = 420: the closed-form state, no psi psi^dagger, no n x n mixture.
+    # s_dim 20, n = 420: the closed-form state, no psi psi^dagger, no n x n
+    # mixture; the observer restrictions and their distance come from the two
+    # branch entries of each row, with no partial trace and no eigensolve.
     amps = "[" + ", ".join([repr(20 ** -0.5)] * 20) + "]"
     sc = parse_scenario(MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", amps))
-    seen = {"eigh": [], "eigvalsh": []}
-    for name, spied in seen.items():
-        f = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, f=f, spied=spied: spied.append(a.shape) or f(a))
+    seen = []
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (core, "partial_trace"),
+                         (restriction, "partial_trace")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: seen.append(name) or f(*a))
     summary, _ = run(sc)
     assert all(c["passed"] for c in summary.checks)
-    assert seen["eigh"] == []
-    assert seen["eigvalsh"] and all(max(shape) <= 21 for shape in seen["eigvalsh"])
+    assert seen == []
 
 
 def _dense_pure_vs_mixture(psi: StateVector, amps):
@@ -737,6 +744,10 @@ def test_premeasure_matches_the_dense_densities(s_dim, extra_o, weights, phases,
     got = harness._pure_vs_mixture(psi, sc.amplitudes)
     assert abs(got[0] - b_pure) <= 1e-12 and abs(got[1] - b_mixed) <= 1e-12
     np.testing.assert_allclose(restricted_state(psi).o_density.entries, r_pure, rtol=0, atol=1e-12)
+    pure, mixed, bound = premeasured_restrictions(psi.amplitudes.reshape(s_dim, -1), sc.amplitudes)
+    np.testing.assert_allclose(pure, r_pure, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mixed, r_mixed, rtol=0, atol=1e-12)
+    assert bound >= dist - 1e-15  # an upper bound at any angle
     if angle is not None:
         return
     summary, _ = run(sc)
@@ -747,7 +758,7 @@ def test_premeasure_matches_the_dense_densities(s_dim, extra_o, weights, phases,
         emitted = np.array(summary.restricted_states[key]) @ [1, 1j]
         np.testing.assert_allclose(emitted, want, rtol=0, atol=1e-12)
     breuer = next(c for c in summary.checks if c["name"] == "pure and matched mixed restrictions coincide")
-    assert abs(breuer["value"] - dist) <= 1e-12
+    assert dist - 1e-15 <= breuer["value"] <= dist + 1e-12
 
 
 def _two_observer_reference(sc: Scenario):
@@ -990,6 +1001,21 @@ class TestEmission:
         assert list(doc) == sorted(doc)
         assert doc["experiment"] == "premeasure"
         assert len(doc["fingerprint"]) == 16
+
+    def test_restricted_states_keep_the_bytes_of_per_entry_floats(self, tmp_path):
+        # One tolist() of the (real, imag) stack writes the summary.json bytes
+        # that a float per entry wrote, negative zeros and complex entries too.
+        m = np.array([[0.3, complex(-0.0, 1e-17), complex(0.0, -0.0)],
+                      [complex(-0.0, -1e-17), complex(0.7, -2.5e-33), -0.0],
+                      [complex(1.5e-17, 4.3e-17), complex(-0.0, 0.0), 1 / 3]])
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        summary, records = run(parse_scenario(MINIMAL))
+        written = []
+        for k, entries in enumerate((harness._complex_matrix_to_json(m), per_entry)):
+            summary.restricted_states = {"pure_ensemble": entries}
+            written.append(Path(emit(summary, records, tmp_path / str(k), fmt="json")[0]).read_bytes())
+        assert written[0] == written[1]
+        assert b"-0.0" in written[0]
 
 
 # Floats at the edges of the events writer's float kernel: the values it
@@ -1351,10 +1377,13 @@ class TestCli:
 
 
 # Runs every experiment at a small size through run + emit in a fresh
-# interpreter, then prints the heavy modules the process has loaded. numpy.ma
-# costs a cold run 13-20 ms; np.unique is one function that imports it.
+# interpreter, then prints the heavy modules the process has loaded beyond
+# those of a bare `import numpy, yaml`. numpy.ma costs a cold run 13-20 ms;
+# np.unique is one function that imports it.
 _STARTUP_PROBE = """
 import sys, tempfile
+import numpy, yaml
+bare = set(sys.modules)  # numpy 1.x loads numpy.random, and so hashlib, on import
 import dualmeas, dualmeas.cli
 from dualmeas.harness import EXPERIMENTS, emit, parse_scenario, run
 extra = {"decohere": "env: {n_atoms: 2}\\nn_times: 5\\n", "perception_timing": "n_times: 101\\n"}
@@ -1366,7 +1395,7 @@ with tempfile.TemporaryDirectory() as tmp:
         summary, records = run(sc)
         assert all(c["passed"] for c in summary.checks), body
         emit(summary, records, f"{tmp}/{k}", fmt="csv" if k % 2 else "json")
-print(" ".join(m for m in sys.modules if m in ("scipy", "numpy.random", "numpy.ma")
+print(" ".join(m for m in set(sys.modules) - bare if m in ("scipy", "numpy.random", "numpy.ma")
                or m.startswith(("scipy.", "numpy.random.", "numpy.ma."))))
 """
 
@@ -1383,7 +1412,7 @@ class TestStartup:
         # The fingerprint's SHA-256 is the interpreter's builtin one; hashlib
         # would load OpenSSL (_hashlib, _ssl), about 3.5 MiB of a run's peak.
         src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = _STARTUP_PROBE + 'print(*(m for m in ("hashlib", "_hashlib", "_ssl") if m in sys.modules))\n'
+        probe = _STARTUP_PROBE + 'print(*(m for m in ("hashlib", "_hashlib", "_ssl") if m in set(sys.modules) - bare))\n'
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env={"PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr

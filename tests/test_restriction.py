@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from dualmeas.core import CompositeLayout, DensityMatrix, InvariantError, StateVector
 from dualmeas.dynamics import MeasurementModel, branch_weights, run_premeasurement
-from dualmeas.restriction import RestrictedState, breuer_distinguishable, restricted_state
+from dualmeas.restriction import (
+    RestrictedState,
+    breuer_distinguishable,
+    premeasured_restrictions,
+    restricted_state,
+)
 
 MODEL = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 SO = MODEL.so_layout()
@@ -109,6 +114,21 @@ class TestBreuerDistinguishability:
             + (1 - p) * restricted_state(rho2).o_density.entries
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestPremeasuredRestrictions:
+    def test_weight_off_a_row_pair_raises(self):
+        # Row 0's pair is (0, 0) and (0, 1): weight at (0, 2) is outside the
+        # closed form, so it raises rather than go unseen.
+        amps = np.array([math.sqrt(0.3), math.sqrt(0.7)])
+        psi = run_premeasurement(s_state(*amps), MODEL).amplitudes.reshape(2, 3)
+        pure, _, dist = premeasured_restrictions(psi, amps)
+        np.testing.assert_allclose(pure, np.diag([0, 0.3, 0.7]), atol=1e-12)
+        assert dist <= 1e-12
+        planted = psi.copy()
+        planted[0, 2] = 1e-9
+        with pytest.raises(InvariantError, match="off its ready and pointer entries"):
+            premeasured_restrictions(planted, amps)
 
 
 def phase_class(psi_a, psi_b):
