@@ -5,8 +5,7 @@ the observer pointer basis (exact transfer at coupling * duration = pi/2),
 premeasures with it in closed form, and dephases the pointer coherences
 against a bath of atoms held as one product state per pointer branch.
 
-Label conventions: the measured system is "S", the observer "O" (a second
-observer is "O2"), environment atoms are "E0", "E1", ....
+Label conventions: the measured system is "S", the observer "O", bath atoms "E0", "E1", ....
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .core import (
 
 S_LABEL = "S"
 O_LABEL = "O"
-O2_LABEL = "O2"
 # A pointer branch of norm below this is empty: it carries no coherence.
 EMPTY_BRANCH_NORM = 1e-14
 
@@ -232,14 +230,14 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     |1>) / sqrt(2) with e = exp(-i q_o g_k t). With S and O leading, *state*
     is a matrix M whose row s * o_dim + o is the rest of the system beside
     |s>|O_o>; only the rows r_i = (i - 1) * o_dim + i of the first two
-    branches are read. Returns an iterator of (coherence, overlap) per time,
-    each formed only when asked for. The coherence is <row r_1|row r_2>
-    <E_1(t)|E_2(t)>, the entry rho_SO[r_2, r_1] of the reduced state, with
-    <E_1|E_2> = prod_k Re(conj(e_1) e_2). The overlap is
-    the coherence over the row norms and over the phase of the input's own
-    value, or 1 when a branch is empty: no coherence to suppress. The layout
-    is checked before this returns; a state that already holds bath atoms
-    E0, E1, ... is refused, not dephased twice.
+    branches are read. Returns a list of (coherence, overlap), one per time.
+    The coherence is <row r_1|row r_2> <E_1(t)|E_2(t)>, the entry
+    rho_SO[r_2, r_1] of the reduced state, with <E_1|E_2> = prod_k
+    Re(conj(e_1) e_2). The overlap is the coherence over the row norms and
+    over the phase of the input's own value, or 1 when a branch is empty:
+    no coherence to suppress. The layout is checked before any time is
+    formed; a state that already holds bath atoms E0, E1, ... is refused,
+    not dephased twice.
     """
     labels, dims, q = state.layout.labels, state.layout.dims, env.pointer_values
     if labels[:2] != (S_LABEL, O_LABEL) or len(q) != dims[1]:
@@ -260,7 +258,7 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
         coherence = bare * np.prod((e1.conj() * e2).real)
         return coherence, 1.0 + 0j if empty else complex(coherence * unphase)
 
-    return map(at, np.asarray(times, dtype=float))
+    return [at(t) for t in np.asarray(times, dtype=float)]
 
 
 def branch_weights(state, observer=O_LABEL) -> np.ndarray:

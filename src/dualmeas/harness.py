@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    CompositeLayout,
     StateVector,
     TOL_ALGEBRAIC,
     TOL_ROUNDTRIP,
@@ -44,7 +43,6 @@ from .dual import (
 )
 from .dynamics import (
     EMPTY_BRANCH_NORM,
-    O2_LABEL,
     O_LABEL,
     S_LABEL,
     MeasurementModel,
@@ -271,15 +269,16 @@ def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
     ), records
 
 
+def _joint_pointer_weights(model: MeasurementModel, p) -> np.ndarray:
+    """(O, O2) pointer weights once O2 measures S by O's rotation, from the
+    premeasured (s_dim, o_dim) amplitudes *p*: O2's turn keeps S's rows, so
+    joint[o, o2] = sum_s |p[s, o]|^2 |R[s, o2]|^2, R a ready O2 turned beside each row."""
+    r = model.rotate(np.tile(np.eye(1, model.o_dim), (model.s_dim, 1)), model.duration)
+    return (p * p.conj()).real.T @ (r * r.conj()).real
+
+
 def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    # O2 measures S by O's rotation: psi beside a ready O2, as an (S, O2, O)
-    # array, turned on its leading S and O2 axes while O rides along.
-    s_dim, o_dim = model.s_dim, model.o_dim
-    p = psi.amplitudes.reshape(s_dim, o_dim)
-    beside = np.zeros((s_dim, o_dim, o_dim), dtype=complex)
-    beside[:, 0] = p
-    layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim), (O2_LABEL, o_dim)))
-    psi_t2 = StateVector(layout, model.rotate(beside, model.duration).swapaxes(1, 2).ravel())
+    p = psi.amplitudes.reshape(model.s_dim, model.o_dim)
 
     # Coherence between branches 1 and 2 available to the second observer
     # between the two measurements: nonzero certifies no objective collapse at
@@ -287,23 +286,23 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     # imaginary-part partner, so no relative phase of the branches hides it.
     b_mid = 2.0 * abs(np.vdot(p[0, 1], p[1, 2]))
 
-    # Joint pointer distribution at t2: the adjacent (O, O2) axes read as one
-    # observer axis of dimension o_dim**2. Each event draws the first
-    # observer's record from the marginal, the second from the conditional row.
+    # Each event draws O's record from psi's pointer weights at t1, and O2's
+    # at t2 from the joint row of that record (at most s_dim rows can be
+    # drawn), O2's ready weight left out as perceive leaves O's.
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    joint_layout = CompositeLayout(((S_LABEL, s_dim), (O_LABEL, o_dim * o_dim)))
-    joint = branch_weights(StateVector(joint_layout, psi_t2.amplitudes)).reshape(o_dim, o_dim)
-    marginal = joint.sum(axis=1)
-    joint[:, 0] = 0.0  # O2's ready weight is O's, which perceive found to be residue
+    weights = branch_weights(psi)
+    joint = _joint_pointer_weights(model, p)
+    joint[:, 0] = 0.0
+    rows = {j1: joint[j1] / joint[j1].sum() for j1 in np.flatnonzero(weights[1:]) + 1}
 
     def events(u):
-        first = DualState(psi_t2, len(u[0]), clock=t2).perceive(u[0], t=t1)
+        first = DualState(psi, len(u[0]), clock=t1).perceive(u[0])
         js1 = first.final_j
         js2 = np.empty_like(js1)
-        for j1, row in enumerate(joint):  # not np.unique, which imports numpy.ma
+        for j1, row in rows.items():
             on = js1 == j1
             if on.any():
-                js2[on] = draw_index(row / row.sum(), u[1][on])
+                js2[on] = draw_index(row, u[1][on])
         return first.record(t2, js2)
 
     records = _sample(scenario, events)
@@ -311,7 +310,7 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     agree = np.count_nonzero(js1 == js2)
     rate = agree / scenario.n_events
 
-    freqs, freq_check = _freq_check(js1, marginal, scenario.n_events)
+    freqs, freq_check = _freq_check(js1, weights, scenario.n_events)
     a = scenario.amplitudes
     floor = 2.0 * abs(a[0] * a[1]) - 1e-10
     return dict(

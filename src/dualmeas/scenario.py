@@ -114,8 +114,8 @@ class Scenario:
         if sampled and abs(coupling) * self.delta_t >= math.pi:
             raise ScenarioError("perception times need |lambda| * delta_t < pi, "
                                 f"got {abs(coupling) * self.delta_t:.6g}")
-        # The layout the experiment builds: S x O, S x O x O2 for two_observer.
-        if self.s_dim * self.o_dim ** (1 + (self.experiment == "two_observer")) > MAX_TOTAL_DIM:
+        # The S x O layout every experiment builds.
+        if self.s_dim * self.o_dim > MAX_TOTAL_DIM:
             raise ScenarioError(f"{self.experiment} layout exceeds the dense cap {MAX_TOTAL_DIM}")
         if self.experiment == "decohere":
             if self.env_atoms > MAX_TOTAL_DIM:  # the bath is a phase per atom and pointer

@@ -192,7 +192,8 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     n, flags = records.n_events, list(records.flags)
     if fmt == "csv":
         text = ";".join(flags)

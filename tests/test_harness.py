@@ -794,7 +794,14 @@ def test_two_observer_matches_three_party_generators(s_dim, extra_o, weights, ph
                   n_events=20, s_dim=s_dim, o_dim=s_dim + extra_o, delta_t=delta_t)
     psi_t1, psi_t2 = _two_observer_reference(sc)
     summary, records = run(sc)
-    np.testing.assert_allclose(records.phi_d.amplitudes, psi_t2.amplitudes, rtol=0, atol=1e-12)
+    # The run keeps the S x O state O perceived at t1, beside which O2 is still ready.
+    assert records.clock == sc.delta_t
+    ready = np.eye(sc.o_dim, 1).ravel()
+    np.testing.assert_allclose(np.kron(records.phi_d.amplitudes, ready), psi_t1.amplitudes,
+                               rtol=0, atol=1e-12)
+    x = psi_t2.amplitudes.reshape(psi_t2.layout.dims)
+    joint = harness._joint_pointer_weights(sc.model(), records.phi_d.amplitudes.reshape(s_dim, -1))
+    np.testing.assert_allclose(joint, (x * x.conj()).real.sum(axis=0), rtol=0, atol=1e-12)
     p = psi_t1.amplitudes.reshape(psi_t1.layout.dims)
     b_mid = 2.0 * abs(np.vdot(p[0, 1], p[1, 2]))
     assert abs(summary.b_values["between_measurements"] - b_mid) <= 1e-12
@@ -1134,6 +1141,14 @@ class TestCli:
         assert "[PASS]" in out
         assert "summary.json" in out
 
+    def test_two_observer_with_s_o_squared_past_the_cap_exits_zero(self, tmp_path, capsys):
+        # s x o = 100 is within the cap of 4096, s x o x o = 5000 is not.
+        body = MINIMAL.replace("premeasure", "two_observer") + "o_dim: 50\n"
+        code = main(["--scenario", self._write(tmp_path, body), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[PASS]" in out and "[FAIL]" not in out
+
     def test_missing_scenario_flag_is_usage_error(self, capsys):
         assert main([]) == 1
 
@@ -1165,7 +1180,7 @@ class TestCli:
             MINIMAL + "env: {coupling_range: [0.5, .inf]}\n",
             MINIMAL + "env: {coupling_range: [.nan, 1.0]}\n",
             MINIMAL.replace("[0.5477225575051661", "[.nan"),
-            MINIMAL.replace("premeasure", "two_observer") + "o_dim: 50\n",
+            MINIMAL.replace("premeasure", "two_observer") + "o_dim: 2049\n",
             MINIMAL + "o_dim: 3000\n",
             MINIMAL + "delta_t: 0\n",
             MINIMAL.replace("n_events: 200", "n_events: 2.7"),
