@@ -22,6 +22,10 @@ TOL_ALGEBRAIC = 1e-12
 TOL_ROUNDTRIP = 1e-10
 # Dense storage cap; exceeding it is an error, never silent truncation.
 MAX_TOTAL_DIM = 4096
+# Events per block of the Philox kernel, a run's sampling loop and the events
+# writer, and entries per stack of perception_time_pdf's unitaries: bounds the
+# temporaries of each (dynamics' time grid takes a sixteenth).
+EVENT_BLOCK = 1 << 14
 
 
 class LayoutError(ValueError):

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    EVENT_BLOCK,
     DensityMatrix,
     InvariantError,
     LinearOperator,
@@ -33,9 +34,6 @@ from .dynamics import (
     branch_weights,
 )
 
-# Events per block of the Philox kernel, a run's sampling loop and the events writer, and
-# entries per stack of perception_time_pdf's unitaries: bounds the temporaries of each.
-EVENT_BLOCK = 1 << 14
 # A perception weight below this is treated as "branch absent".
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
@@ -67,6 +65,8 @@ def event_rng(seed: int, event_id: int) -> np.random.Generator:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Counters up to which the lanes beat the block kernel, whose cost is flat below a block (README).
+_LANES_MAX = 256
 
 
 def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c):
@@ -130,13 +130,45 @@ def _philox(seed: int, c0, c2, n: int, n_words: int):
         yield lo, [w.view(np.float64) for w in x]
 
 
+def _philox_lanes(seed: int, c0, c2, n: int, n_words: int) -> np.ndarray:
+    """``_philox`` of its *n* counters at once, as rows of uniforms, one per
+    word read: word i of counter r is the low 64 bits of the 128-bit lane r
+    of the Python int x[i], so ``m * x[i]`` keeps each product in its lane
+    and a round is a dozen big-int operations for the whole set. Lanes are
+    packed and unpacked as "<u8", whatever the host's byte order."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")  # a 1 in every lane
+    mask = ones * (2**64 - 1)
+
+    def lanes(c):  # c in every lane, or the range of the lanes' values
+        lane = np.zeros((n, 2), "<u8")
+        lane[:, 0] = c
+        return int.from_bytes(lane.tobytes(), "little")
+
+    x0, x1, x2, x3 = lanes(c0), 0, lanes(c2), 0
+    k0, k1 = int(seed), 0
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+        x0, x1 = ((p1 >> 64) & mask) ^ x1 ^ k0 * ones, p1 & mask
+        x2, x3 = ((p0 >> 64) & mask) ^ x3 ^ k1 * ones, p0 & mask
+        k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+    words = b"".join(w.to_bytes(16 * n, "little") for w in (x0, x1, x2, x3)[:n_words])
+    return (np.frombuffer(words, "<u8")[::2] >> np.uint64(11)).reshape(n_words, n) * 2.0**-53
+
+
+def _counter_blocks(seed: int, c0, c2, n: int, n_words: int):
+    """The blocks ``(lo, u)`` of ``_philox``: one of ``_philox_lanes`` for 1 to _LANES_MAX counters."""
+    if 0 < n <= _LANES_MAX:
+        return [(0, _philox_lanes(seed, c0, c2, n, n_words))]
+    return _philox(seed, c0, c2, n, n_words)
+
+
 def uniform_blocks(seed: int, n_events: int):
     """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at
-    a time, from one pass of the kernel: yields ``(lo, u)``, where ``u[0][r]``
-    and ``u[1][r]`` are the first two draws of event lo + r. The block's
-    arrays are overwritten by the next one, so a run's uniforms take a few
-    blocks of memory whatever its size."""
-    return _philox(seed, 1, range(n_events), n_events, 2)
+    a time, from one pass of the kernel: the blocks ``(lo, u)``, where
+    ``u[0][r]`` and ``u[1][r]`` are the first two draws of event lo + r. The
+    block's arrays are overwritten by the next one, so a run's uniforms take
+    a few blocks of memory whatever its size."""
+    return _counter_blocks(seed, 1, range(n_events), n_events, 2)
 
 
 def _gather(blocks, out: np.ndarray) -> np.ndarray:
@@ -163,7 +195,7 @@ def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
     ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
     rows = -(-n // 4)
-    out = _gather(_philox(seed, range(1, rows + 1), int(stream), rows, 4), np.empty((rows, 4)))
+    out = _gather(_counter_blocks(seed, range(1, rows + 1), int(stream), rows, 4), np.empty((rows, 4)))
     return out.ravel()[:n]
 
 

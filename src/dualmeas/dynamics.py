@@ -17,6 +17,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
+    EVENT_BLOCK,
     CompositeLayout,
     DensityMatrix,
     InvariantError,
@@ -29,6 +30,10 @@ S_LABEL = "S"
 O_LABEL = "O"
 # A pointer branch of norm below this is empty: it carries no coherence.
 EMPTY_BRANCH_NORM = 1e-14
+# (time, atom) entries per chunk of the dephasing time grid. A chunk's phases,
+# 32 bytes an entry, stay at 32 KiB, below the 128 KiB from which malloc maps
+# fresh pages, so a chunk adds nothing to a run's peak RSS.
+_GRID_CHUNK = EVENT_BLOCK // 16
 
 
 def env_label(k: int) -> str:
@@ -214,16 +219,28 @@ def attach_environment(state: StateVector, env: EnvironmentModel) -> StateVector
     return StateVector(layout, reduce(np.kron, [plus] * env.n_atoms, state.amplitudes))
 
 
-def offdiag_suppression(env: EnvironmentModel, t: float) -> float:
+def _grid_chunks(times, n_atoms: int):
+    """Columns of the 1-d grid *times*, each of at most _GRID_CHUNK (time, atom)
+    entries, or of one time from _GRID_CHUNK atoms up."""
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    step = max(1, _GRID_CHUNK // max(1, n_atoms))
+    return [t[lo:lo + step] for lo in range(0, max(1, len(t)), step)]
+
+
+def offdiag_suppression(env: EnvironmentModel, t):
     """Closed-form overlap of the environment states of pointer branches 1
-    and 2: prod_k cos((q_1 - q_2) g_k t)."""
+    and 2: prod_k cos((q_1 - q_2) g_k t). Of a 1-d grid *t*, an array of one
+    overlap per time; of a scalar, a float."""
     dq = env.pointer_values[1] - env.pointer_values[2]
-    return float(np.prod(np.cos(dq * env.couplings * t)))
+    out = np.concatenate([np.prod(np.cos(dq * env.couplings * ts), axis=1)
+                          for ts in _grid_chunks(t, env.n_atoms)])
+    return out if np.ndim(t) else float(out[0])
 
 
 def run_decoherence(state: StateVector, env: EnvironmentModel, times):
-    """Dephase a post-measurement state against the bath *env*, one time of
-    the 1-d grid *times* at a time, in O(N) per time and with no 2^N vector.
+    """Dephase a post-measurement state against the bath *env* over the 1-d
+    grid *times*, in O(N) per time, _GRID_CHUNK (time, atom) phases at a
+    time, and with no 2^N vector.
 
     The |+>^N bath's generator is diagonal in the pointer basis, so at time t
     it is one product state per branch, |E_o(t)> = prod_k (e |0> + conj(e)
@@ -252,13 +269,14 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     empty = min(w1, w2) < EMPTY_BRANCH_NORM**2
     bare = np.vdot(*psi)
     unphase = 1.0 if empty else np.exp(-1j * np.angle(bare)) / math.sqrt(w1 * w2)
-
-    def at(t):
-        e1, e2 = np.exp(generator * t)  # <e_1|e_2> per atom: (conj(e_1) e_2 + e_1 conj(e_2)) / 2
-        coherence = bare * np.prod((e1.conj() * e2).real)
-        return coherence, 1.0 + 0j if empty else complex(coherence * unphase)
-
-    return [at(t) for t in np.asarray(times, dtype=float)]
+    out = []
+    for ts in _grid_chunks(times, env.n_atoms):
+        e1, e2 = e = generator[:, None] * ts  # in place from here: a chunk makes one array
+        np.exp(e, out=e)  # <e_1|e_2> per atom: (conj(e_1) e_2 + e_1 conj(e_2)) / 2
+        np.multiply(np.conjugate(e1, out=e1), e2, out=e1)
+        out += [(c, 1.0 + 0j if empty else complex(c * unphase))
+                for c in bare * np.prod(e1.real, axis=1)]
+    return out
 
 
 def branch_weights(state, observer=O_LABEL) -> np.ndarray:

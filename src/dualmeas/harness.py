@@ -311,8 +311,8 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     rate = agree / scenario.n_events
 
     freqs, freq_check = _freq_check(js1, weights, scenario.n_events)
-    a = scenario.amplitudes
-    floor = 2.0 * abs(a[0] * a[1]) - 1e-10
+    a, angle = scenario.amplitudes, model.coupling * model.duration
+    floor = 2.0 * abs(a[0] * a[1]) * math.sin(angle) ** 2 - 1e-10  # b_mid's closed form
     return dict(
         frequencies=freqs,
         b_values={"between_measurements": b_mid},
@@ -332,7 +332,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     b_pure = discriminate(psi, interference_operator(psi.layout))
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
-    formula = [offdiag_suppression(env, float(t)) for t in times]
+    formula = offdiag_suppression(env, times)
     simulated, b_vals = [], []
     for coherence, overlap in run_decoherence(psi, env, times):
         simulated.append(overlap)
@@ -357,7 +357,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
         offdiag_curve={
             "times": [float(t) for t in times],
             "simulated": [[z.real, z.imag] for z in simulated],
-            "formula": [float(x) for x in formula],
+            "formula": formula.tolist(),
             "b_damped": [float(x) for x in b_vals],
         },
         env_couplings=[float(g) for g in env.couplings],

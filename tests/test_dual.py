@@ -54,6 +54,7 @@ from dualmeas.scenario import Scenario
 MODEL = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 SO = MODEL.so_layout()
 AMPS = (math.sqrt(0.3), math.sqrt(0.7))
+LANES = dual._LANES_MAX  # counters up to which the Philox kernel runs as integer lanes
 
 
 def ready_input(amplitudes, model):
@@ -112,17 +113,22 @@ class TestEventRng:
         for eid in range(n):
             assert np.array_equal(rows[eid], event_rng(seed, eid).random(2))
 
-    @pytest.mark.parametrize("n", [EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1])
+    # Both sides of the switch from the lanes to the block kernel, and the
+    # block kernel's block edges.
+    @pytest.mark.parametrize("n", [1, LANES - 1, LANES, LANES + 1, EVENT_BLOCK - 1, EVENT_BLOCK,
+                                   EVENT_BLOCK + 1])
     def test_blocks_match_event_rng(self, n):
         rows = event_uniforms(2**64 - 1, n)
         assert rows.shape == (n, 2)
         for eid in range(n):
             assert np.array_equal(rows[eid], event_rng(2**64 - 1, eid).random(2))
 
-    @pytest.mark.parametrize("seed", [0, 7, 20260826, 2**64 - 1])
-    @pytest.mark.parametrize("stream", [0, 1 << 62])
+    @pytest.mark.parametrize("seed", [0, 7, 20260826, 1 << 62, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 1 << 62, 2**64 - 1])
     def test_stream_draws_match_event_rng(self, seed, stream):
-        for n in (0, 1, 3, 4, 5, 8, 9, 17):
+        # 4 uniforms per counter: 4 * LANES - 1 .. 4 * LANES + 1 straddle the
+        # switch; 4096 is the bath's n_atoms cap.
+        for n in (0, 1, 3, 4, 5, 8, 9, 17, 4 * LANES - 1, 4 * LANES, 4 * LANES + 1, 4096):
             u = philox_uniforms(seed, stream, n)
             assert u.shape == (n,)
             assert np.array_equal(u, event_rng(seed, stream).random(n))
@@ -146,7 +152,7 @@ class TestEventRng:
             tracemalloc.stop()
         assert peak < out.nbytes + 12 * EVENT_BLOCK * 8
 
-    @pytest.mark.parametrize("n", [1, EVENT_BLOCK, 2 * EVENT_BLOCK + 3])
+    @pytest.mark.parametrize("n", [1, LANES, LANES + 1, EVENT_BLOCK, 2 * EVENT_BLOCK + 3])
     def test_uniform_blocks_are_the_rows_in_buffers_made_once(self, n):
         rows, owners, end = event_uniforms(5, n), set(), 0
         for lo, u in dual.uniform_blocks(5, n):

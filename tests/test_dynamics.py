@@ -22,6 +22,7 @@ from dualmeas.core import (
     trace_distance,
 )
 from dualmeas.dynamics import (
+    _GRID_CHUNK,
     EnvironmentModel,
     MeasurementModel,
     attach_environment,
@@ -380,6 +381,32 @@ class TestDecoherence:
         assert abs(2.0 * coherence.real - b) <= 1e-12
         want_factor = 1.0 if empty else offdiag_suppression(env, t)
         assert abs(factor - want_factor) <= 1e-10
+
+    @pytest.mark.parametrize("n_atoms, n_times", [(4096, 13), (8, 2 * _GRID_CHUNK // 8 + 1),
+                                                  (3, 2 * _GRID_CHUNK // 3 + 1), (0, 3)])
+    def test_grid_in_chunks_equals_one_time_at_a_time(self, model, n_atoms, n_times):
+        # 4096 atoms take one time per chunk of _GRID_CHUNK phases; 8 and 3
+        # atoms span 3 chunks, the last of one time. The reference is the
+        # loop of one time at a time, in the same operations, so the bits are
+        # equal.
+        rng = np.random.default_rng(n_atoms)
+        env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.5, 1.5, n_atoms))
+        psi = run_premeasurement(s_state(0.6, 0.8j), model)
+        times = np.linspace(0.0, 0.01, n_times)  # the coherence at 4096 atoms stays near exp(-0.8)
+        rows = psi.amplitudes.reshape(-1, 1)[[1, model.o_dim + 2]]
+        bare, generator = np.vdot(*rows), -1j * np.outer(env.pointer_values[1:3], env.couplings)
+        w1, w2 = (rows * rows.conj()).real.sum(axis=1)
+        unphase = np.exp(-1j * np.angle(bare)) / math.sqrt(w1 * w2)
+        dq = env.pointer_values[1] - env.pointer_values[2]
+        want, formula = [], []
+        for t in times:
+            e1, e2 = np.exp(generator * t)
+            coherence = bare * np.prod((e1.conj() * e2).real)
+            want.append((coherence, complex(coherence * unphase)))
+            formula.append(float(np.prod(np.cos(dq * env.couplings * t))))
+        assert run_decoherence(psi, env, times) == want
+        assert offdiag_suppression(env, times).tolist() == formula
+        assert [offdiag_suppression(env, t) for t in times] == formula
 
     def test_overlap_needs_system_and_observer_leading(self, model):
         env = EnvironmentModel.default(2, model.o_dim)

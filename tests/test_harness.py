@@ -659,6 +659,18 @@ def test_planted_collapse_fails_the_coherence_between_measurements_check(monkeyp
     assert values == [pytest.approx(2.0 * math.sqrt(0.21), abs=1e-12), 0.0]
 
 
+def test_off_calibration_coherence_between_measurements_passes():
+    # lambda delta off pi/2 by 1.6e-5 leaves a ready weight of 2.4e-10, which
+    # perceive accepts; the coherence 2|a_0 a_1| sin^2(lambda delta) is intact,
+    # so the check passes against that closed form, not the calibrated 0.96.
+    sc = parse_scenario("experiment: two_observer\namplitudes: [0.6, 0.8]\nlambda: 1.5708122\n"
+                        "seed: 1\nn_events: 200\n")
+    summary, _ = run(sc)
+    check = next(c for c in summary.checks if c["name"] == "interference expectation nonzero "
+                 "between the two measurements")
+    assert check["passed"] and 0.96 - 1e-9 < check["value"] < 0.96 - 1e-10
+
+
 def test_planted_discriminator_error_fails_the_damping_check(monkeypatch):
     # <B> on the undamped state off by 0.1%: at t = 0 the damped value
     # differs from it by 1e-3 * 2 sqrt(0.21).
