@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error or a run
-too large for memory, 3 numerical invariant breach, 4 acceptance check failure.
+too large for memory, 3 numerical invariant breach, 4 acceptance check failure
+(of ``--check``, or of a scenario run's checks once its outputs are written).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
         print(f"[{tag}] {chk['name']} (value: {chk['value']})")
     for path in paths:
         print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK if all(chk["passed"] for chk in summary.checks) else EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -38,17 +38,42 @@ from .dynamics import (
 READY_WEIGHT_TOL = 1e-9
 # Off-diagonal transition probability above this breaks the no-jump rule.
 JUMP_TOL = 1e-12
-# Buckets per CDF node in sample_perception_time's lookup table. At 16, about
-# 3% of draws from the perception density step past their bucket's node, by
-# at most 1 node at 201 nodes and 3 at 501.
-_BUCKETS_PER_NODE = 16
+# draw_index makes a guide table (``_guide``) from this many draws a call. Below it np.searchsorted
+# is faster: 1000-3000 draws over 64 weights, 3000-10000 over 3 (warm; a table's first use costs more).
+_GUIDE_MIN_DRAWS = 8192
+
+
+def _guide(cum: np.ndarray, table=True):
+    """``search(u)``: ``np.searchsorted(cum, u * cum[-1], side="right")`` for the 1-d *u* in [0, 1]
+    (else a ValueError), with a *table* by Chen and Asau (AIIE Trans. 6, 163 (1974)). Bucket b of k
+    (a power of two, at least 16 per entry: u * k is exact) starts at ``first[b]``, the answer at b / k.
+    A draw in bucket floor(u * k) steps on from there while ``cum[j] <= u * cum[-1]``, which is exact
+    as fl(u * c) is monotone in u, and only if the next bucket starts elsewhere: about 3% of draws
+    from a 201-node perception-time CDF step, by at most one node."""
+    total = cum[-1]
+    if table:
+        k = 1 << (16 * len(cum) - 1).bit_length()
+        first = cum.searchsorted(np.arange(k + 1) / k * total, side="right")
+        split, cum = first[1:] != first[:-1], np.concatenate([cum, [np.inf]])
+
+    def search(u: np.ndarray) -> np.ndarray:
+        if len(u) and not (u.min() >= 0.0 and u.max() <= 1.0):
+            raise ValueError("draws need uniforms in [0, 1]")
+        if not table:
+            return np.searchsorted(cum, u * total, side="right")
+        j = np.multiply(u, k, out=np.empty(len(u), np.intp), casting="unsafe")  # floor(u * k)
+        at = split.take(j, mode="clip").nonzero()[0]  # u = 1 reads bucket k - 1's flag: it cannot step
+        first.take(j, out=j, mode="clip")  # in place: each bucket is read before its start is written
+        while len(at := at[cum[j[at]] <= u[at] * total]):
+            j[at] += 1
+        return j
+    return search
 
 
 def draw_index(weights: np.ndarray, u):
-    """Categorical draws by inverse transform on the cumulative weights: one
-    index per uniform in *u*, a scalar or an array."""
-    cum = np.cumsum(weights)
-    return np.searchsorted(cum, u * cum[-1], side="right")
+    """Inverse-transform draws from *weights*, one per uniform in [0, 1] of *u*, a scalar or an array."""
+    u = np.asarray(u, dtype=float)
+    return _guide(np.cumsum(weights), u.size >= _GUIDE_MIN_DRAWS)(u.reshape(-1)).reshape(u.shape)[()]
 
 
 def event_rng(seed: int, event_id: int) -> np.random.Generator:
@@ -64,20 +89,27 @@ def event_rng(seed: int, event_id: int) -> np.random.Generator:
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+# The block kernel's operands as 0-d uint64 arrays made once: numpy converts a scalar on every call.
+_MASK32, _HALF, _ELEVEN = (np.array(v, np.uint64) for v in (0xFFFFFFFF, 32, 11))
+_M_PARTS = [tuple(np.array(v, np.uint64) for v in (m, m & 0xFFFFFFFF, m >> 32)) for m in _PHILOX_M]
 # Counters up to which the lanes beat the block kernel, whose cost is flat below a block (README).
 _LANES_MAX = 256
 
 
-def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c):
-    """High and low 64-bit words of the 128-bit products m * x, by 32-bit
-    halves (Warren, *Hacker's Delight*, mulhu), into *hi* and *x*; *m* is a
-    np.uint64 or a uint64 array like *x*, and a, b, c are scratch. Every op
-    writes through ``out=``: a fresh block-sized array can cost an mmap."""
-    m_lo, m_hi = m & _MASK32, m >> _HALF
+def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c, lo=True, narrow=False):
+    """High and low 64-bit words of the 128-bit products m * x by 32-bit halves (Warren, *Hacker's
+    Delight*, mulhu) into *hi* and *x* (kept if not *lo*), in fewer ops if *narrow* (x < 2**32); *m* is
+    a uint64 array like *x* or 0-d ``(m, m_lo, m_hi)``, a, b, c scratch. Each op writes through ``out=``:
+    a new block-sized array can cost an mmap."""
+    m, m_lo, m_hi = m if isinstance(m, tuple) else (m, m & _MASK32, m >> _HALF)
+    if narrow:  # x < 2**32: hi = (x m_hi + (x m_lo >> 32)) >> 32, with no carry past 64 bits
+        np.right_shift(np.multiply(x, m_lo, out=c), _HALF, out=c)
+        np.right_shift(np.add(np.multiply(x, m_hi, out=hi), c, out=hi), _HALF, out=hi)
+        return hi, np.multiply(x, m, out=x) if lo else x
     np.bitwise_and(x, _MASK32, out=a)  # x_lo
     np.right_shift(x, _HALF, out=b)  # x_hi
-    np.multiply(x, m, out=x)
+    if lo:
+        np.multiply(x, m, out=x)
     np.right_shift(np.multiply(a, m_lo, out=c), _HALF, out=c)
     np.add(np.multiply(b, m_lo, out=hi), c, out=hi)  # t < 2**64
     np.add(np.multiply(a, m_hi, out=a), np.bitwise_and(hi, _MASK32, out=c), out=a)  # w < 2**64
@@ -88,46 +120,45 @@ def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c):
 
 
 def _philox(seed: int, c0, c2, n: int, n_words: int):
-    """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``,
-    EVENT_BLOCK counters at a time: yields ``(lo, u)``, where ``u[i][r]`` is
-    the uniform ``(word >> 11) * 2**-53`` of word i of counter lo + r, for
-    the first *n_words* (2 or 4) words. One of c0 and c2 is an int, the other
-    the ``range`` of the counters' values. A word that is the same for every
-    counter stays an int, with exact products; every other lives in one of
-    nine block buffers made once per call, and each ``u[i]`` is a float64 view
-    of one of them, overwritten by the next block. The last round makes only
-    the words read."""
-    iota = np.arange(min(n, EVENT_BLOCK), dtype=np.uint64)
-    buffers = np.empty((9, len(iota)), np.uint64)
+    """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``, EVENT_BLOCK at a time:
+    yields ``(lo, u)``, ``u[i][r]`` the uniform ``(word >> 11) * 2**-53`` of word i of counter lo + r,
+    for the first *n_words* (2 or 4) words. One of c0 and c2 is an int, the other the ``range`` of the
+    counters. A word that is the same for every counter stays an int, with exact products; any other
+    lives in the block's counters or one of seven buffers made once per call, and each ``u[i]`` is a
+    float64 view of one, which the next block may overwrite. Rounds make only the words that reach u."""
+    buffers = np.empty((7, min(n, EVENT_BLOCK)), np.uint64)
+    narrow = [(c2 if isinstance(c0, int) else c0).stop <= 2**32] + [False] * 9  # round 1's counters < 2**32
+    keys = [[np.array(k % 2**64, np.uint64) for k in (int(seed) + r * _PHILOX_W[0], r * _PHILOX_W[1])]
+            for r in range(10)]
+    live = [(0, 1, 2, 3)] * 7 + ([(0, 2, 3), (1, 2), (0, 1)] if n_words == 2 else [(0, 1, 2, 3)] * 3)
 
-    def product(m, w):  # (hi, lo) of m * w; hi is popped before the scratch is taken
+    def product(i, w, hi, lo, narrow):  # (hi, lo) of M_i * w; an array word is made only if asked for
         if isinstance(w, int):
-            return divmod(m * w, 2**64)
-        return _mulhilo(np.uint64(m), w, free.pop(), *free[-3:])
+            return divmod(_PHILOX_M[i] * w, 2**64)
+        if not hi:  # w is None unless lo is asked for
+            return None, w if w is None else np.multiply(w, _M_PARTS[i][0], out=w)
+        h = _mulhilo(_M_PARTS[i], w, free.pop(), *free[-3:], lo, narrow)[0]  # popped before the scratch
+        return h, w if lo else free.append(w)  # a lo not asked for frees w's buffer
 
-    def xor(a, b, k):  # an array result takes the buffer of a or b, and frees any other
+    def xor(a, b, k):  # a ^ b ^ k for a 0-d k; an array result takes a's or b's buffer and frees the other
         a, b = (b, a) if isinstance(a, int) else (a, b)
         if isinstance(b, int):
-            return a ^ b ^ k if isinstance(a, int) else np.bitwise_xor(a, np.uint64(b ^ k), out=a)
+            return a ^ b ^ int(k) if isinstance(a, int) else np.bitwise_xor(a, np.uint64(b ^ int(k)), out=a)
         free.append(b)
-        return np.bitwise_xor(np.bitwise_xor(a, b, out=a), np.uint64(k), out=a)
+        return np.bitwise_xor(np.bitwise_xor(a, b, out=a), k, out=a)
 
     for lo in range(0, n, EVENT_BLOCK):
         free = list(buffers[:, :min(EVENT_BLOCK, n - lo)])
-        x = [c if isinstance(c, int) else np.add(iota[:len(free[0])], np.uint64(c.start + lo),
-                                                 out=free.pop()) for c in (c0, 0, c2, 0)]
-        k0, k1 = int(seed), 0
-        for r in range(10):
-            hi1, lo1 = product(_PHILOX_M[1], x[2])
-            words = [xor(hi1, x[1], k0), lo1]
-            if r < 9 or n_words == 4:
-                hi0, lo0 = product(_PHILOX_M[0], x[0])
-                words += [xor(hi0, x[3], k1), lo0]
-            x, k0, k1 = words, (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
-        for w in x:  # in place: each element is read before its float is written
-            w >>= np.uint64(11)
+        x = [c if isinstance(c, int) else np.arange(c[lo], c[lo] + len(free[0]), dtype=np.uint64)
+             for c in (c0, 0, c2, 0)]
+        for on, (k0, k1), nw in zip(live, keys, narrow):
+            hi1, lo1 = product(1, x[2], 0 in on, 1 in on, nw)  # word 0 first: its xor frees x1's buffer
+            x0, (hi0, lo0) = xor(hi1, x[1], k0) if 0 in on else None, product(0, x[0], 2 in on, 3 in on, nw)
+            x = [x0, lo1, xor(hi0, x[3], k1) if 2 in on else None, lo0]
+        for w in x[:n_words]:  # in place: each element is read before its float is written
+            w >>= _ELEVEN
             np.multiply(w, 2.0**-53, out=w.view(np.float64))
-        yield lo, [w.view(np.float64) for w in x]
+        yield lo, [w.view(np.float64) for w in x[:n_words]]
 
 
 def _philox_lanes(seed: int, c0, c2, n: int, n_words: int) -> np.ndarray:
@@ -152,7 +183,7 @@ def _philox_lanes(seed: int, c0, c2, n: int, n_words: int) -> np.ndarray:
         x2, x3 = ((p0 >> 64) & mask) ^ x3 ^ k1 * ones, p0 & mask
         k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
     words = b"".join(w.to_bytes(16 * n, "little") for w in (x0, x1, x2, x3)[:n_words])
-    return (np.frombuffer(words, "<u8")[::2] >> np.uint64(11)).reshape(n_words, n) * 2.0**-53
+    return (np.frombuffer(words, "<u8")[::2] >> _ELEVEN).reshape(n_words, n) * 2.0**-53
 
 
 def _counter_blocks(seed: int, c0, c2, n: int, n_words: int):
@@ -163,11 +194,9 @@ def _counter_blocks(seed: int, c0, c2, n: int, n_words: int):
 
 
 def uniform_blocks(seed: int, n_events: int):
-    """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at
-    a time, from one pass of the kernel: the blocks ``(lo, u)``, where
-    ``u[0][r]`` and ``u[1][r]`` are the first two draws of event lo + r. The
-    block's arrays are overwritten by the next one, so a run's uniforms take
-    a few blocks of memory whatever its size."""
+    """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at a time, from one kernel pass:
+    blocks ``(lo, u)``, ``u[0][r]`` and ``u[1][r]`` the first two draws of event lo + r. The next block may
+    overwrite a block's arrays, so a run's uniforms take a few blocks of memory whatever its size."""
     return _counter_blocks(seed, 1, range(n_events), n_events, 2)
 
 
@@ -237,21 +266,16 @@ class PerceptionTimePdf:
 
     @cached_property
     def lookup(self):
-        """``sample_perception_time``'s tables, built on its first call:
-        the trapezoid CDF, the bucket count k, the bucket table, each node's
-        next CDF value and the slopes ``diff(t) / diff(cdf)``."""
+        """``sample_perception_time``'s tables, built on its first call: the trapezoid CDF,
+        the ``_guide`` search of its nodes and the slopes ``diff(t) / diff(cdf)``."""
         t, f = self.times, np.clip(self.density, 0.0, None)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
         if not cdf[-1] > 0.0:
             raise InvariantError("perception-time density has no mass on its grid")
         cdf /= cdf[-1]
-        n = len(cdf)
-        k = 1 << (_BUCKETS_PER_NODE * n - 1).bit_length()  # a power of two: u * k is exact
-        edges = np.ceil(cdf * k).astype(np.intp)  # cdf[j] <= b / k from bucket b = edges[j] on
-        first = np.repeat(np.arange(n), np.diff(edges, append=k + 1))  # last node <= b / k
         with np.errstate(all="ignore"):  # an overflowed slope times 0 is replaced in the draw
             slope = np.append(np.diff(t) / np.diff(cdf), 0.0)
-        return cdf, k, first, np.append(cdf[1:], np.inf), slope
+        return cdf, _guide(cdf[1:]), slope  # cdf[0] = 0 <= u: the search over cdf[1:] is the node
 
 
 def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> PerceptionTimePdf:
@@ -302,25 +326,15 @@ def sample_perception_time(pdf: PerceptionTimePdf, u):
     the density's trapezoid CDF, built once per density (``pdf.lookup``). The
     result has the bits of ``np.interp(u, cdf, t)``.
 
-    np.interp binary-searches each draw, which is slow for draws in random
-    order. Here a table gives, for each of k equal buckets of [0, 1) (k a
-    power of two, at least ``_BUCKETS_PER_NODE`` per node), the last node at
-    or below its start. Each draw starts at its bucket's node and steps on
-    while the next node is at or below it, so it ends at the last node j
-    with cdf[j] <= u, as np.interp's search does, even on repeated nodes. Its
-    time is np.interp's ``slope[j] * (u - cdf[j]) + t[j]`` with
-    ``slope = diff(t) / diff(cdf)``; a draw on a node gets the node's time.
+    The guide table of cdf[1:] (``_guide``; cdf[-1] = 1) finds np.interp's node, the last j
+    with cdf[j] <= u, without a binary search per draw. The time is np.interp's
+    ``slope[j] * (u - cdf[j]) + t[j]`` with ``slope = diff(t) / diff(cdf)``; a draw on a
+    node gets the node's time.
     """
-    cdf, k, first, after, slope = pdf.lookup
+    cdf, search, slope = pdf.lookup
     u = np.asarray(u, dtype=float)
     x = u.reshape(-1)  # a view of a scalar or of a 1-d array
-    if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise ValueError("perception draws need uniforms in [0, 1]")
-    j = first[(x * k).astype(np.intp)]
-    moved = np.flatnonzero(after[j] <= x)
-    while len(moved):  # until j is the last node with cdf[j] <= u, as in np.interp
-        j[moved] += 1
-        moved = moved[after[j[moved]] <= x[moved]]
+    j = search(x)
     at, tj = cdf[j], pdf.times[j]
     out = slope[j]
     with np.errstate(all="ignore"):  # an overflowed slope times 0 is replaced below
@@ -396,8 +410,9 @@ class DualState:
             raise InvariantError("event history timestamps must be finite")
         if self.steps and np.any(t < self.steps[-1][0]):
             raise InvariantError("event history timestamps must be non-decreasing")
-        o_dim = self.phi_d.layout.dim(O_LABEL)
-        if np.any(j < 0) or np.any(j >= o_dim):
+        o_dim, col = self.phi_d.layout.dim(O_LABEL), np.asarray(j)  # fmax, fmin skip NaN as < and >= do
+        if col.size and (np.fmax.reduce(col, axis=None) >= o_dim
+                         or col.dtype.kind != "u" and np.fmin.reduce(col, axis=None) < 0):
             raise InvariantError(f"perception index outside pointer basis 0..{o_dim - 1}")
         return replace(self, steps=self.steps + ((t, j),))
 

@@ -92,6 +92,56 @@ class TestDrawIndex:
         # 4 sigma on 20000 samples for p=0.5 is ~0.014
         assert np.max(np.abs(freq - w)) < 0.015
 
+    # The guide table's draw is np.searchsorted's to the bit: on tied
+    # cumulative sums (zero weights, equal weights), at totals far from 1,
+    # including subnormal ones, and at every uniform that lands on a
+    # cumulative sum or next to one.
+    @given(n=st.one_of(st.sampled_from([1, 2, 3, 4096]), st.integers(1, 4096)),
+           seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           ties=st.booleans(), scale=st.sampled_from([1.0, 0.37, 3.0, 1e-310, 1e300]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_searchsorted(self, n, seed, zeros, ties, scale):
+        rng = np.random.default_rng(seed)
+        w = (rng.integers(1, 3, n) / 4.0 if ties else rng.random(n)) * scale / n
+        w[rng.random(n) < zeros] = 0.0
+        cum = np.cumsum(w)
+        edges = [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0]
+        on = cum / cum[-1] if cum[-1] > 0 else np.zeros(0)
+        u = np.clip(np.concatenate([edges, on, np.nextafter(on, 0.0), np.nextafter(on, 1.0),
+                                    rng.random(EVENT_BLOCK)]), 0.0, 1.0)
+        want = np.searchsorted(cum, u * cum[-1], side="right")
+        got = draw_index(w, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for v in edges + [float(rng.random())]:
+            one, want = draw_index(w, v), np.searchsorted(cum, v * cum[-1], side="right")
+            assert type(one) is type(want) and one == want
+
+    @pytest.mark.parametrize("u", [-2.0**-1074, -1.0, 1.0 + 2.0**-52, 2.0, math.nan,
+                                   [0.5, math.nan], [0.0, -0.5]])
+    def test_uniform_outside_the_unit_interval_rejected(self, u):
+        with pytest.raises(ValueError, match=r"uniforms in \[0, 1\]"):
+            draw_index(np.array([0.0, 0.3, 0.7]), u)
+
+    @pytest.mark.parametrize("o_dim", [3, 64, 200])
+    def test_block_of_draws_allocates_no_more_than_searchsorted(self, o_dim):
+        # np.searchsorted(cum, u * cum[-1]) holds two block-sized arrays, the
+        # scaled uniforms and the indices. The guide table's draw holds the
+        # indices, which it makes in place, the cast's buffer of numpy's
+        # default 8192 entries and a bool column an eighth of a block.
+        w, u = np.full(o_dim, 1.0 / o_dim), np.random.default_rng(4).random(EVENT_BLOCK)
+
+        def peak(draw):
+            draw(u[:10])  # numpy's own first-use allocations, outside the trace
+            tracemalloc.start()
+            try:
+                draw(u)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        searchsorted = peak(lambda v: np.searchsorted(np.cumsum(w), v * np.cumsum(w)[-1], side="right"))
+        assert searchsorted > 2 * u.nbytes
+        assert peak(lambda v: draw_index(w, v)) < searchsorted
+
 
 class TestEventRng:
     def test_streams_are_order_independent(self):
@@ -152,6 +202,16 @@ class TestEventRng:
             tracemalloc.stop()
         assert peak < out.nbytes + 12 * EVENT_BLOCK * 8
 
+    # Counters below 2**32 take the block kernel's short first-round product; 300
+    # counters from 2**32 - 150, and those near 2**63 and 2**64, take the full one.
+    # The integer lanes, a second engine, are the reference on either side.
+    @pytest.mark.parametrize("start", [0, 2**32 - 300, 2**32 - 150, 2**63 + 5, 2**64 - 600])
+    @pytest.mark.parametrize("n_words", [2, 4])
+    def test_block_kernel_equals_the_lanes_at_any_counter(self, start, n_words):
+        for c0, c2 in ((range(start, start + 300), 5), (7, range(start, start + 300))):
+            (lo, u), = dual._philox(11, c0, c2, 300, n_words)
+            assert lo == 0 and np.array_equal(np.array(u), dual._philox_lanes(11, c0, c2, 300, n_words))
+
     @pytest.mark.parametrize("n", [1, LANES, LANES + 1, EVENT_BLOCK, 2 * EVENT_BLOCK + 3])
     def test_uniform_blocks_are_the_rows_in_buffers_made_once(self, n):
         rows, owners, end = event_uniforms(5, n), set(), 0
@@ -211,6 +271,19 @@ class TestInitDual:
     def test_rejects_out_of_range_record(self):
         with pytest.raises(InvariantError):
             DualState(ready_density(), 1).record(0.0, 3)
+
+    @pytest.mark.parametrize("j", [np.array([0, 2, -1], np.intp), np.array([3, 0, 1], np.intp),
+                                   np.array([1, 3, 2], np.uint8), np.array([-1.0, math.nan, 1.0]),
+                                   np.array([math.nan, 3.0, 0.0])])
+    def test_rejects_out_of_range_record_column(self, j):
+        with pytest.raises(InvariantError, match=r"outside pointer basis 0\.\.2"):
+            DualState(ready_density(), 3).record(0.0, j)
+
+    @pytest.mark.parametrize("j", [np.array([0, 2, 1], np.intp), np.array([2, 2, 0], np.uint8),
+                                   np.array([math.nan, 2.0, 0.0]), np.zeros(0, np.uint8)])
+    def test_accepts_record_column_in_range(self, j):
+        state = DualState(ready_density(), len(j)).record(0.0, j)
+        assert state.final_j is j
 
 
 class TestStatisticalEvolution:

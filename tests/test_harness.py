@@ -1161,6 +1161,15 @@ class TestCli:
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_failed_check_exits_four_after_writing_the_outputs(self, tmp_path, capsys, monkeypatch):
+        # The swapped mixture of test_planted_swapped_mixture_fails_the_restriction_check.
+        exact = harness.premeasured_restrictions
+        monkeypatch.setattr(harness, "premeasured_restrictions", lambda psi, amps: exact(psi, amps[::-1]))
+        out = tmp_path / "out"
+        assert main(["--scenario", self._write(tmp_path), "--out", str(out)]) == 4
+        assert f"[FAIL] {COINCIDE} (value: " in capsys.readouterr().out
+        assert (out / "summary.json").is_file() and (out / "events.json").is_file()
+
     def test_missing_scenario_flag_is_usage_error(self, capsys):
         assert main([]) == 1
 
