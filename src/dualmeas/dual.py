@@ -92,8 +92,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # The block kernel's operands as 0-d uint64 arrays made once: numpy converts a scalar on every call.
 _MASK32, _HALF, _ELEVEN = (np.array(v, np.uint64) for v in (0xFFFFFFFF, 32, 11))
 _M_PARTS = [tuple(np.array(v, np.uint64) for v in (m, m & 0xFFFFFFFF, m >> 32)) for m in _PHILOX_M]
-# Counters up to which the lanes beat the block kernel, whose cost is flat below a block (README).
-_LANES_MAX = 256
+# Events up to which ``uniform_blocks`` runs on the lanes: past them the block kernel, whose cost is
+# flat below a block, is faster (README).
+_LANES_MAX = 216
 
 
 def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c, lo=True, narrow=False):
@@ -119,18 +120,19 @@ def _mulhilo(m, x: np.ndarray, hi: np.ndarray, a, b, c, lo=True, narrow=False):
     return hi, x
 
 
-def _philox(seed: int, c0, c2, n: int, n_words: int):
-    """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``, EVENT_BLOCK at a time:
-    yields ``(lo, u)``, ``u[i][r]`` the uniform ``(word >> 11) * 2**-53`` of word i of counter lo + r,
-    for the first *n_words* (2 or 4) words. One of c0 and c2 is an int, the other the ``range`` of the
-    counters. A word that is the same for every counter stays an int, with exact products; any other
-    lives in the block's counters or one of seven buffers made once per call, and each ``u[i]`` is a
-    float64 view of one, which the next block may overwrite. Rounds make only the words that reach u."""
+def _philox(seed: int, events: range):
+    """Philox4x64-10 of the event counters ``[1, 0, eid, 0]``, key ``[seed, 0]``, for eid in the range
+    *events*, EVENT_BLOCK at a time: yields ``(lo, u)``, ``u[i][r]`` the uniform ``(word >> 11) * 2**-53``
+    of word i (0 or 1) of event ``events[lo + r]``. A word that is the same for every counter stays an
+    int, with exact products; any other lives in the block's counters or one of seven buffers made once
+    per call, and each ``u[i]`` is a float64 view of one, which the next block may overwrite. Rounds 8
+    to 10 make only the words that reach words 0 and 1."""
+    n = len(events)
     buffers = np.empty((7, min(n, EVENT_BLOCK)), np.uint64)
-    narrow = [(c2 if isinstance(c0, int) else c0).stop <= 2**32] + [False] * 9  # round 1's counters < 2**32
+    narrow = [events.stop <= 2**32] + [False] * 9  # round 1's counters < 2**32
     keys = [[np.array(k % 2**64, np.uint64) for k in (int(seed) + r * _PHILOX_W[0], r * _PHILOX_W[1])]
             for r in range(10)]
-    live = [(0, 1, 2, 3)] * 7 + ([(0, 2, 3), (1, 2), (0, 1)] if n_words == 2 else [(0, 1, 2, 3)] * 3)
+    live = [(0, 1, 2, 3)] * 7 + [(0, 2, 3), (1, 2), (0, 1)]
 
     def product(i, w, hi, lo, narrow):  # (hi, lo) of M_i * w; an array word is made only if asked for
         if isinstance(w, int):
@@ -149,24 +151,24 @@ def _philox(seed: int, c0, c2, n: int, n_words: int):
 
     for lo in range(0, n, EVENT_BLOCK):
         free = list(buffers[:, :min(EVENT_BLOCK, n - lo)])
-        x = [c if isinstance(c, int) else np.arange(c[lo], c[lo] + len(free[0]), dtype=np.uint64)
-             for c in (c0, 0, c2, 0)]
+        x = [1, 0, np.arange(events[lo], events[lo] + len(free[0]), dtype=np.uint64), 0]
         for on, (k0, k1), nw in zip(live, keys, narrow):
             hi1, lo1 = product(1, x[2], 0 in on, 1 in on, nw)  # word 0 first: its xor frees x1's buffer
             x0, (hi0, lo0) = xor(hi1, x[1], k0) if 0 in on else None, product(0, x[0], 2 in on, 3 in on, nw)
             x = [x0, lo1, xor(hi0, x[3], k1) if 2 in on else None, lo0]
-        for w in x[:n_words]:  # in place: each element is read before its float is written
+        for w in x[:2]:  # in place: each element is read before its float is written
             w >>= _ELEVEN
             np.multiply(w, 2.0**-53, out=w.view(np.float64))
-        yield lo, [w.view(np.float64) for w in x[:n_words]]
+        yield lo, [w.view(np.float64) for w in x[:2]]
 
 
 def _philox_lanes(seed: int, c0, c2, n: int, n_words: int) -> np.ndarray:
-    """``_philox`` of its *n* counters at once, as rows of uniforms, one per
-    word read: word i of counter r is the low 64 bits of the 128-bit lane r
-    of the Python int x[i], so ``m * x[i]`` keeps each product in its lane
-    and a round is a dozen big-int operations for the whole set. Lanes are
-    packed and unpacked as "<u8", whatever the host's byte order."""
+    """Philox4x64-10 of the *n* counters ``[c0, 0, c2, 0]``, key ``[seed, 0]``, at once, one of c0 and c2
+    an int and the other the ``range`` of the counters: rows of uniforms ``(word >> 11) * 2**-53``, one
+    per word read, the first *n_words*. Word i of counter r is the low 64 bits of the 128-bit lane r
+    of the Python int x[i], so ``m * x[i]`` keeps each product in its lane and a round is a dozen
+    big-int operations for the whole set. Lanes are packed and unpacked as "<u8", whatever the host's
+    byte order."""
     ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")  # a 1 in every lane
     mask = ones * (2**64 - 1)
 
@@ -186,26 +188,14 @@ def _philox_lanes(seed: int, c0, c2, n: int, n_words: int) -> np.ndarray:
     return (np.frombuffer(words, "<u8")[::2] >> _ELEVEN).reshape(n_words, n) * 2.0**-53
 
 
-def _counter_blocks(seed: int, c0, c2, n: int, n_words: int):
-    """The blocks ``(lo, u)`` of ``_philox``: one of ``_philox_lanes`` for 1 to _LANES_MAX counters."""
-    if 0 < n <= _LANES_MAX:
-        return [(0, _philox_lanes(seed, c0, c2, n, n_words))]
-    return _philox(seed, c0, c2, n, n_words)
-
-
 def uniform_blocks(seed: int, n_events: int):
-    """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at a time, from one kernel pass:
-    blocks ``(lo, u)``, ``u[0][r]`` and ``u[1][r]`` the first two draws of event lo + r. The next block may
-    overwrite a block's arrays, so a run's uniforms take a few blocks of memory whatever its size."""
-    return _counter_blocks(seed, 1, range(n_events), n_events, 2)
-
-
-def _gather(blocks, out: np.ndarray) -> np.ndarray:
-    """Row lo + r of *out* gets ``u[i][r]`` in column i, for every block ``(lo, u)``."""
-    for lo, u in blocks:
-        for i, w in enumerate(u):
-            out[lo:lo + len(w), i] = w
-    return out
+    """The rows of ``event_uniforms(seed, n_events)``, EVENT_BLOCK events at a time: blocks ``(lo, u)``,
+    ``u[0][r]`` and ``u[1][r]`` the first two draws of event lo + r. Up to _LANES_MAX events are one
+    block of the lanes; more take one pass of the block kernel, whose next block may overwrite a
+    block's arrays, so a run's uniforms take a few blocks of memory whatever its size."""
+    if n_events <= _LANES_MAX:
+        return [(0, _philox_lanes(seed, 1, range(n_events), n_events, 2))]
+    return _philox(seed, range(n_events))
 
 
 def event_uniforms(seed: int, n_events: int) -> np.ndarray:
@@ -217,15 +207,18 @@ def event_uniforms(seed: int, n_events: int) -> np.ndarray:
     the counter ``[1, 0, eid, 0]`` under the key ``[seed, 0]``. Runs read
     the same rows block by block, through ``uniform_blocks``.
     """
-    return _gather(uniform_blocks(seed, n_events), np.empty((n_events, 2)))
+    out = np.empty((n_events, 2))
+    for lo, u in uniform_blocks(seed, n_events):
+        for i, w in enumerate(u):
+            out[lo:lo + len(w), i] = w
+    return out
 
 
 def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first *n* ``event_rng(seed, stream).random()`` draws: the blocks
-    ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order."""
+    ``c0 = 1, 2, ...`` of the counter ``[c0, 0, stream, 0]``, in order, on the lanes."""
     rows = -(-n // 4)
-    out = _gather(_counter_blocks(seed, range(1, rows + 1), int(stream), rows, 4), np.empty((rows, 4)))
-    return out.ravel()[:n]
+    return _philox_lanes(seed, range(1, rows + 1), int(stream), rows, 4).T.ravel()[:n]
 
 
 def simpson(y, x) -> float:
@@ -360,11 +353,11 @@ def jump_forbidden(H: LinearOperator, t: float):
 
 
 def _draw_perceived(w: np.ndarray, u):
-    """``draw_index(w, u)`` of a completed measurement's pointer weights *w*, the ready state absent."""
+    """``draw_index(w, u)`` of a completed measurement's pointer weights *w*, the ready state absent
+    (its residue, cos^2(pi/2) ~ 4e-33, would take a uniform of 0.0); *w* is left as it is."""
     if w[0] > READY_WEIGHT_TOL:
         raise InvariantError(f"measurement incomplete: ready-state weight {w[0]:.3g} > {READY_WEIGHT_TOL}")
-    w[0] = 0.0  # absent; its residue, cos^2(pi/2) ~ 4e-33, would take a uniform of 0.0
-    return draw_index(w, u)
+    return draw_index(np.concatenate([[0.0], w[1:]]), u)
 
 
 def _check_undone(w: np.ndarray):

@@ -33,6 +33,7 @@ from .core import (
 from .dual import (
     EVENT_BLOCK,
     DualState,
+    _draw_perceived,
     draw_index,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
     perception_time_pdf,
@@ -143,11 +144,13 @@ def run(scenario: Scenario):
     and premeasures the system once under its generator. Each runner turns
     them into its summary fields and event records, drawing the records in
     the one sampling loop ``_sample``: event ``eid``'s two uniforms come from
-    its counter-based substream, the row ``eid`` of ``event_uniforms``.
+    its counter-based substream, the row ``eid`` of ``event_uniforms``. The
+    pointer weights of the premeasured state are taken once, here, and every
+    runner reads them.
     """
     model = scenario.model()
     psi = run_premeasurement(StateVector(model.s_layout(), scenario.amplitudes), model)
-    fields, records = _RUNNERS[scenario.experiment](scenario, model, psi)
+    fields, records = _RUNNERS[scenario.experiment](scenario, model, psi, branch_weights(psi))
     payload = json.dumps(scenario.canonical_dict(), sort_keys=True) + f"|dualmeas {__version__}"
     summary = RunSummary(
         experiment=scenario.experiment,
@@ -184,19 +187,18 @@ def _sample(scenario: Scenario, events) -> DualState:
     return replace(state, n_events=n, steps=tuple(steps))
 
 
-def _perceive(scenario: Scenario, phi_d, pdf=None) -> DualState:
-    """Each event's record drawn from the pointer weights of *phi_d* with its
-    first uniform, perceived at the end of the window or, given a density
-    *pdf*, at a time drawn from it with its second."""
+def _perceive(scenario: Scenario, psi: StateVector, weights, pdf=None) -> DualState:
+    """Each event's record drawn from the pointer weights *weights* of *psi*
+    with its first uniform, perceived at the end of the window or, given a
+    density *pdf*, at a time drawn from it with its second."""
     def events(u):
-        t = None if pdf is None else sample_perception_time(pdf, u[1])
-        return DualState(phi_d, len(u[0]), clock=scenario.delta_t).perceive(u[0], t=t)
+        t = scenario.delta_t if pdf is None else sample_perception_time(pdf, u[1])
+        return DualState(psi, len(u[0]), clock=scenario.delta_t).record(t, _draw_perceived(weights, u[0]))
 
     return _sample(scenario, events)
 
 
-def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    weights = branch_weights(psi)
+def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     dev = float(np.max(np.abs(weights[1:1 + model.s_dim] - np.abs(scenario.amplitudes) ** 2)))
     b_pure, b_mixed = _pure_vs_mixture(psi, scenario.amplitudes)
     r_pure, r_mixed, dist = premeasured_restrictions(
@@ -206,7 +208,7 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     if scenario.perception_mode == "sample":
         grid = np.linspace(0.0, scenario.delta_t, 201)
         pdf = perception_time_pdf(model, scenario.amplitudes, grid)
-    records = _perceive(scenario, psi, pdf)
+    records = _perceive(scenario, psi, weights, pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -225,8 +227,7 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     ), records
 
 
-def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector):
-    weights = branch_weights(psi)
+def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     undone, persisted = None, 0
 
     def events(u):
@@ -277,7 +278,7 @@ def _joint_pointer_weights(model: MeasurementModel, p) -> np.ndarray:
     return (p * p.conj()).real.T @ (r * r.conj()).real
 
 
-def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector):
+def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     p = psi.amplitudes.reshape(model.s_dim, model.o_dim)
 
     # Coherence between branches 1 and 2 available to the second observer
@@ -288,15 +289,14 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
 
     # Each event draws O's record from psi's pointer weights at t1, and O2's
     # at t2 from the joint row of that record (at most s_dim rows can be
-    # drawn), O2's ready weight left out as perceive leaves O's.
+    # drawn), O2's ready weight left out as the first draw leaves O's.
     t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
-    weights = branch_weights(psi)
     joint = _joint_pointer_weights(model, p)
     joint[:, 0] = 0.0
     rows = {j1: joint[j1] / joint[j1].sum() for j1 in np.flatnonzero(weights[1:]) + 1}
 
     def events(u):
-        first = DualState(psi, len(u[0]), clock=t1).perceive(u[0])
+        first = DualState(psi, len(u[0]), clock=t1).record(t1, _draw_perceived(weights, u[0]))
         js1 = first.final_j
         js2 = np.empty_like(js1)
         for j1, row in rows.items():
@@ -327,7 +327,7 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     ), records
 
 
-def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector):
+def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     env = scenario.environment()
     b_pure = discriminate(psi, interference_operator(psi.layout))
 
@@ -348,8 +348,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     worst_b = max(abs(b - b_pure * f.real) for b, f in zip(b_vals, simulated))
 
     # Each branch's bath state has norm 1: dephasing leaves psi's weights.
-    weights = branch_weights(psi)
-    records = _perceive(scenario, psi)
+    records = _perceive(scenario, psi, weights)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -371,9 +370,9 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector)
     ), records
 
 
-def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector):
+def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     """Matched dual and textbook-collapse ensembles, side by side."""
-    fields, records = _run_undo(scenario, model, psi)
+    fields, records = _run_undo(scenario, model, psi, weights)
     b_dual, b_baseline = _pure_vs_mixture(psi, scenario.amplitudes)
     fields["b_values"] = {"dual": b_dual, "reduction_baseline": b_baseline}
     fields["checks"].append(_check("interference discriminator: dual nonzero, baseline zero",
@@ -381,7 +380,7 @@ def _run_reduction_compare(scenario: Scenario, model: MeasurementModel, psi: Sta
     return fields, records
 
 
-def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: StateVector):
+def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
     grid = np.linspace(0.0, scenario.delta_t, scenario.n_times)
     pdf = perception_time_pdf(model, scenario.amplitudes, grid)
     integral = simpson(pdf.density, pdf.times)
@@ -394,9 +393,8 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: Sta
     if len(coarse) <= 3:
         rules.append(np.sum(np.diff(pdf.times) * (pdf.density[1:] + pdf.density[:-1]) / 2))
     bound = max(1e-6, *(abs(integral - r) for r in rules))
-    weights = branch_weights(psi)
 
-    records = _perceive(scenario, psi, pdf)
+    records = _perceive(scenario, psi, weights, pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,

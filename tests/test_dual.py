@@ -54,7 +54,7 @@ from dualmeas.scenario import Scenario
 MODEL = MeasurementModel.calibrated(s_dim=2, o_dim=3, duration=1.0)
 SO = MODEL.so_layout()
 AMPS = (math.sqrt(0.3), math.sqrt(0.7))
-LANES = dual._LANES_MAX  # counters up to which the Philox kernel runs as integer lanes
+LANES = dual._LANES_MAX  # events up to which uniform_blocks runs on the integer lanes
 
 
 def ready_input(amplitudes, model):
@@ -176,12 +176,21 @@ class TestEventRng:
     @pytest.mark.parametrize("seed", [0, 7, 20260826, 1 << 62, 2**64 - 1])
     @pytest.mark.parametrize("stream", [0, 1 << 62, 2**64 - 1])
     def test_stream_draws_match_event_rng(self, seed, stream):
-        # 4 uniforms per counter: 4 * LANES - 1 .. 4 * LANES + 1 straddle the
-        # switch; 4096 is the bath's n_atoms cap.
-        for n in (0, 1, 3, 4, 5, 8, 9, 17, 4 * LANES - 1, 4 * LANES, 4 * LANES + 1, 4096):
+        # 4 uniforms per counter, all from the lanes: whole and partial last
+        # counters, up to 4096, the bath's n_atoms cap.
+        for n in (0, 1, 3, 4, 5, 8, 9, 17, 1023, 1024, 1025, 4096):
             u = philox_uniforms(seed, stream, n)
             assert u.shape == (n,)
             assert np.array_equal(u, event_rng(seed, stream).random(n))
+
+    def test_stream_draws_never_enter_the_block_kernel(self, monkeypatch):
+        # The kernel serves only uniform_blocks' event counters; a bath's
+        # couplings up to the n_atoms cap (1024 counters) run on the lanes.
+        def refuse(*args):
+            raise AssertionError("philox_uniforms entered the block kernel")
+        monkeypatch.setattr(dual, "_philox", refuse)
+        for n in (1025, 2048, 4095, 4096):
+            assert np.array_equal(philox_uniforms(3, 1 << 62, n), event_rng(3, 1 << 62).random(n))
 
     @given(seed=st.integers(0, 2**64 - 1),
            stream=st.one_of(st.sampled_from([0, 1 << 62]), st.integers(0, 2**64 - 1)))
@@ -206,11 +215,10 @@ class TestEventRng:
     # counters from 2**32 - 150, and those near 2**63 and 2**64, take the full one.
     # The integer lanes, a second engine, are the reference on either side.
     @pytest.mark.parametrize("start", [0, 2**32 - 300, 2**32 - 150, 2**63 + 5, 2**64 - 600])
-    @pytest.mark.parametrize("n_words", [2, 4])
-    def test_block_kernel_equals_the_lanes_at_any_counter(self, start, n_words):
-        for c0, c2 in ((range(start, start + 300), 5), (7, range(start, start + 300))):
-            (lo, u), = dual._philox(11, c0, c2, 300, n_words)
-            assert lo == 0 and np.array_equal(np.array(u), dual._philox_lanes(11, c0, c2, 300, n_words))
+    def test_block_kernel_equals_the_lanes_at_any_counter(self, start):
+        events = range(start, start + 300)
+        (lo, u), = dual._philox(11, events)
+        assert lo == 0 and np.array_equal(np.array(u), dual._philox_lanes(11, 1, events, 300, 2))
 
     @pytest.mark.parametrize("n", [1, LANES, LANES + 1, EVENT_BLOCK, 2 * EVENT_BLOCK + 3])
     def test_uniform_blocks_are_the_rows_in_buffers_made_once(self, n):
@@ -341,6 +349,15 @@ class TestPerceive:
         state = DualState(psi, 2, clock=model.duration)
         assert state.perceive(0.0).final_j == 1
         assert state.perceive(np.array([0.0, 0.5])).final_j[0] == 1
+
+    def test_draw_leaves_the_weights_it_reads(self):
+        # A run draws every block from one vector of pointer weights: each draw
+        # leaves the ready residue out of its own copy, not out of that vector.
+        psi = run_premeasurement(StateVector(MODEL.s_layout(), AMPS), MODEL)
+        w = branch_weights(psi)
+        before = w.copy()
+        assert dual._draw_perceived(w, np.array([0.0, 0.5])).tolist() == [1, 2]
+        assert w.tobytes() == before.tobytes() and w[0] > 0.0
 
     def test_frequencies_match_born_weights(self):
         draws = measured(n=5000).perceive(event_uniforms(12, 5000)[:, 0]).final_j

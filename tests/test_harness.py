@@ -499,16 +499,31 @@ def test_planted_reversed_weights_fail_the_frequency_check(monkeypatch, experime
     # Records drawn from the reversed weights (0.7, 0.3), not (0.3, 0.7): at
     # the acceptance size of 1e4 events each frequency is 0.4, about 87 sigma,
     # off its P_j. The plant reverses the pointer weights every perception
-    # draws from, so each runner's checked column comes from them.
+    # draws from, in the dual state and in the runners' shared draw, so each
+    # runner's checked column comes from them.
     sc = replace(parse_scenario(SAMPLING[experiment]), n_events=10000)
     draw = dual._draw_perceived
     for planted in (False, True):
         if planted:
-            monkeypatch.setattr(dual, "_draw_perceived", lambda w, u: draw(np.r_[w[:1], w[:0:-1]], u))
+            for module in (dual, harness):
+                monkeypatch.setattr(module, "_draw_perceived", lambda w, u: draw(np.r_[w[:1], w[:0:-1]], u))
         summary, _ = run(sc)
         check = next(c for c in summary.checks if c["name"] == FREQUENCIES)
         assert check["passed"] is not planted
     assert abs(check["value"] - 0.4) < 4.0 * math.sqrt(0.21 / sc.n_events)
+
+
+@pytest.mark.parametrize("case", ["premeasure", "sample", "two_observer", "decohere", "perception_timing"])
+def test_pointer_weights_are_taken_once_per_run(monkeypatch, case):
+    # Every block of a run draws its first records from the premeasured
+    # state's pointer weights, one vector for the run, not one per block.
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualmeas") and getattr(module, "branch_weights", None) is branch_weights:
+            monkeypatch.setattr(module, "branch_weights", lambda *a, **k: calls.append(a) or branch_weights(*a, **k))
+    summary, _ = run(replace(parse_scenario(SAMPLING[case]), n_events=2 * EVENT_BLOCK + 1))
+    assert all(c["passed"] for c in summary.checks)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("experiment, extra, calls", [
@@ -651,8 +666,9 @@ def test_planted_collapse_fails_the_coherence_between_measurements_check(monkeyp
     # psi collapsed onto its first branch before O2 measures: no coherence is left.
     exact = harness._RUNNERS["two_observer"]
 
-    def collapsed(scenario, model, psi):
-        return exact(scenario, model, StateVector.basis(psi.layout, {S_LABEL: 0, O_LABEL: 1}))
+    def collapsed(scenario, model, psi, weights):
+        psi = StateVector.basis(psi.layout, {S_LABEL: 0, O_LABEL: 1})
+        return exact(scenario, model, psi, branch_weights(psi))
     values = _caught(monkeypatch, _acceptance("two_observer"),
                      "interference expectation nonzero between the two measurements",
                      lambda mp: mp.setitem(harness._RUNNERS, "two_observer", collapsed))
