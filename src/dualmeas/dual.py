@@ -287,17 +287,22 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     n = psi0.layout.total_dim
     on_o = np.arange(n) % model.o_dim  # each amplitude's pointer index
     masks = [(on_o == j)[:, None] for j in range(1, model.o_dim)]
+    ready = np.flatnonzero(psi0.amplitudes)  # psi0's weight sits in its ready entries
     block = max(1, EVENT_BLOCK // n**2)
 
     def raw(ts):
         # A block of times at once, its stack of unitaries at most EVENT_BLOCK
-        # entries: psi(t) from the stack, then <psi| P H |psi> as (1, n) @
-        # (n, 1) products, P a mask on the O axis. These give the bits of
-        # np.vdot on each time alone; np.sum(conj * x) does not, and the
-        # sampled perception times depend on those bits.
+        # entries, zero but at psi0's ready columns: psi(t) from the stack, then
+        # <psi| P H |psi> as (1, n) @ (n, 1) products, P a mask on the O axis.
+        # These give the bits of np.vdot on each time alone; np.sum(conj * x)
+        # does not, and the sampled perception times depend on those bits.
+        # The ready columns alone keep the whole product's bits only as this
+        # generator's eigenvectors are real, with two nonzeros a row at most.
         out = np.empty(len(ts))
         for lo in range(0, len(ts), block):
-            psi = h.unitary_at(ts[lo:lo + block]) @ psi0.amplitudes
+            stack = np.zeros((len(ts[lo:lo + block]), n, n), complex)
+            stack[..., ready] = h.unitary_at(ts[lo:lo + block], ready)
+            psi = stack @ psi0.amplitudes
             h_psi = h.entries @ psi[..., None]
             bra = psi.conj()[:, None, :]
             out[lo:lo + block] = sum(2.0 * np.imag((bra @ (m * h_psi))[:, 0, 0]) for m in masks)
@@ -461,6 +466,22 @@ class DualState:
         return out.record(out.clock, 0)
 
 
+def draw_conditioned(rows, first, u) -> np.ndarray:
+    """Each event's record drawn from the row of pointer weights that its earlier record selects:
+    event e gets ``_draw_perceived(rows[first[e]], u[e])``, or -1 where ``first[e]`` selects no row
+    (past the table, or a row of None), in intp whatever the type of *first*. One stable sort groups
+    the events by their first record, and each row that holds events draws once for all of them."""
+    order = np.argsort(first, kind="stable")
+    counts = np.bincount(first, minlength=len(rows))[:len(rows)]
+    ends = np.cumsum(counts)
+    out = np.full(len(first), -1, dtype=np.intp)  # a record column may be unsigned
+    for j in np.flatnonzero(counts):
+        if rows[j] is not None:
+            events = order[ends[j] - counts[j]:ends[j]]
+            out[events] = _draw_perceived(rows[j], u[events])
+    return out
+
+
 def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
     """Textbook collapse comparator over an ensemble: each event's re-measured index.
 
@@ -468,20 +489,16 @@ def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
     leaving the branch |s_j>|O_j> with the record j if it is a system index
     (1..s_dim). Its chain (undo, the measurement again, a fresh record per
     uniform in [0, 1) of the column *u*) stays on the row s_j, so the chains
-    are the rows of one (s_dim, o_dim) array. The undo rewinds the observer
-    but not the collapse, so every event re-measures its collapsed index;
-    this persistence is the discriminating prediction against the dual
-    model. An event whose record is no system index gets -1, in intp.
+    are the rows of one (s_dim, o_dim) array, and the fresh records are one
+    ``draw_conditioned`` on their re-measured weights. The undo rewinds the
+    observer but not the collapse, so every event re-measures its collapsed
+    index; this persistence is the discriminating prediction against the
+    dual model. An event whose record is no system index gets -1, in intp.
     """
     chains = model.rotate(np.eye(model.s_dim, model.o_dim, 1), -model.duration)  # row j - 1: chain j
     turned = np.stack([chains, model.rotate(chains, model.duration)])
     p = np.clip((turned * turned.conj()).real, 0.0, None)
     undone, measured = p / p.sum(axis=2, keepdims=True)  # each chain's branch_weights
-    order = np.argsort(collapsed, kind="stable")  # the events of each j: one sort, not a scan per j
-    ends = np.cumsum(np.bincount(collapsed, minlength=model.s_dim + 1))
-    fresh = np.full(len(collapsed), -1, dtype=np.intp)  # a record column may be unsigned
-    for row in np.flatnonzero(ends[1:model.s_dim + 1] > ends[:model.s_dim]):  # j = row + 1
-        events = order[ends[row]:ends[row + 1]]
-        _check_undone(undone[row])
-        fresh[events] = _draw_perceived(measured[row], u[events])
-    return fresh
+    for w in undone[np.bincount(collapsed, minlength=model.s_dim + 1)[1:model.s_dim + 1] > 0]:
+        _check_undone(w)  # each chain that an event collapsed onto
+    return draw_conditioned([None, *measured], collapsed, u)

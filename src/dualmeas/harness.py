@@ -34,7 +34,7 @@ from .dual import (
     EVENT_BLOCK,
     DualState,
     _draw_perceived,
-    draw_index,
+    draw_conditioned,
     event_rng,  # not called here; bench/test_bench.py reaches it as harness.event_rng
     perception_time_pdf,
     reduction_baseline,
@@ -163,11 +163,14 @@ def run(scenario: Scenario):
     return summary, records
 
 
-def _sample(scenario: Scenario, events) -> DualState:
+def _sample(scenario: Scenario, psi: StateVector, weights, then=None, pdf=None) -> DualState:
     """The run's one sampling loop: one pass of the Philox kernel over its
-    events, EVENT_BLOCK at a time. ``events(u)`` turns a block's uniforms
-    (``u[0][r]`` and ``u[1][r]``, the two draws of the block's event r) into
-    that block's DualState. Each record column of the blocks goes into one
+    events, EVENT_BLOCK at a time, ``u[0][r]`` and ``u[1][r]`` the two draws
+    of the block's event r. Each event's first record is drawn from the
+    pointer weights *weights* of *psi* with its first uniform, perceived at
+    the end of the window or, given a density *pdf*, at a time drawn from it
+    with its second; ``then(state, u)`` turns that DualState of the block
+    into the block's own. Each record column of the blocks goes into one
     whole column: a time as float64, an index in the narrowest unsigned type
     that holds the pointer basis (uint8 for o_dim <= 256). Returns the last
     block's state over all the events; every block's records passed its own
@@ -176,7 +179,10 @@ def _sample(scenario: Scenario, events) -> DualState:
     dtypes = (np.float64, np.min_scalar_type(scenario.o_dim - 1))  # of t and of j
     steps = None
     for lo, u in uniform_blocks(scenario.seed, n):
-        state = events(u)
+        t = scenario.delta_t if pdf is None else sample_perception_time(pdf, u[1])
+        state = DualState(psi, len(u[0]), clock=scenario.delta_t).record(t, _draw_perceived(weights, u[0]))
+        if then is not None:
+            state = then(state, u)
         if steps is None:
             steps = [tuple(np.empty(n, dtype) if np.ndim(x) else x for dtype, x in zip(dtypes, step))
                      for step in state.steps]
@@ -185,17 +191,6 @@ def _sample(scenario: Scenario, events) -> DualState:
                 if np.ndim(x):
                     column[lo:lo + len(x)] = x
     return replace(state, n_events=n, steps=tuple(steps))
-
-
-def _perceive(scenario: Scenario, psi: StateVector, weights, pdf=None) -> DualState:
-    """Each event's record drawn from the pointer weights *weights* of *psi*
-    with its first uniform, perceived at the end of the window or, given a
-    density *pdf*, at a time drawn from it with its second."""
-    def events(u):
-        t = scenario.delta_t if pdf is None else sample_perception_time(pdf, u[1])
-        return DualState(psi, len(u[0]), clock=scenario.delta_t).record(t, _draw_perceived(weights, u[0]))
-
-    return _sample(scenario, events)
 
 
 def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
@@ -208,7 +203,7 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
     if scenario.perception_mode == "sample":
         grid = np.linspace(0.0, scenario.delta_t, 201)
         pdf = perception_time_pdf(model, scenario.amplitudes, grid)
-    records = _perceive(scenario, psi, weights, pdf)
+    records = _sample(scenario, psi, weights, pdf=pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -228,22 +223,28 @@ def _run_premeasure(scenario: Scenario, model: MeasurementModel, psi: StateVecto
 
 
 def _run_undo(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
-    undone, persisted = None, 0
+    chain, persisted = [], 0  # the undone and re-measured states, and the latter's pointer weights
 
-    def events(u):
-        # Measure, reverse, re-measure. Perception never back-reacts, so the
-        # dynamical chain is shared by all events; only the two draws differ.
-        nonlocal undone, persisted
-        undone = DualState(psi, len(u[0]), clock=scenario.delta_t).perceive(u[0]).undo(model)
-        state = undone.measure(model).perceive(u[1])
+    def then(first, u):
+        # Reverse, re-measure. Perception never back-reacts, so the dynamical
+        # chain is shared by all events: the first block takes it, and each
+        # block adds its two draws to the steps the chain appended.
+        nonlocal persisted
+        if not chain:
+            undone = first.undo(model)
+            measured = undone.measure(model)
+            chain.extend([undone, measured, branch_weights(measured.phi_d)])
+        _, measured, fresh = chain
+        state = replace(measured, n_events=first.n_events, steps=first.steps + measured.steps[1:])
+        state = state.record(measured.clock, _draw_perceived(fresh, u[1]))
         # Textbook collapse on the same draws: the events whose re-measured
         # outcome is the one they collapsed onto.
         collapsed = state.steps[0][1]
         persisted += np.count_nonzero(reduction_baseline(model, collapsed, u[1]) == collapsed)
         return state
 
-    records = _sample(scenario, events)
-    recovery = trace_distance(model.input_state(scenario.amplitudes), undone.phi_d)
+    records = _sample(scenario, psi, weights, then)
+    recovery = trace_distance(model.input_state(scenario.amplitudes), chain[0].phi_d)
     corr_dual = _correlation(records.steps[0][1], records.final_j)
     persistence = persisted / scenario.n_events
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
@@ -287,25 +288,15 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
     # imaginary-part partner, so no relative phase of the branches hides it.
     b_mid = 2.0 * abs(np.vdot(p[0, 1], p[1, 2]))
 
-    # Each event draws O's record from psi's pointer weights at t1, and O2's
-    # at t2 from the joint row of that record (at most s_dim rows can be
-    # drawn), O2's ready weight left out as the first draw leaves O's.
-    t1, t2 = scenario.delta_t, 2.0 * scenario.delta_t
+    # Each event draws O's record from psi's pointer weights, and O2's a window
+    # later from the joint row of that record (only a record with weight has
+    # one), O2's ready weight left out as the first draw leaves O's.
     joint = _joint_pointer_weights(model, p)
     joint[:, 0] = 0.0
-    rows = {j1: joint[j1] / joint[j1].sum() for j1 in np.flatnonzero(weights[1:]) + 1}
-
-    def events(u):
-        first = DualState(psi, len(u[0]), clock=t1).record(t1, _draw_perceived(weights, u[0]))
-        js1 = first.final_j
-        js2 = np.empty_like(js1)
-        for j1, row in rows.items():
-            on = js1 == j1
-            if on.any():
-                js2[on] = draw_index(row, u[1][on])
-        return first.record(t2, js2)
-
-    records = _sample(scenario, events)
+    rows = [joint[j] / joint[j].sum() if j and weights[j] else None for j in range(model.o_dim)]
+    t2 = 2.0 * scenario.delta_t
+    records = _sample(scenario, psi, weights,
+                      lambda first, u: first.record(t2, draw_conditioned(rows, first.final_j, u[1])))
     (_, js1), (_, js2) = records.steps
     agree = np.count_nonzero(js1 == js2)
     rate = agree / scenario.n_events
@@ -348,7 +339,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
     worst_b = max(abs(b - b_pure * f.real) for b, f in zip(b_vals, simulated))
 
     # Each branch's bath state has norm 1: dephasing leaves psi's weights.
-    records = _perceive(scenario, psi, weights)
+    records = _sample(scenario, psi, weights)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,
@@ -394,7 +385,7 @@ def _run_perception_timing(scenario: Scenario, model: MeasurementModel, psi: Sta
         rules.append(np.sum(np.diff(pdf.times) * (pdf.density[1:] + pdf.density[:-1]) / 2))
     bound = max(1e-6, *(abs(integral - r) for r in rules))
 
-    records = _perceive(scenario, psi, weights, pdf)
+    records = _sample(scenario, psi, weights, pdf=pdf)
     freqs, freq_check = _freq_check(records.final_j, weights, scenario.n_events)
     return dict(
         frequencies=freqs,

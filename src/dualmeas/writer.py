@@ -53,10 +53,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     ``float.__repr__``.
 
     Only the product and the candidates are 64-bit. The exponents are int16,
-    d and the place of the last nonzero digit int8, and the digits come from
-    uint32 chunks of 8 and uint16 groups of 4, written straight into their
-    rows of the slot matrix, so each operation on a (17, n) slot plane is on
-    uint8 or int8.
+    d and the place of the last nonzero digit int8, and ``_digits`` writes the
+    digits of the significand's two uint32 halves, of 9 and 8 digits, straight
+    into their rows of the slot matrix, so each operation on a (17, n) slot
+    plane is on uint8 or int8.
     """
     bits = x.view(np.uint64)
     biased = (bits >> np.uint64(52)).astype(np.int16) & np.int16(0x7FF)
@@ -96,27 +96,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     e16 *= ok16
     n = d17 + np.where(ok15, e15, e16)  # the fewest digits that read back
     fast &= ~tie16 & (n < np.int64(10**17))  # 10**17 needs a new d
-    # Two chunks of 8 digits and the first digit, then four groups of 4.
-    chunks = np.empty((2, len(x)), np.uint32)
-    hi9 = n // np.int64(10**8)
-    chunks[0] = hi9
-    np.subtract(n, hi9 * np.int64(10**8), out=chunks[1], casting="unsafe")
-    top = chunks[0] // np.uint32(10**8)
-    chunks[0] -= top * np.uint32(10**8)
-    q = chunks // np.uint32(10**4)
-    groups = np.empty((2, 2, len(x)), np.uint16)
-    groups[:, 0] = q
-    np.subtract(chunks, q * np.uint32(10**4), out=groups[:, 1], casting="unsafe")
     cells = np.empty((_CELL_BYTES, len(x)), np.uint8)
     digits = cells[6:40:2]  # one row per digit, each beside the slot for a point
-    digits[0] = top
-    planes = cells[8:40].reshape(4, 4, 2, len(x))[:, :, 0]  # (group, digit, value)
-    groups = groups.reshape(4, len(x))
-    ten = np.uint16(10)
-    for i in range(3, -1, -1):
-        q = groups // ten
-        np.subtract(groups, q * ten, out=planes[:, i], casting="unsafe")
-        groups = q
+    hi9 = n // np.int64(10**8)  # the significand as two uint32 halves, of 9 and 8 digits
+    _digits(hi9.astype(np.uint32), digits[:9])
+    _digits((n - hi9 * np.int64(10**8)).astype(np.uint32), digits[9:])
     last = ((digits != 0) * _PLACE).max(axis=0)  # the place of the last nonzero digit
     zero, point = np.uint8(ord("0")), np.uint8(ord("."))
     digits += zero
@@ -134,6 +118,17 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         cells[:, slow] = 0
         cells[:text.shape[1], slow] = text.T
     return cells[cells.any(axis=1)].T  # without the slots no value uses
+
+
+def _digits(rest: np.ndarray, rows: np.ndarray):
+    """Write the decimal digits of the unsigned integers *rest* into *rows*, one
+    row per place, the units last; the first row takes all the higher places."""
+    ten = rest.dtype.type(10)
+    for row in rows[:0:-1]:
+        q = rest // ten  # vectorised, where divmod is not
+        np.subtract(rest, q * ten, out=row, casting="unsafe")
+        rest = q
+    rows[0] = rest
 
 
 def _repr_cells(x: np.ndarray) -> np.ndarray:
@@ -160,12 +155,7 @@ def _cells(column: np.ndarray) -> np.ndarray:
         neg = column < 0
         np.negative(mag, out=mag, where=neg)  # so |-2**63| = 2**63 fits
         cells[0] = neg * np.uint8(ord("-"))  # the padding after the sign is dropped with the rest
-    rest, ten = mag, dtype(10)
-    for k in range(len(cells) - 1, sign, -1):
-        q = rest // ten  # vectorised, where divmod is not
-        np.subtract(rest, q * ten, out=cells[k], casting="unsafe")
-        rest = q
-    cells[sign] = rest
+    _digits(mag, cells[sign:])
     cells[sign:] += np.uint8(ord("0"))
     for place in range(short, width):  # a value below 10**place has no digit there
         cells[-1 - place] *= mag >= dtype(10**place)

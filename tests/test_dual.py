@@ -38,6 +38,7 @@ from dualmeas.dynamics import (
 from dualmeas.dual import (
     EVENT_BLOCK,
     DualState,
+    draw_conditioned,
     draw_index,
     event_rng,
     event_uniforms,
@@ -141,6 +142,44 @@ class TestDrawIndex:
         searchsorted = peak(lambda v: np.searchsorted(np.cumsum(w), v * np.cumsum(w)[-1], side="right"))
         assert searchsorted > 2 * u.nbytes
         assert peak(lambda v: draw_index(w, v)) < searchsorted
+
+
+class TestDrawConditioned:
+    """Each event's record drawn from the row of weights its earlier record selects."""
+
+    @staticmethod
+    def per_event(rows, first, u):
+        return [draw_index(rows[j], x) if j < len(rows) and rows[j] is not None else -1
+                for j, x in zip(first.tolist(), u.tolist())]
+
+    # Rows of None and records past the table get -1; the rest match a draw
+    # per event, whatever the type of the first records. With the guide
+    # table's threshold lowered to 16, groups of events fall on both sides.
+    @given(widths=st.lists(st.one_of(st.none(), st.integers(2, 6)), min_size=1, max_size=6),
+           past=st.integers(0, 3), n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.uint8, np.intp]), guide=st.sampled_from([None, 16]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_draw_per_event(self, widths, past, n, seed, dtype, guide):
+        rng = np.random.default_rng(seed)
+        rows = [None if k is None else np.r_[0.0, rng.random(k - 1)] for k in widths]
+        first = rng.integers(0, len(rows) + past, n).astype(dtype)
+        u = rng.random(n)
+        with patch.object(dual, "_GUIDE_MIN_DRAWS", guide or dual._GUIDE_MIN_DRAWS):
+            got = draw_conditioned(rows, first, u)
+            assert got.dtype == np.intp and got.tolist() == self.per_event(rows, first, u)
+
+    def test_groups_at_the_guide_threshold(self):
+        # Groups of _GUIDE_MIN_DRAWS - 1 and _GUIDE_MIN_DRAWS events, shuffled
+        # among each other: np.searchsorted for one, the guide table for the
+        # other, each the bits of the draw per event.
+        k = dual._GUIDE_MIN_DRAWS
+        rng = np.random.default_rng(8)
+        rows = [None, np.array([0.0, 0.2, 0.5, 0.3]), np.array([0.0, 0.6, 0.1, 0.3])]
+        first = rng.permutation(np.repeat(np.arange(3, dtype=np.uint8), [5, k - 1, k]))
+        u = rng.random(len(first))
+        got = draw_conditioned(rows, first, u)
+        assert got.tolist() == self.per_event(rows, first, u)
+        assert (got[first == 0] == -1).all() and (got[first > 0] > 0).all()
 
 
 class TestEventRng:
@@ -410,6 +449,8 @@ class TestPerceptionTiming:
     )
     @example(s_dim=2, extra_o=1, parts=[0.5] * 8, delta_t=1.0, angle=math.pi / 2, n_times=201,
              span=(0.0, 1.0), block=7)
+    @example(s_dim=3, extra_o=37, parts=[0.3, -0.8, 0.5, 0, 0.6, 0.2, -0.4, 0], delta_t=1.0,
+             angle=1.3, n_times=51, span=(0.0, 1.0), block=None)  # o_dim 40, each amplitude complex
     @settings(max_examples=15, deadline=None)
     def test_density_matches_per_point_bits(self, s_dim, extra_o, parts, delta_t, angle,
                                             n_times, span, block):

@@ -470,7 +470,7 @@ def test_planted_marginal_record_fails_the_agreement_check(monkeypatch):
     marginal = np.r_[0.0, np.abs(sc.amplitudes) ** 2]
     for planted in (False, True):
         if planted:
-            monkeypatch.setattr(harness, "draw_index", lambda row, u: draw_index(marginal, u))
+            monkeypatch.setattr(harness, "draw_conditioned", lambda rows, first, u: draw_index(marginal, u))
         summary, _ = run(sc)
         check = next(c for c in summary.checks if c["name"] == AGREE)
         assert check["passed"] is not planted
@@ -513,17 +513,22 @@ def test_planted_reversed_weights_fail_the_frequency_check(monkeypatch, experime
     assert abs(check["value"] - 0.4) < 4.0 * math.sqrt(0.21 / sc.n_events)
 
 
-@pytest.mark.parametrize("case", ["premeasure", "sample", "two_observer", "decohere", "perception_timing"])
+@pytest.mark.parametrize("case", ["premeasure", "sample", "two_observer", "decohere", "perception_timing",
+                                  "undo", "reduction_compare"])
 def test_pointer_weights_are_taken_once_per_run(monkeypatch, case):
     # Every block of a run draws its first records from the premeasured
-    # state's pointer weights, one vector for the run, not one per block.
+    # state's pointer weights, one vector for the run, not one per block. The
+    # undo chain also takes its reversal's ready check and its re-measured
+    # state's weights once: a run of 3 blocks makes as many calls as one of 1.
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("dualmeas") and getattr(module, "branch_weights", None) is branch_weights:
             monkeypatch.setattr(module, "branch_weights", lambda *a, **k: calls.append(a) or branch_weights(*a, **k))
-    summary, _ = run(replace(parse_scenario(SAMPLING[case]), n_events=2 * EVENT_BLOCK + 1))
-    assert all(c["passed"] for c in summary.checks)
-    assert len(calls) == 1
+    for n_events in (EVENT_BLOCK, 2 * EVENT_BLOCK + 1):
+        calls.clear()
+        summary, _ = run(replace(parse_scenario(SAMPLING[case]), n_events=n_events))
+        assert all(c["passed"] for c in summary.checks)
+        assert len(calls) == (3 if case in ("undo", "reduction_compare") else 1), n_events
 
 
 @pytest.mark.parametrize("experiment, extra, calls", [
@@ -994,25 +999,28 @@ class TestEmission:
         # again. The buffer holds one block; a compaction adds a copy at most
         # as large, and a re-lay the new buffer beside the old one. So the
         # peak stays near two blocks, and one more block-sized temporary per
-        # block (a copy of the rows, a NUL mask) would exceed the bound.
+        # block (a copy of the rows, a NUL mask) would exceed the bound. The
+        # same rows with a sampled time column: the float kernel's
+        # temporaries of a block must fit in the same bound.
         monkeypatch.setattr(writer, "EVENT_BLOCK", 1000)
         n = 4001
         rng = np.random.default_rng(5)
-        steps = tuple((float(i + 1), rng.integers(0, 3, n)) for i in range(3))
-        records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
-        summary = RunSummary(experiment="reduction_compare", seed=0, n_events=n, frequencies={})
-        with tempfile.TemporaryDirectory() as tmp:
-            few = DualState(records.phi_d, 10, flags=("undo",),
-                            steps=tuple((t, j[:10]) for t, j in steps))
-            emit(summary, few, tmp)  # numpy's own first-use allocations, outside the trace
-            tracemalloc.start()
-            try:
-                _, events_path = emit(summary, records, tmp)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            block_bytes = Path(events_path).stat().st_size * 1000 / n
-        assert peak < 2.5 * block_bytes
+        ints = tuple((float(i + 1), rng.integers(0, 3, n)) for i in range(3))
+        for steps in (ints, ((rng.random(n), ints[0][1]),) + ints[1:]):
+            records = DualState(_dual(1).phi_d, n, flags=("undo",), steps=steps)
+            summary = RunSummary(experiment="reduction_compare", seed=0, n_events=n, frequencies={})
+            with tempfile.TemporaryDirectory() as tmp:
+                few = DualState(records.phi_d, 10, flags=("undo",),
+                                steps=tuple((t if np.ndim(t) == 0 else t[:10], j[:10]) for t, j in steps))
+                emit(summary, few, tmp)  # numpy's own first-use allocations, outside the trace
+                tracemalloc.start()
+                try:
+                    _, events_path = emit(summary, records, tmp)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                block_bytes = Path(events_path).stat().st_size * 1000 / n
+            assert peak < 2.5 * block_bytes, peak / block_bytes
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nul_in_a_flag_rejected_before_writing(self, tmp_path, fmt):
