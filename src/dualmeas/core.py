@@ -196,9 +196,8 @@ class LinearOperator:
     def _eigh(self):
         return np.linalg.eigh(self.entries)
 
-    def unitary_at(self, t, columns=slice(None)) -> np.ndarray:
-        """exp(-i * self * t) via the cached Hermitian eigendecomposition, or
-        only its *columns* (indices or a slice).
+    def unitary_at(self, t) -> np.ndarray:
+        """exp(-i * self * t) via the cached Hermitian eigendecomposition.
 
         A scalar *t* gives one (n, n) matrix; a 1-d time grid gives the
         (len(t), n, n) stack, each slice bit-identical to the scalar form. A
@@ -206,8 +205,8 @@ class LinearOperator:
         """
         w, v = self._eigh
         phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
-        left, right = v * phase[..., None, :], v[columns].conj().T
-        return (left.reshape(-1, len(w)) @ right).reshape(*left.shape[:-1], right.shape[1])
+        left = v * phase[..., None, :]
+        return (left.reshape(-1, len(w)) @ v.conj().T).reshape(left.shape)
 
 
 def embed(layout: CompositeLayout, factors: dict[str, np.ndarray]) -> np.ndarray:

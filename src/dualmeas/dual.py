@@ -287,22 +287,17 @@ def perception_time_pdf(model: MeasurementModel, amplitudes, grid) -> Perception
     n = psi0.layout.total_dim
     on_o = np.arange(n) % model.o_dim  # each amplitude's pointer index
     masks = [(on_o == j)[:, None] for j in range(1, model.o_dim)]
-    ready = np.flatnonzero(psi0.amplitudes)  # psi0's weight sits in its ready entries
     block = max(1, EVENT_BLOCK // n**2)
 
     def raw(ts):
         # A block of times at once, its stack of unitaries at most EVENT_BLOCK
-        # entries, zero but at psi0's ready columns: psi(t) from the stack, then
-        # <psi| P H |psi> as (1, n) @ (n, 1) products, P a mask on the O axis.
-        # These give the bits of np.vdot on each time alone; np.sum(conj * x)
-        # does not, and the sampled perception times depend on those bits.
-        # The ready columns alone keep the whole product's bits only as this
-        # generator's eigenvectors are real, with two nonzeros a row at most.
+        # entries: psi(t) from the stack, then <psi| P H |psi> as (1, n) @
+        # (n, 1) products, P a mask on the O axis. These give the bits of
+        # np.vdot on each time alone; np.sum(conj * x) does not, and the
+        # sampled perception times depend on those bits.
         out = np.empty(len(ts))
         for lo in range(0, len(ts), block):
-            stack = np.zeros((len(ts[lo:lo + block]), n, n), complex)
-            stack[..., ready] = h.unitary_at(ts[lo:lo + block], ready)
-            psi = stack @ psi0.amplitudes
+            psi = h.unitary_at(ts[lo:lo + block]) @ psi0.amplitudes
             h_psi = h.entries @ psi[..., None]
             bra = psi.conj()[:, None, :]
             out[lo:lo + block] = sum(2.0 * np.imag((bra @ (m * h_psi))[:, 0, 0]) for m in masks)

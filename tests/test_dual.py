@@ -449,8 +449,6 @@ class TestPerceptionTiming:
     )
     @example(s_dim=2, extra_o=1, parts=[0.5] * 8, delta_t=1.0, angle=math.pi / 2, n_times=201,
              span=(0.0, 1.0), block=7)
-    @example(s_dim=3, extra_o=37, parts=[0.3, -0.8, 0.5, 0, 0.6, 0.2, -0.4, 0], delta_t=1.0,
-             angle=1.3, n_times=51, span=(0.0, 1.0), block=None)  # o_dim 40, each amplitude complex
     @settings(max_examples=15, deadline=None)
     def test_density_matches_per_point_bits(self, s_dim, extra_o, parts, delta_t, angle,
                                             n_times, span, block):
