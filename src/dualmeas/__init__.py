@@ -21,6 +21,7 @@ from .core import (
     expectation,
     partial_trace,
     projector,
+    replace,
     trace_distance,
 )
 from .dynamics import (

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 
-from .core import InvariantError, LayoutError
+from .core import InvariantError, LayoutError, replace
 from .harness import run
 from .scenario import ScenarioError, load_scenario
 from .writer import emit

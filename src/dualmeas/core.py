@@ -10,7 +10,6 @@ downstream code never has to re-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -36,21 +35,56 @@ class InvariantError(ValueError):
     """Raised when a state or operator violates its defining invariants."""
 
 
-@dataclass(frozen=True)
-class CompositeLayout:
+class Record:
+    """Base of the package's immutable records. Each ``__init__`` checks its
+    arguments and stores them, under their parameter names, in the instance
+    dict, where a ``cached_property`` also keeps its value; setting or
+    deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value=None):  # and __delattr__(self, name)
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in _fields(self).items())})"
+
+
+def _fields(obj) -> dict:
+    """The arguments of *obj*'s ``__init__`` by name, each an attribute of *obj*."""
+    code = type(obj).__init__.__code__
+    return {k: getattr(obj, k) for k in code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]}
+
+
+class ValueRecord(Record):
+    """A record compared and hashed by the arguments of its ``__init__``."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(tuple(_fields(self).values()))
+
+
+def replace(obj, **changes):
+    """A copy of the record *obj* with the attributes *changes*, rebuilt through its
+    ``__init__`` as ``dataclasses.replace`` does: its checks run again, and no
+    ``cached_property`` value carries over."""
+    return type(obj)(**{**_fields(obj), **changes})
+
+
+class CompositeLayout(ValueRecord):
     """Ordered registry of tensor factors, e.g. (("S", 2), ("O", 3)).
 
     Index 0 of every subsystem is by convention the "ready"/ground label
     (observer ready state, environment initial state). Kronecker ordering is
-    row-major in the listed order.
+    row-major in the listed order. Layouts compare and hash by value.
     """
 
-    subsystems: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if not self.subsystems:
+    def __init__(self, subsystems: tuple[tuple[str, int], ...]):
+        if not subsystems:
             raise LayoutError("layout needs at least one subsystem")
-        object.__setattr__(self, "subsystems", tuple((str(l), int(d)) for l, d in self.subsystems))
+        vars(self)["subsystems"] = tuple((str(l), int(d)) for l, d in subsystems)
         labels = [l for l, _ in self.subsystems]
         if len(set(labels)) != len(labels):
             raise LayoutError(f"duplicate subsystem labels in {labels}")
@@ -118,19 +152,15 @@ def _hermitian(layout: CompositeLayout, entries, noun: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Normalized pure state over a composite layout."""
 
-    layout: CompositeLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _readonly(np.asarray(self.amplitudes).reshape(-1))
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.layout.total_dim,):
+    def __init__(self, layout: CompositeLayout, amplitudes: np.ndarray):
+        amps = _readonly(np.asarray(amplitudes).reshape(-1))
+        vars(self).update(layout=layout, amplitudes=amps)
+        if amps.shape != (layout.total_dim,):
             raise LayoutError(
-                f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
+                f"amplitude length {amps.shape[0]} != layout dimension {layout.total_dim}"
             )
         # A pairwise sum: np.linalg.norm's rounding error grows with the length.
         norm = float(np.sqrt(np.sum((amps * amps.conj()).real)))
@@ -148,16 +178,12 @@ class StateVector:
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, unit-trace, positive-semidefinite statistical state."""
 
-    layout: CompositeLayout
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _hermitian(self.layout, self.entries, "density matrix")
-        object.__setattr__(self, "entries", m)
+    def __init__(self, layout: CompositeLayout, entries: np.ndarray):
+        m = _hermitian(layout, entries, "density matrix")
+        vars(self).update(layout=layout, entries=m)
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TOL_ALGEBRAIC:
             raise InvariantError(f"trace {tr} deviates from 1 beyond {TOL_ALGEBRAIC}")
@@ -177,8 +203,7 @@ class DensityMatrix:
         return cls(states[0].layout, m)
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(Record):
     """Hermitian operator over a composite layout: a generator or an observable.
 
     Its eigendecomposition is cached (values are immutable, so the cache is
@@ -186,11 +211,8 @@ class LinearOperator:
     single diagonalization.
     """
 
-    layout: CompositeLayout
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _hermitian(self.layout, self.entries, "operator"))
+    def __init__(self, layout: CompositeLayout, entries: np.ndarray):
+        vars(self).update(layout=layout, entries=_hermitian(layout, entries, "operator"))
 
     @cached_property
     def _eigh(self):

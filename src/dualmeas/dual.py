@@ -14,7 +14,6 @@ all branches as rows of one array, so its outcome survives the undo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +23,10 @@ from .core import (
     DensityMatrix,
     InvariantError,
     LinearOperator,
+    Record,
     StateVector,
     evolve_unitary,
+    replace,
 )
 from .dynamics import (
     O_LABEL,
@@ -249,13 +250,12 @@ def simpson(y, x) -> float:
     return float(basic(n - 3) + end[0] + 0.0)
 
 
-@dataclass(frozen=True)
-class PerceptionTimePdf:
-    """Tabulated perception-time density over one measurement window."""
+class PerceptionTimePdf(Record):
+    """Tabulated perception-time density over one measurement window; its
+    *normalization* is c_p, applied to the raw derivative sum."""
 
-    times: np.ndarray
-    density: np.ndarray
-    normalization: float  # c_p applied to the raw derivative sum
+    def __init__(self, times: np.ndarray, density: np.ndarray, normalization: float):
+        vars(self).update(times=times, density=density, normalization=normalization)
 
     @cached_property
     def lookup(self):
@@ -367,8 +367,7 @@ def _check_undone(w: np.ndarray):
                              "the state was not a post-measurement state of this model")
 
 
-@dataclass(frozen=True)
-class DualState:
+class DualState(Record):
     """The dual state of ``n_events`` events: one dynamical state, per-event records.
 
     ``phi_d``, a StateVector or DensityMatrix at time ``clock``, is shared by
@@ -379,11 +378,9 @@ class DualState:
     step. Every event carries *flags*.
     """
 
-    phi_d: StateVector | DensityMatrix
-    n_events: int
-    clock: float = 0.0
-    flags: tuple = ()
-    steps: tuple = ()
+    def __init__(self, phi_d: StateVector | DensityMatrix, n_events: int, clock: float = 0.0,
+                 flags: tuple = (), steps: tuple = ()):
+        vars(self).update(phi_d=phi_d, n_events=n_events, clock=clock, flags=flags, steps=steps)
 
     @property
     def t_perceive(self):
@@ -484,16 +481,14 @@ def reduction_baseline(model: MeasurementModel, collapsed, u) -> np.ndarray:
     leaving the branch |s_j>|O_j> with the record j if it is a system index
     (1..s_dim). Its chain (undo, the measurement again, a fresh record per
     uniform in [0, 1) of the column *u*) stays on the row s_j, so the chains
-    are the rows of one (s_dim, o_dim) array, and the fresh records are one
+    are the rows of one (s_dim, o_dim) array, whose weights the model keeps
+    (``model.collapse_chains``), and the fresh records are one
     ``draw_conditioned`` on their re-measured weights. The undo rewinds the
     observer but not the collapse, so every event re-measures its collapsed
     index; this persistence is the discriminating prediction against the
     dual model. An event whose record is no system index gets -1, in intp.
     """
-    chains = model.rotate(np.eye(model.s_dim, model.o_dim, 1), -model.duration)  # row j - 1: chain j
-    turned = np.stack([chains, model.rotate(chains, model.duration)])
-    p = np.clip((turned * turned.conj()).real, 0.0, None)
-    undone, measured = p / p.sum(axis=2, keepdims=True)  # each chain's branch_weights
+    undone, measured = model.collapse_chains  # row j - 1: chain j
     for w in undone[np.bincount(collapsed, minlength=model.s_dim + 1)[1:model.s_dim + 1] > 0]:
         _check_undone(w)  # each chain that an event collapsed onto
     return draw_conditioned([None, *measured], collapsed, u)

@@ -11,7 +11,6 @@ Label conventions: the measured system is "S", the observer "O", bath atoms "E0"
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -23,7 +22,9 @@ from .core import (
     InvariantError,
     LayoutError,
     LinearOperator,
+    Record,
     StateVector,
+    ValueRecord,
 )
 
 S_LABEL = "S"
@@ -53,29 +54,24 @@ def default_pointer_values(o_dim: int) -> np.ndarray:
     return np.array(vals[:o_dim])
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """System-observer coupling parameters.
+class MeasurementModel(ValueRecord):
+    """System-observer coupling parameters, compared and hashed by value.
 
     With the default calibration coupling * duration = pi/2, one interaction
     window transfers each system eigenstate completely onto its pointer state.
     Each transferred branch picks up a -i phase from the two-level rotation.
     """
 
-    s_dim: int
-    o_dim: int
-    coupling: float
-    duration: float
-
-    def __post_init__(self):
-        if self.s_dim < 2:
-            raise InvariantError(f"s_dim {self.s_dim} < 2")
-        if self.o_dim < self.s_dim + 1:
+    def __init__(self, s_dim: int, o_dim: int, coupling: float, duration: float):
+        vars(self).update(s_dim=s_dim, o_dim=o_dim, coupling=coupling, duration=duration)
+        if s_dim < 2:
+            raise InvariantError(f"s_dim {s_dim} < 2")
+        if o_dim < s_dim + 1:
             raise InvariantError(
-                f"o_dim {self.o_dim} < s_dim + 1 = {self.s_dim + 1}: need one ready state "
+                f"o_dim {o_dim} < s_dim + 1 = {s_dim + 1}: need one ready state "
                 "plus one pointer state per system eigenstate"
             )
-        if self.duration <= 0:
+        if duration <= 0:
             raise InvariantError("duration must be positive")
 
     @classmethod
@@ -106,6 +102,17 @@ class MeasurementModel:
         h = np.zeros((n, n), dtype=complex)
         h[ready, pointer] = h[pointer, ready] = self.coupling
         return LinearOperator(self.so_layout(), h)
+
+    @cached_property
+    def collapse_chains(self) -> np.ndarray:
+        """The pointer weights ``(undone, measured)`` of the textbook collapse
+        comparator's chains (``dual.reduction_baseline``), built once per
+        model: row j - 1 of each is the branch |s_j>|O_j> turned back over
+        one window, and then forward over it again."""
+        chains = self.rotate(np.eye(self.s_dim, self.o_dim, 1), -self.duration)
+        turned = np.stack([chains, self.rotate(chains, self.duration)])
+        p = np.clip((turned * turned.conj()).real, 0.0, None)
+        return p / p.sum(axis=2, keepdims=True)  # each chain's branch_weights
 
     def input_state(self, amplitudes) -> StateVector:
         """The system state *amplitudes* beside a ready observer, S (x) |O_0>,
@@ -140,23 +147,17 @@ class MeasurementModel:
         return x
 
 
-@dataclass(frozen=True)
-class EnvironmentModel:
+class EnvironmentModel(Record):
     """Bath of two-level atoms dephasing the observer pointer basis."""
 
-    n_atoms: int
-    couplings: np.ndarray
-    pointer_values: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.couplings, dtype=float))
-        q = np.asarray(self.pointer_values, dtype=float)
-        object.__setattr__(self, "couplings", g)
-        object.__setattr__(self, "pointer_values", q)
-        if self.n_atoms < 0:
+    def __init__(self, n_atoms: int, couplings: np.ndarray, pointer_values: np.ndarray):
+        g = np.atleast_1d(np.asarray(couplings, dtype=float))
+        q = np.asarray(pointer_values, dtype=float)
+        vars(self).update(n_atoms=n_atoms, couplings=g, pointer_values=q)
+        if n_atoms < 0:
             raise InvariantError("n_atoms must be nonnegative")
-        if g.shape != (self.n_atoms,):
-            raise InvariantError(f"couplings length {g.shape} != n_atoms {self.n_atoms}")
+        if g.shape != (n_atoms,):
+            raise InvariantError(f"couplings length {g.shape} != n_atoms {n_atoms}")
         if q[0] != 0.0:
             raise InvariantError("pointer value on the ready state must be 0")
         perception = q[1:]

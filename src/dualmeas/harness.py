@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 try:  # the fingerprint's builtin SHA-256, as in random.py; hashlib (OpenSSL) only as fallback
     from _sha2 import sha256  # CPython 3.12+
 except ImportError:
@@ -28,6 +27,7 @@ from .core import (
     StateVector,
     TOL_ALGEBRAIC,
     TOL_ROUNDTRIP,
+    replace,
     trace_distance,
 )
 from .dual import (
@@ -62,23 +62,21 @@ from .scenario import (
 from .writer import emit  # not called here; bench/worker.py calls harness.emit
 
 
-@dataclass
 class RunSummary:
-    """Aggregate results plus the per-scenario physics checks."""
+    """Aggregate results plus the per-scenario physics checks; its attributes,
+    in ``summary.json``'s order, are exactly its arguments."""
 
-    experiment: str
-    seed: int
-    n_events: int
-    frequencies: dict
-    b_values: dict = field(default_factory=dict)
-    restricted_states: dict = field(default_factory=dict)
-    correlations: dict = field(default_factory=dict)
-    offdiag_curve: dict | None = None
-    perception_pdf: dict | None = None
-    env_couplings: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
-    fingerprint: str = ""
+    def __init__(self, experiment: str, seed: int, n_events: int, frequencies: dict,
+                 b_values: dict | None = None, restricted_states: dict | None = None,
+                 correlations: dict | None = None, offdiag_curve: dict | None = None,
+                 perception_pdf: dict | None = None, env_couplings: list | None = None,
+                 checks: list | None = None, tolerances: dict | None = None, fingerprint: str = ""):
+        self.experiment, self.seed, self.n_events, self.frequencies = experiment, seed, n_events, frequencies
+        self.b_values, self.restricted_states = b_values or {}, restricted_states or {}
+        self.correlations = correlations or {}
+        self.offdiag_curve, self.perception_pdf = offdiag_curve, perception_pdf
+        self.env_couplings, self.checks, self.tolerances = env_couplings or [], checks or [], tolerances or {}
+        self.fingerprint = fingerprint
 
     def to_dict(self) -> dict:
         return {**vars(self), "frequencies": {str(k): v for k, v in self.frequencies.items()}}

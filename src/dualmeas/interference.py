@@ -9,22 +9,20 @@ observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import CompositeLayout, LayoutError, StateVector
+from .core import CompositeLayout, LayoutError, Record, StateVector
 from .dynamics import O_LABEL, S_LABEL, default_pointer_values
 
 
-@dataclass(frozen=True)
-class InterferenceObservable:
+class InterferenceObservable(Record):
     """Hermitian, traceless coherence probe B = sum_k |r1_k><r2_k| + h.c.
-    between two measurement branches, kept as its rows: r1_k is branch i and
-    r2_k branch j, each beside the k-th basis state of the other subsystems."""
+    between two measurement branches, kept as its *rows* (r1, r2), index
+    arrays into the flat basis of *layout*: r1_k is branch i and r2_k
+    branch j, each beside the k-th basis state of the other subsystems."""
 
-    layout: CompositeLayout
-    rows: tuple  # (r1, r2), index arrays into the flat basis of layout
+    def __init__(self, layout: CompositeLayout, rows: tuple):
+        vars(self).update(layout=layout, rows=rows)
 
 
 def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> InterferenceObservable:

@@ -11,11 +11,9 @@ composite state, are ``dynamics.branch_weights``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DensityMatrix, InvariantError, LayoutError, partial_trace, trace_distance
+from .core import DensityMatrix, InvariantError, LayoutError, Record, partial_trace, trace_distance
 from .dynamics import O_LABEL
 
 # Default operational threshold for "these restrictions coincide".
@@ -24,8 +22,7 @@ DISTINGUISH_TOL = 1e-9
 SOURCE_KINDS = ("pure_ensemble", "mixed_ensemble", "individual_event")
 
 
-@dataclass(frozen=True)
-class RestrictedState:
+class RestrictedState(Record):
     """Observer reduction tagged with the provenance of the composite state.
 
     Identical matrices can arise from a pure ensemble, a matched mixture, or
@@ -33,14 +30,12 @@ class RestrictedState:
     readings are interpreted differently even when the numbers agree.
     """
 
-    o_density: DensityMatrix
-    source_kind: str
-
-    def __post_init__(self):
-        if self.source_kind not in SOURCE_KINDS:
+    def __init__(self, o_density: DensityMatrix, source_kind: str):
+        vars(self).update(o_density=o_density, source_kind=source_kind)
+        if source_kind not in SOURCE_KINDS:
             raise InvariantError(f"source_kind must be one of {SOURCE_KINDS}")
-        if self.source_kind == "individual_event":
-            m = self.o_density.entries
+        if source_kind == "individual_event":
+            m = o_density.entries
             diag = np.real(np.diag(m))
             j = int(np.argmax(diag))
             target = np.zeros_like(m)

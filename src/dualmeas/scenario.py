@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .core import MAX_TOTAL_DIM
+from .core import MAX_TOTAL_DIM, Record
 from .dual import philox_uniforms
 from .dynamics import EnvironmentModel, MeasurementModel, default_pointer_values
 
@@ -28,32 +27,25 @@ class ScenarioError(ValueError):
 DECOHERE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Validated experiment configuration; the one place of every default."""
+class Scenario(Record):
+    """Validated experiment configuration; the one place of every default.
+    *s_dim* defaults to len(amplitudes), *o_dim* to s_dim + 1, *coupling* to
+    pi / (2 delta_t); *perception_mode* is "fire_at_end" or "sample"."""
 
-    experiment: str
-    amplitudes: np.ndarray
-    seed: int
-    n_events: int = 1000
-    s_dim: int | None = None  # defaults to len(amplitudes)
-    o_dim: int | None = None  # defaults to s_dim + 1
-    delta_t: float = 1.0
-    coupling: float | None = None  # defaults to pi / (2 * delta_t)
-    env_atoms: int = 0
-    env_coupling_range: tuple[float, float] = (0.5, 1.5)
-    t_max: float = 1.0
-    n_times: int = 50
-    perception_mode: str = "fire_at_end"  # or "sample"
-    out_path: str = "out"
-    out_format: str = "json"
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.s_dim is None:
-            object.__setattr__(self, "s_dim", amps.shape[0])
-        if self.o_dim is None:
-            object.__setattr__(self, "o_dim", self.s_dim + 1)
+    def __init__(self, experiment: str, amplitudes: np.ndarray, seed: int, n_events: int = 1000,
+                 s_dim: int | None = None, o_dim: int | None = None, delta_t: float = 1.0,
+                 coupling: float | None = None, env_atoms: int = 0,
+                 env_coupling_range: tuple[float, float] = (0.5, 1.5), t_max: float = 1.0,
+                 n_times: int = 50, perception_mode: str = "fire_at_end", out_path: str = "out",
+                 out_format: str = "json"):
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        s_dim = amps.shape[0] if s_dim is None else s_dim
+        vars(self).update(
+            experiment=experiment, seed=seed, n_events=n_events, s_dim=s_dim,
+            o_dim=s_dim + 1 if o_dim is None else o_dim, delta_t=delta_t, coupling=coupling,
+            env_atoms=env_atoms, env_coupling_range=env_coupling_range, t_max=t_max,
+            n_times=n_times, perception_mode=perception_mode, out_path=out_path,
+            out_format=out_format)
         from .harness import EXPERIMENTS  # the runners' table, which imports this module
 
         if self.experiment not in EXPERIMENTS:
@@ -90,11 +82,10 @@ class Scenario:
         if norm == 0:
             raise ScenarioError("amplitudes are all zero")
         if abs(scale * norm - 1.0) > 1e-9:
-            # Level 3: the caller of the dataclass __init__ that calls this.
-            warnings.warn(f"amplitudes norm {scale * norm:.6g} != 1; normalizing", stacklevel=3)
+            warnings.warn(f"amplitudes norm {scale * norm:.6g} != 1; normalizing", stacklevel=2)
             amps = amps / norm
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        vars(self)["amplitudes"] = amps
         if self.out_format not in ("json", "csv"):
             raise ScenarioError(f"output format must be json or csv, got {self.out_format!r}")
         if self.perception_mode not in ("fire_at_end", "sample"):

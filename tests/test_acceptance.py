@@ -6,10 +6,10 @@ Each test covers one numbered criterion and prints a single pass/fail line
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
+from dualmeas import replace
 from dualmeas.core import (
     DensityMatrix,
     StateVector,

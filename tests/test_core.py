@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualmeas import core
+from dualmeas import (
+    DualState,
+    EnvironmentModel,
+    Scenario,
+    core,
+    interference_operator,
+    perception_time_pdf,
+    replace,
+    restricted_state,
+)
 from dualmeas.core import (
     CompositeLayout,
     DensityMatrix,
@@ -23,6 +32,7 @@ from dualmeas.core import (
     trace_distance,
 )
 from dualmeas.dynamics import MeasurementModel, run_premeasurement
+from dualmeas.scenario import ScenarioError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0 + 0j, -1.0 + 0j])
@@ -418,3 +428,73 @@ class TestInvariantEnforcement:
     def test_nan_entry_rejected(self, build):
         with pytest.raises(InvariantError):
             build()
+
+
+def _records():
+    """One of each immutable record type, by name."""
+    model = MeasurementModel.calibrated()
+    psi = run_premeasurement(StateVector.basis(model.s_layout(), {}), model)
+    return {
+        "CompositeLayout": qubit(),
+        "StateVector": psi,
+        "DensityMatrix": psi.to_density(),
+        "LinearOperator": LinearOperator(qubit(), SZ),
+        "MeasurementModel": model,
+        "EnvironmentModel": EnvironmentModel.default(2, 3),
+        "RestrictedState": restricted_state(psi),
+        "PerceptionTimePdf": perception_time_pdf(model, [0.6, 0.8], np.linspace(0.0, 1.0, 5)),
+        "DualState": DualState(psi, 1),
+        "InterferenceObservable": interference_operator(psi.layout),
+        "Scenario": Scenario(experiment="premeasure", amplitudes=[0.6, 0.8], seed=1),
+    }
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(_records()))
+    def test_attributes_can_be_neither_set_nor_deleted(self, name):
+        record = _records()[name]
+        assert type(record).__name__ == name
+        field = next(iter(vars(record)))
+        value = getattr(record, field)
+        for change in (lambda: setattr(record, field, None), lambda: setattr(record, "extra", 1),
+                       lambda: delattr(record, field)):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+        assert getattr(record, field) is value and not hasattr(record, "extra")
+
+    def test_replace_checks_again(self):
+        records = _records()
+        with pytest.raises(ScenarioError, match="n_events"):
+            replace(records["Scenario"], n_events=0)
+        with pytest.raises(LayoutError, match="amplitude length 3"):
+            replace(records["StateVector"], amplitudes=np.ones(3) / math.sqrt(3.0))
+        with pytest.raises(TypeError):
+            replace(records["CompositeLayout"], dims=(2,))
+
+    def test_replace_keeps_the_other_arguments(self):
+        sc = _records()["Scenario"]
+        out = replace(sc, seed=2)
+        assert out.canonical_dict() == {**sc.canonical_dict(), "seed": 2}
+
+    def test_replace_carries_no_cached_value(self):
+        model = MeasurementModel.calibrated()
+        h, chains = model.hamiltonian, model.collapse_chains
+        out = replace(model, coupling=2.0 * model.coupling)
+        assert out.hamiltonian is not h and out.collapse_chains is not chains
+        assert np.max(np.abs(out.hamiltonian.entries)) == 2.0 * np.max(np.abs(h.entries))
+        assert model.hamiltonian is h  # the original keeps its own
+
+    def test_layouts_and_models_compare_and_hash_by_value(self):
+        a, b = CompositeLayout((("S", 2), ("O", 3))), CompositeLayout([["S", 2.0], ["O", 3]])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.restrict(("S",)) and a != a.subsystems
+        m = MeasurementModel.calibrated()
+        m.hamiltonian  # a cached value is no part of the model's value
+        n = MeasurementModel(2, 3, math.pi / 2, 1.0)
+        assert m == n and hash(m) == hash(n) and len({m, n}) == 1
+        assert m != replace(n, o_dim=4) and m != replace(n, coupling=1.0)
+
+    def test_repr_names_every_argument(self):
+        assert repr(CompositeLayout((("S", 2),))) == "CompositeLayout(subsystems=(('S', 2),))"
+        assert repr(MeasurementModel(2, 3, 1.5, 1.0)) == (
+            "MeasurementModel(s_dim=2, o_dim=3, coupling=1.5, duration=1.0)")

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import dual
+from dualmeas import dual, replace
 from dualmeas.core import (
     CompositeLayout,
     InvariantError,

@@ -13,7 +13,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualmeas import __version__, cli, core, dual, harness, restriction, writer
+from dualmeas import __version__, cli, core, dual, harness, replace, restriction, writer
 from dualmeas.cli import main
 from dualmeas.core import (
     CompositeLayout,
@@ -529,6 +528,24 @@ def test_pointer_weights_are_taken_once_per_run(monkeypatch, case):
         summary, _ = run(replace(parse_scenario(SAMPLING[case]), n_events=n_events))
         assert all(c["passed"] for c in summary.checks)
         assert len(calls) == (3 if case in ("undo", "reduction_compare") else 1), n_events
+
+
+@pytest.mark.parametrize("case", ["undo", "reduction_compare"])
+def test_collapse_chains_are_built_once_per_run(monkeypatch, case):
+    # reduction_baseline runs once a block, but the chains' pointer weights
+    # are the model's, built on its first call: a run of 3 blocks makes as
+    # many rotations as one of 1 (the chains' build took 2 in every block).
+    rotate, turns, blocks = MeasurementModel.rotate, [], []
+    monkeypatch.setattr(MeasurementModel, "rotate", lambda self, x, t: turns.append(t) or rotate(self, x, t))
+    monkeypatch.setattr(harness, "reduction_baseline", lambda *a: blocks.append(a) or dual.reduction_baseline(*a))
+    counts = []
+    for n_events in (EVENT_BLOCK, 2 * EVENT_BLOCK + 1):
+        turns.clear(), blocks.clear()
+        summary, _ = run(replace(parse_scenario(SAMPLING[case]), n_events=n_events))
+        assert all(c["passed"] for c in summary.checks)
+        assert len(blocks) == -(-n_events // EVENT_BLOCK)
+        counts.append(len(turns))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("experiment, extra, calls", [
@@ -1473,6 +1490,15 @@ class TestStartup:
         # would load OpenSSL (_hashlib, _ssl), about 3.5 MiB of a run's peak.
         src = str(Path(__file__).resolve().parents[1] / "src")
         probe = _STARTUP_PROBE + 'print(*(m for m in ("hashlib", "_hashlib", "_ssl") if m in set(sys.modules) - bare))\n'
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == []
+
+    def test_runs_do_not_load_dataclasses(self):
+        # The records are plain classes: a run execs no generated methods.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = _STARTUP_PROBE + 'print(*(m for m in set(sys.modules) - bare if m.startswith("dataclasses")))\n'
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env={"PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
