@@ -20,14 +20,15 @@ if TYPE_CHECKING:  # harness imports this module, so RunSummary is for the annot
     from .harness import RunSummary
 
 
-# Bytes per block of the events writer's matrix, so its temporaries stay
-# about this size whatever the width of a row.
+# Bytes per block of the events writer's matrix at its columns' widest
+# cells, so its temporaries stay about this size whatever the width of a row.
 _EMIT_BYTES = 1 << 19
 # The widest cell, a float in the slots of _float_cells: the sign, "0." and
 # three 0s, 17 digits each with a slot for the point, and a trailing 0. A
 # float's repr (at most 24 bytes) and an integer (at most 20) are narrower.
 _CELL_BYTES = 1 + 5 + 2 * 17 + 1
-_POW5 = 5 ** np.arange(22, dtype=np.int64)
+# The low and high 32-bit words of 5**k, one column per k, for _mulhilo.
+_POW5 = np.array([[5**k % 2**32 for k in range(22)], [5**k >> 32 for k in range(22)]], np.uint64)
 _PLACE = np.arange(17, dtype=np.int8)[:, None]  # a digit's place, one row per digit
 
 
@@ -58,57 +59,22 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     into their rows of the slot matrix, so each operation on a (17, n) slot
     plane is on uint8 or int8.
     """
-    bits = x.view(np.uint64)
-    biased = (bits >> np.uint64(52)).astype(np.int16) & np.int16(0x7FF)
-    frac = bits & np.uint64((1 << 52) - 1)
-    ax = np.abs(x)
-    fast = (frac != 0) & (ax >= 1e-4) & (ax < 1e16)  # normal from 1e-4 up
-    d = np.floor(np.log10(np.where(fast, ax, 1.0))).astype(np.int8)
-    k = np.int8(16) - d
-    s = np.int16(1075) - biased - k
-    # s >= 1 leaves a remainder; s <= 56 keeps 51 * 2**s in int64 (the
-    # domain gives s <= 47).
-    fast &= (s >= np.int16(1)) & (s <= np.int16(56))
-    s = np.where(fast, s, np.int16(1))  # k is in [1, 20] in every lane, s now too
-    pow5 = _POW5.take(k)
-    hi, lo = _mulhilo(pow5.view(np.uint64), frac | np.uint64(1 << 52),
-                      *np.empty((4, len(x)), np.uint64))
-    su = s.astype(np.uint64)
-    one = np.uint64(1)
-    pow2 = one << su
-    r = lo & (pow2 - one)
-    half = pow2 >> one
-    up = r > half
-    d17 = ((hi << (np.uint64(64) - su)) | (lo >> su)).astype(np.int64) + up
-    pow2 = pow2.view(np.int64)
-    rem = r.astype(np.int64) - up * pow2
-    # A wrong guess of d puts D17 outside 17 digits.
-    fast &= (r != half) & (d17 >= np.int64(10**16)) & (d17 < np.int64(10**17))
-    # A candidate D17 + e reads back iff |e 2**s - R| <= floor(5**k / 2).
-    g = d17 + (rem > 0)  # D17, plus 1 if R breaks a .5 upwards
-    e15 = (g + np.int64(49)) // np.int64(100) * np.int64(100) - d17
-    e16 = (g + np.int64(4)) // np.int64(10) * np.int64(10) - d17
-    bound = pow5 >> np.int64(1)
-    ok15 = np.abs(e15 * pow2 - rem) <= bound
-    ok16 = np.abs(e16 * pow2 - rem) <= bound
-    # An exact .5 at 16 digits needs repr's own tie rule.
-    tie16 = (e16 == np.int64(-5)) & (rem == np.int64(0))
-    e16 *= ok16
-    n = d17 + np.where(ok15, e15, e16)  # the fewest digits that read back
-    fast &= ~tie16 & (n < np.int64(10**17))  # 10**17 needs a new d
+    d, fast, halves = _shortest(x)
     cells = np.empty((_CELL_BYTES, len(x)), np.uint8)
     digits = cells[6:40:2]  # one row per digit, each beside the slot for a point
-    hi9 = n // np.int64(10**8)  # the significand as two uint32 halves, of 9 and 8 digits
-    _digits(hi9.astype(np.uint32), digits[:9])
-    _digits((n - hi9 * np.int64(10**8)).astype(np.uint32), digits[9:])
-    last = ((digits != 0) * _PLACE).max(axis=0)  # the place of the last nonzero digit
+    _digits(halves[0], digits[:9])
+    _digits(halves[1], digits[9:])
+    del halves  # 8 bytes a value, freed before the output copy
+    points = cells[7:40:2]  # scratch until the points are laid
+    nonzero = np.not_equal(digits, 0, out=points.view(np.bool_))
+    # The place of the last nonzero digit.
+    last = np.multiply(nonzero, _PLACE, out=points.view(np.int8)).max(axis=0)
     zero, point = np.uint8(ord("0")), np.uint8(ord("."))
     digits += zero
-    digits *= _PLACE <= np.maximum(d, last)
-    cells[0] = (x < 0) * np.uint8(ord("-"))
+    digits *= np.less_equal(_PLACE, np.maximum(d, last), out=nonzero)
+    np.multiply(x < 0, np.uint8(ord("-")), out=cells[0])
     cells[1:3] = (d < 0) * np.array([[zero], [point]])
     cells[3:6] = (d <= np.arange(-2, -5, -1, dtype=np.int8)[:, None]) * zero
-    points = cells[7:40:2]
     np.equal(_PLACE, d, out=points)
     points *= point
     cells[40] = (last <= d) * zero
@@ -118,6 +84,61 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         cells[:, slow] = 0
         cells[:text.shape[1], slow] = text.T
     return cells[cells.any(axis=1)].T  # without the slots no value uses
+
+
+def _shortest(x: np.ndarray) -> tuple:
+    """``_float_cells``' decision for each float64 of *x*: d, whether the
+    kernel decides the value, and the significand of its shortest decimal as
+    two uint32 halves, of 9 and 8 digits. Each step writes into one of seven
+    64-bit words a lane, reused once its last value is read."""
+    bits = x.view(np.uint64)
+    m = bits & np.uint64((1 << 52) - 1)  # the fraction, then the significand
+    t = np.abs(x)
+    fast = (m != 0) & (t >= 1e-4) & (t < 1e16)  # normal from 1e-4 up
+    np.copyto(t, 1.0, where=~fast)
+    d = np.floor(np.log10(t, out=t), out=t).astype(np.int8)
+    k = np.int8(16) - d
+    s = np.int16(1075) - k - (np.right_shift(bits, np.uint64(52), out=t.view(np.uint64))
+                              .astype(np.int16) & np.int16(0x7FF))
+    # s >= 1 leaves a remainder; s <= 56 keeps 51 * 2**s in int64 (the
+    # domain gives s <= 47).
+    fast &= (s >= np.int16(1)) & (s <= np.int16(56))
+    np.copyto(s, np.int16(1), where=~fast)  # k is in [1, 20] in every lane, s now too
+    m |= np.uint64(1 << 52)
+    h0, h1 = _POW5.take(k, axis=1)
+    hi, a, b, c = t.view(np.uint64), *(np.empty(len(x), np.uint64) for _ in range(3))
+    _mulhilo((None, h0, h1), m, hi, a, b, c, lo=False)
+    m *= np.bitwise_or(np.left_shift(h1, np.uint64(32), out=a), h0, out=a)  # the low word, by a = 5**k
+    b[...] = s
+    np.left_shift(np.uint64(1), b, out=c)  # 2**s
+    np.bitwise_and(m, np.subtract(c, np.uint64(1), out=h0), out=h0)  # R before rounding
+    up = h0 > np.right_shift(c, np.uint64(1), out=h1)
+    fast &= h0 != h1
+    m >>= b
+    hi <<= np.subtract(np.uint64(64), b, out=b)
+    hi |= m
+    d17, rem, pow2, bound, e15, e16, tmp = (w.view(np.int64) for w in (hi, h0, c, a, m, b, h1))
+    d17 += up
+    rem -= np.multiply(up, pow2, out=tmp)
+    # A wrong guess of d puts D17 outside 17 digits.
+    fast &= (d17 >= np.int64(10**16)) & (d17 < np.int64(10**17))
+    # A candidate D17 + e reads back iff |e 2**s - R| <= floor(5**k / 2).
+    np.add(d17, rem > 0, out=e16)  # D17, plus 1 if R breaks a .5 upwards
+    for e, step in ((e15, 100), (e16, 10)):  # the nearest 15- and 16-digit candidates
+        np.floor_divide(np.add(e16, np.int64(step // 2 - 1), out=e), np.int64(step), out=e)
+        e *= np.int64(step)
+        e -= d17
+    bound >>= np.int64(1)
+    ok15, ok16 = (np.abs(np.subtract(np.multiply(e, pow2, out=tmp), rem, out=tmp), out=tmp) <= bound
+                  for e in (e15, e16))
+    # An exact .5 at 16 digits needs repr's own tie rule.
+    fast &= (e16 != np.int64(-5)) | (rem != np.int64(0))
+    e16 *= ok16
+    d17 += np.where(ok15, e15, e16)  # the fewest digits that read back
+    fast &= d17 < np.int64(10**17)  # 10**17 needs a new d
+    hi9 = np.floor_divide(d17, np.int64(10**8), out=e15)
+    d17 -= np.multiply(hi9, np.int64(10**8), out=tmp)
+    return d, fast, (hi9.astype(np.uint32), d17.astype(np.uint32))
 
 
 def _digits(rest: np.ndarray, rows: np.ndarray):
@@ -162,17 +183,37 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return cells.T
 
 
+def _block_rows(n: int, texts: list, columns: list) -> int:
+    """Rows per block of the events writer: as many as fit in ``_EMIT_BYTES``
+    when every cell is its column's widest, and at most EVENT_BLOCK. The
+    event id (``None``) takes the digits of n - 1, an integer column its sign
+    slot and the digits of its largest magnitude, as ``_cells`` lays them, and
+    a float column ``_CELL_BYTES``."""
+    width = sum(map(len, texts))
+    for column in columns:
+        if column is None:
+            width += len(str(max(n - 1, 0)))
+        elif column.dtype.kind == "f":
+            width += _CELL_BYTES
+        else:
+            lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
+            width += (lo < 0) + len(str(max(-lo, hi)))
+    return min(EVENT_BLOCK, max(1, _EMIT_BYTES // width))
+
+
 def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
     """Write summary.json plus per-event records; byte-identical across
     re-runs of the same (scenario, seed). The events file has the bytes of
     ``json.dump(indent=2)`` or ``csv.writer``. Every scalar step is formatted
-    into a row template once. Blocks of at most EVENT_BLOCK rows and about
-    ``_EMIT_BYTES`` bytes go through one row-major uint8 buffer of at most
+    into a row template once. Blocks of ``_block_rows`` rows, at most
+    ``_EMIT_BYTES`` bytes, go through one row-major uint8 buffer of at most
     ``n_events`` rows: the template text is laid into it once, and again only
     when a column's cell width changes, and each block writes just the
     NUL-padded cells of its column steps into their windows. Only the cells
     are scanned for NUL, since flags may not hold one: a block without a
-    padded cell is written as it stands, any other without its NULs."""
+    padded cell is written as it stands, any other ``_EMIT_BYTES / 8`` at a
+    time, each slice that holds a NUL copied into one spare buffer and written
+    without its NULs."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown events format {fmt!r}; expected 'json' or 'csv'")
     if not records.steps:
@@ -211,8 +252,7 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
             columns.append(part)
         else:  # the text the float kernel's fallback writes, without paging in its code
             texts[-1] += repr(part.item()).encode()
-    width = sum(map(len, texts)) + _CELL_BYTES * len(columns)
-    block = min(EVENT_BLOCK, max(1, _EMIT_BYTES // width))
+    block = _block_rows(n, texts, columns)
     rows = min(block, n)
     laid = None  # the cell widths the buffer's template text is laid around
     events_path = os.path.join(out_dir, f"events.{fmt}")
@@ -228,15 +268,23 @@ def emit(summary: RunSummary, records: DualState, out_dir, fmt="json"):
                 for w, text in zip(widths, texts[1:]):
                     windows.append(slice(len(row), len(row) + w))
                     row += bytes(w) + text
+                grid = buf = spare = None  # the old buffers go before the new ones are laid
                 buf = bytearray(row) * rows
                 grid = np.frombuffer(buf, np.uint8).reshape(rows, len(row))
+                spare = bytearray(min(len(buf), _EMIT_BYTES // 8))  # a padded slice is compacted here
             for window, c in zip(windows, cells):
                 grid[:hi - lo, window] = c
-            skip = len(sep) * (lo == 0)  # the file's first row has no sep
-            if all(map(np.all, cells)):  # only a cell can hold a NUL
-                fh.write(memoryview(buf)[skip:(hi - lo) * len(row)])
-            else:  # rows past a short last block are dropped with the padding
-                grid[hi - lo:] = 0
-                fh.write(memoryview(buf.translate(None, delete=b"\0"))[skip:])
+            padded = not all(map(np.all, cells))  # only a cell can hold a NUL
+            del cells  # before the next block's are made
+            size, first = (hi - lo) * len(row), len(sep) * (lo == 0)  # the file's first row has no sep
+            stride = len(spare) if padded else size
+            for i in range(first, size, stride):
+                j = min(i + stride, size)
+                if padded and buf.find(0, i, j) >= 0:
+                    spare[:j - i] = memoryview(buf)[i:j]
+                    spare[j - i:] = bytes(len(spare) - (j - i))  # NULs past the slice
+                    fh.write(spare.translate(None, b"\0"))
+                else:
+                    fh.write(memoryview(buf)[i:j])
         fh.write(end.encode())
     return [summary_path, events_path]

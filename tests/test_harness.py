@@ -878,10 +878,13 @@ def _per_event_dump(records: DualState, fmt: str) -> str:
     return buf.getvalue()
 
 
-# Rows of three column steps and the flag "undo" that fill one block of the
-# events writer: a 192-byte template and seven cells of at most
-# writer._CELL_BYTES.
-JSON_K3_BLOCK = writer._EMIT_BYTES // (192 + writer._CELL_BYTES * 7)
+# The records the block-edge property test draws, past the pointer basis
+# and below 0 too: record() would reject them.
+INDICES = [-1, 0, 2, 9, 10, 99, 100, 2**40, 10**18, 2**63 - 1, -2**63]
+# Rows of three column steps and the flag "undo" in one block of the events
+# writer, as its sizing rule charges them: a 192-byte template, event ids of
+# four digits (ids below 10**4), three float columns and three of INDICES.
+JSON_K3_BLOCK = writer._block_rows(10**4, [bytes(192)], [None] + [np.zeros(1), np.array(INDICES)] * 3)
 
 
 class TestEmission:
@@ -931,16 +934,15 @@ class TestEmission:
         # Explicit examples pin three blocks in each format, a column that
         # mixes 0.0 and -0.0, which compare equal but print differently, one
         # row past the first byte-bounded block of three column steps, and
-        # floats that print with an exponent. Steps are built directly:
-        # record() would reject the indices below 0 and past the pointer basis.
+        # floats that print with an exponent. Steps are built directly, as
+        # record() would reject INDICES.
         rng = np.random.default_rng(seed)
-        indices = [-1, 0, 2, 9, 10, 99, 100, 2**40, 10**18, 2**63 - 1, -2**63]
         steps, floor = [], -math.inf  # every event's latest time so far
         for c in constant[:k]:
             if c:  # a scalar step: one value shared by every event
-                t, j = max(rng.choice(floats), np.max(floor, initial=-math.inf)), rng.choice(indices)
+                t, j = max(rng.choice(floats), np.max(floor, initial=-math.inf)), rng.choice(INDICES)
             else:
-                t, j = np.maximum(rng.choice(floats, n), floor), rng.choice(indices, n)
+                t, j = np.maximum(rng.choice(floats, n), floor), rng.choice(INDICES, n)
             steps.append((t, j))
             floor = t
         records = DualState(_dual(1).phi_d, n, flags=flags, steps=tuple(steps))
@@ -956,9 +958,9 @@ class TestEmission:
                                                   negative):
         # One-digit records with no negative have no sign slot, so every block
         # of ids of one digit count is written without compaction: with blocks
-        # of 2500 rows 10**4 is a block edge; with 4000 (2557 in JSON, whose
-        # wider rows bound the block first) it falls inside a block, which then
-        # compacts. One negative record puts a sign slot into its block alone.
+        # of 2500 rows 10**4 is a block edge; with 4000 it falls inside a
+        # block, which then compacts. One negative record puts a sign slot
+        # into its block alone.
         monkeypatch.setattr(writer, "EVENT_BLOCK", block)
         n = 12001
         js = np.random.default_rng(block).integers(0, 10, n)
@@ -970,17 +972,23 @@ class TestEmission:
         assert Path(events_path).read_bytes() == _per_event_dump(records, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("column", ["float", "int"])
+    @pytest.mark.parametrize("column", ["float", "int", "sign"])
     def test_cell_widths_change_between_blocks(self, monkeypatch, tmp_path, fmt, column):
-        # Blocks of 100 rows: event ids gain their third digit exactly at the
-        # first block edge, and the template is laid anew for every block.
+        # Blocks of 100 rows: event ids gain their second digit inside the
+        # first block and their third exactly at the first block edge, and
+        # the template is laid anew for every block. A padded block is
+        # written _EMIT_BYTES / 8 at a time, here less than a block (whose
+        # widest rows still fit), so slice edges fall between padded cells.
         # A float column widens into the middle block, which holds a value
         # in exponent form, and narrows out of it; uniform floats pad every
         # block. An integer column has a sign slot in the first and last
         # blocks only, so it narrows as the ids widen (the row width stays)
         # and widens again; its middle block has no padded cell and is
-        # written as it stands.
+        # written as it stands. With one negative record, in the middle
+        # block's first slice, the sign slot pads every row of that block
+        # alone.
         monkeypatch.setattr(writer, "EVENT_BLOCK", 100)
+        monkeypatch.setattr(writer, "_EMIT_BYTES", 2**13 if fmt == "csv" else 2**15)
         n = 300
         rng = np.random.default_rng(3)
         js = rng.integers(0, 10, n)
@@ -989,7 +997,7 @@ class TestEmission:
             t[150] = -1.2345678901234567e-300
             steps = ((t, js),)
         else:
-            js[[50, 250]] = -1
+            js[[50, 250] if column == "int" else 105] = -1
             steps = ((0.5, js),)
         seen, real = [], writer._cells  # (width, padded) per column per block, ids first
 
@@ -1006,8 +1014,8 @@ class TestEmission:
         blocks = [seen[i:i + len(seen) // 3] for i in range(0, len(seen), len(seen) // 3)]
         assert [b[0][0] for b in blocks] == [2, 3, 3]
         first, middle, last = (b[1][0] for b in blocks)
-        assert middle > max(first, last) if column == "float" else middle < min(first, last)
-        assert [any(p for _, p in b) for b in blocks] == [True, column == "float", True]
+        assert middle < min(first, last) if column == "int" else middle > max(first, last)
+        assert [any(p for _, p in b) for b in blocks] == [True, column != "int", column != "sign"]
 
     def test_writer_holds_one_block_buffer_and_one_compaction(self, monkeypatch):
         # Rows of three integer records, as reduction_compare writes them, in
@@ -1038,6 +1046,21 @@ class TestEmission:
                     tracemalloc.stop()
                 block_bytes = Path(events_path).stat().st_size * 1000 / n
             assert peak < 2.5 * block_bytes, peak / block_bytes
+
+    def test_float_kernel_holds_a_few_words_a_row(self):
+        # The float kernel computes through seven reused 64-bit words a lane
+        # and drops each once read, so over a block of sampled times its
+        # traced peak, output included, is about 75 bytes a row (about 250
+        # when every step made a new array).
+        x = np.random.default_rng(6).random(EVENT_BLOCK)
+        writer._float_cells(x[:16])  # numpy's own first-use allocations, outside the trace
+        tracemalloc.start()
+        try:
+            writer._float_cells(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90 * EVENT_BLOCK, peak / EVENT_BLOCK
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nul_in_a_flag_rejected_before_writing(self, tmp_path, fmt):
