@@ -25,7 +25,6 @@ from .core import (
     trace_distance,
 )
 from .dynamics import (
-    EnvironmentModel,
     MeasurementModel,
     attach_environment,
     branch_weights,

@@ -33,8 +33,8 @@ def _scenario(experiment, **kw):
     return Scenario(**base)
 
 
-def run_all(verbose=True) -> bool:
-    """Run one scenario per experiment kind plus standalone identities."""
+def run_all() -> bool:
+    """Run one scenario per experiment kind plus standalone identities; print each result."""
     results = []
 
     scenarios = [
@@ -66,10 +66,9 @@ def run_all(verbose=True) -> bool:
     ok = True
     for name, passed, value in results:
         ok = ok and bool(passed)
-        if verbose:
-            tag = "PASS" if passed else "FAIL"
-            extra = "" if value is None else f" (value: {value})"
-            print(f"[{tag}] {name}{extra}")
+        tag = "PASS" if passed else "FAIL"
+        extra = "" if value is None else f" (value: {value})"
+        print(f"[{tag}] {name}{extra}")
     return ok
 
 

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     if args.check:
         from .checks import run_all
 
-        return EXIT_OK if run_all(verbose=True) else EXIT_CHECK
+        return EXIT_OK if run_all() else EXIT_CHECK
 
     if not args.scenario:
         print("dualmeas: error: --scenario is required unless --check is given", file=sys.stderr)

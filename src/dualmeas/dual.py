@@ -406,15 +406,15 @@ class DualState(Record):
             raise InvariantError(f"perception index outside pointer basis 0..{o_dim - 1}")
         return replace(self, steps=self.steps + ((t, j),))
 
-    def perceive(self, u, t=None) -> DualState:
-        """Record, at time *t* (default: the clock), one draw from the pointer
-        weights of ``phi_d`` per uniform in *u*, a scalar or a column.
+    def perceive(self, u) -> DualState:
+        """Record, at the clock, one draw from the pointer weights of
+        ``phi_d`` per uniform in *u*, a scalar or a column.
 
         The dynamical component is left untouched: only the observers'
         private records change. Requires the measurement to have completed
         (no residual ready-state weight).
         """
-        return self.record(self.clock if t is None else t, _draw_perceived(branch_weights(self.phi_d), u))
+        return self.record(self.clock, _draw_perceived(branch_weights(self.phi_d), u))
 
     def evolve(self, H: LinearOperator, t: float, u=None) -> DualState:
         """Advance ``phi_d`` by exp(-iHt); the records obey the no-jump rule.

@@ -22,7 +22,6 @@ from .core import (
     InvariantError,
     LayoutError,
     LinearOperator,
-    Record,
     StateVector,
     ValueRecord,
 )
@@ -147,29 +146,6 @@ class MeasurementModel(ValueRecord):
         return x
 
 
-class EnvironmentModel(Record):
-    """Bath of two-level atoms dephasing the observer pointer basis."""
-
-    def __init__(self, n_atoms: int, couplings: np.ndarray, pointer_values: np.ndarray):
-        g = np.atleast_1d(np.asarray(couplings, dtype=float))
-        q = np.asarray(pointer_values, dtype=float)
-        vars(self).update(n_atoms=n_atoms, couplings=g, pointer_values=q)
-        if n_atoms < 0:
-            raise InvariantError("n_atoms must be nonnegative")
-        if g.shape != (n_atoms,):
-            raise InvariantError(f"couplings length {g.shape} != n_atoms {n_atoms}")
-        if q[0] != 0.0:
-            raise InvariantError("pointer value on the ready state must be 0")
-        perception = q[1:]
-        if len(set(perception.tolist())) != len(perception):
-            raise InvariantError("pointer values on perception states must be distinct")
-
-    @classmethod
-    def default(cls, n_atoms, o_dim, couplings=None) -> "EnvironmentModel":
-        g = np.ones(n_atoms) if couplings is None else couplings
-        return cls(n_atoms=n_atoms, couplings=g, pointer_values=default_pointer_values(o_dim))
-
-
 def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVector:
     """Entangle the system with a ready observer over one interaction window,
     in closed form (``model.rotate`` over the duration): sum_i a_i |s_i>|O_i>
@@ -179,8 +155,9 @@ def run_premeasurement(psi_s: StateVector, model: MeasurementModel) -> StateVect
     return model.rotate(model.input_state(psi_s.amplitudes), model.duration)
 
 
-def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) -> np.ndarray:
-    """sum_k g_k * (sum_i q_i |O_i><O_i|) (x) sigma_z^(k), identity elsewhere.
+def build_dephasing_hamiltonian(couplings, layout: CompositeLayout) -> np.ndarray:
+    """sum_k g_k * (sum_i q_i |O_i><O_i|) (x) sigma_z^(k), identity elsewhere,
+    for the bath *couplings* g_k and the pointer values q_i (``default_pointer_values``).
 
     Diagonal in the pointer basis, so it is returned as its diagonal, a real
     vector of length ``layout.total_dim``: it commutes with every pointer
@@ -188,36 +165,34 @@ def build_dephasing_hamiltonian(env: EnvironmentModel, layout: CompositeLayout) 
     """
     if O_LABEL not in layout.labels:
         raise LayoutError(f"layout is missing subsystem {O_LABEL!r}")
-    for k in range(env.n_atoms):
+    for k in range(len(couplings)):
         lbl = env_label(k)
         if lbl not in layout.labels:
             raise LayoutError(f"layout is missing environment atom {lbl!r}")
         if layout.dim(lbl) != 2:
             raise LayoutError(f"environment atom {lbl!r} must be two-level")
-    if len(env.pointer_values) != layout.dim(O_LABEL):
-        raise LayoutError("pointer value list does not match the observer dimension")
 
     def along(label, values):  # values on one axis, broadcast over the others
         return np.reshape(values, [-1 if l == label else 1 for l in layout.labels])
 
-    q = along(O_LABEL, env.pointer_values)
+    q = along(O_LABEL, default_pointer_values(layout.dim(O_LABEL)))
     h = np.zeros(layout.dims)
-    for k, g in enumerate(env.couplings):
+    for k, g in enumerate(couplings):
         h += g * (q * along(env_label(k), [1.0, -1.0]))
     return h.reshape(-1)
 
 
-def attach_environment(state: StateVector, env: EnvironmentModel) -> StateVector:
-    """Tensor each environment atom in its |+> state onto *state*, in the one
-    bath order: *state*'s subsystems (S, O for a run), then E0, E1, ....
+def attach_environment(state: StateVector, n_atoms: int) -> StateVector:
+    """Tensor *n_atoms* environment atoms, each in its |+> state, onto *state*,
+    in the one bath order: *state*'s subsystems (S, O for a run), then E0, E1, ....
 
     |+> maximizes the per-atom dephasing and makes the off-diagonal
     suppression an exact cosine product.
     """
-    atoms = tuple((env_label(k), 2) for k in range(env.n_atoms))
+    atoms = tuple((env_label(k), 2) for k in range(n_atoms))
     plus = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
     layout = CompositeLayout(state.layout.subsystems + atoms)
-    return StateVector(layout, reduce(np.kron, [plus] * env.n_atoms, state.amplitudes))
+    return StateVector(layout, reduce(np.kron, [plus] * n_atoms, state.amplitudes))
 
 
 def _grid_chunks(times, n_atoms: int):
@@ -228,20 +203,20 @@ def _grid_chunks(times, n_atoms: int):
     return [t[lo:lo + step] for lo in range(0, max(1, len(t)), step)]
 
 
-def offdiag_suppression(env: EnvironmentModel, t):
+def offdiag_suppression(couplings, t):
     """Closed-form overlap of the environment states of pointer branches 1
-    and 2: prod_k cos((q_1 - q_2) g_k t). Of a 1-d grid *t*, an array of one
-    overlap per time; of a scalar, a float."""
-    dq = env.pointer_values[1] - env.pointer_values[2]
-    out = np.concatenate([np.prod(np.cos(dq * env.couplings * ts), axis=1)
-                          for ts in _grid_chunks(t, env.n_atoms)])
+    and 2 in the bath of *couplings*: prod_k cos((q_1 - q_2) g_k t). Of a
+    1-d grid *t*, an array of one overlap per time; of a scalar, a float."""
+    q1, q2 = default_pointer_values(3)[1:3]
+    dq, g = q1 - q2, np.asarray(couplings, dtype=float)
+    out = np.concatenate([np.prod(np.cos(dq * g * ts), axis=1) for ts in _grid_chunks(t, len(g))])
     return out if np.ndim(t) else float(out[0])
 
 
-def run_decoherence(state: StateVector, env: EnvironmentModel, times):
-    """Dephase a post-measurement state against the bath *env* over the 1-d
-    grid *times*, in O(N) per time, _GRID_CHUNK (time, atom) phases at a
-    time, and with no 2^N vector.
+def run_decoherence(state: StateVector, couplings, times):
+    """Dephase a post-measurement state against the bath of *couplings* over
+    the 1-d grid *times*, in O(N) per time, _GRID_CHUNK (time, atom) phases
+    at a time, and with no 2^N vector.
 
     The |+>^N bath's generator is diagonal in the pointer basis, so at time t
     it is one product state per branch, |E_o(t)> = prod_k (e |0> + conj(e)
@@ -254,24 +229,23 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     Re(conj(e_1) e_2). The overlap is the coherence over the row norms and
     over the phase of the input's own value, or 1 when a branch is empty:
     no coherence to suppress. The layout is checked before any time is
-    formed; a state that already holds bath atoms E0, E1, ... is refused,
-    not dephased twice.
+    formed: S and O lead, with the two branches, and a state that already
+    holds bath atoms E0, E1, ... is refused, not dephased twice.
     """
-    labels, dims, q = state.layout.labels, state.layout.dims, env.pointer_values
-    if labels[:2] != (S_LABEL, O_LABEL) or len(q) != dims[1]:
-        raise LayoutError(f"expected {S_LABEL!r} and {O_LABEL!r} to lead the layout, and a pointer "
-                          f"value per O state, got {labels} and {len(q)} values")
-    if any(env_label(k) in labels for k in range(env.n_atoms)):  # the bath is phases, not subsystems
+    labels, dims = state.layout.labels, state.layout.dims
+    if labels[:2] != (S_LABEL, O_LABEL) or dims[0] < 2 or dims[1] < 3:  # branches 1 and 2
+        raise LayoutError(f"expected S >= 2 and O >= 3 to lead the layout, got {state.layout.subsystems}")
+    if any(env_label(k) in labels for k in range(len(couplings))):  # the bath is phases, not subsystems
         raise LayoutError(f"expected the state without the bath's atoms, got {labels}")
     rows, n_so = [1, dims[1] + 2], dims[0] * dims[1]
-    generator = -1j * np.outer(q[1:3], env.couplings)  # branch rows of the (pointer, atom) table
+    generator = -1j * np.outer(default_pointer_values(3)[1:3], couplings)  # (branch, atom) phases
     psi = state.amplitudes.reshape(n_so, -1)[rows]
     w1, w2 = (psi * psi.conj()).real.sum(axis=1)
     empty = min(w1, w2) < EMPTY_BRANCH_NORM**2
     bare = np.vdot(*psi)
     unphase = 1.0 if empty else np.exp(-1j * np.angle(bare)) / math.sqrt(w1 * w2)
     out = []
-    for ts in _grid_chunks(times, env.n_atoms):
+    for ts in _grid_chunks(times, len(couplings)):
         e1, e2 = e = generator[:, None] * ts  # in place from here: a chunk makes one array
         np.exp(e, out=e)  # <e_1|e_2> per atom: (conj(e_1) e_2 + e_1 conj(e_2)) / 2
         np.multiply(np.conjugate(e1, out=e1), e2, out=e1)
@@ -280,8 +254,8 @@ def run_decoherence(state: StateVector, env: EnvironmentModel, times):
     return out
 
 
-def branch_weights(state, observer=O_LABEL) -> np.ndarray:
-    """Pointer weights P_j = Tr(P_j rho) over the *observer* basis: the
+def branch_weights(state) -> np.ndarray:
+    """Pointer weights P_j = Tr(P_j rho) over the observer basis: the
     diagonal of the state (|psi|^2, or Re diag rho) reshaped to the layout's
     axes and summed over every other subsystem, clipped at 0, renormalized."""
     layout = state.layout
@@ -290,7 +264,7 @@ def branch_weights(state, observer=O_LABEL) -> np.ndarray:
         diag = (a * a.conj()).real
     else:
         diag = np.diagonal(state.entries).real
-    axis = layout.axis(observer)
+    axis = layout.axis(O_LABEL)
     others = tuple(k for k in range(len(layout.dims)) if k != axis)
     w = np.clip(diag.reshape(layout.dims).sum(axis=others), 0.0, None)
     return w / w.sum()

@@ -317,13 +317,13 @@ def _run_two_observer(scenario: Scenario, model: MeasurementModel, psi: StateVec
 
 
 def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector, weights):
-    env = scenario.environment()
+    couplings = scenario.bath_couplings()
     b_pure = discriminate(psi, interference_operator(psi.layout))
 
     times = np.linspace(0.0, scenario.t_max, scenario.n_times)
-    formula = offdiag_suppression(env, times)
+    formula = offdiag_suppression(couplings, times)
     simulated, b_vals = [], []
-    for coherence, overlap in run_decoherence(psi, env, times):
+    for coherence, overlap in run_decoherence(psi, couplings, times):
         simulated.append(overlap)
         b_vals.append(2.0 * coherence.real)  # discriminate(rho_SO, B): 2 Re rho_SO[r_2, r_1]
     # The cosine product is the decay of the coherence of branches 1 and 2;
@@ -348,7 +348,7 @@ def _run_decohere(scenario: Scenario, model: MeasurementModel, psi: StateVector,
             "formula": formula.tolist(),
             "b_damped": [float(x) for x in b_vals],
         },
-        env_couplings=[float(g) for g in env.couplings],
+        env_couplings=[float(g) for g in couplings],
         checks=[
             _check("simulated off-diagonal factor matches the cosine product", worst_factor,
                    worst_factor <= DECOHERE_TOL),

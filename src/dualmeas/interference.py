@@ -17,7 +17,7 @@ from .dynamics import O_LABEL, S_LABEL, default_pointer_values
 
 class InterferenceObservable(Record):
     """Hermitian, traceless coherence probe B = sum_k |r1_k><r2_k| + h.c.
-    between two measurement branches, kept as its *rows* (r1, r2), index
+    between measurement branches 1 and 2, kept as its *rows* (r1, r2), index
     arrays into the flat basis of *layout*: r1_k is branch i and r2_k
     branch j, each beside the k-th basis state of the other subsystems."""
 
@@ -25,22 +25,17 @@ class InterferenceObservable(Record):
         vars(self).update(layout=layout, rows=rows)
 
 
-def interference_operator(layout: CompositeLayout, branches=(1, 2)) -> InterferenceObservable:
-    """B = |s_i><s_j| (x) |O_i><O_j| + h.c., identity on other subsystems.
-
-    Branch indices are pointer indices: branch i pairs system state i-1 with
-    observer pointer state i.
+def interference_operator(layout: CompositeLayout) -> InterferenceObservable:
+    """B = |s_0><s_1| (x) |O_1><O_2| + h.c. between branches 1 and 2,
+    identity on other subsystems: branch i pairs system state i-1 with
+    observer pointer state i, so *layout* needs S >= 2 and O >= 3.
     """
-    i, j = branches
     s_d, o_d = layout.dim(S_LABEL), layout.dim(O_LABEL)
-    for b in branches:
-        if not (1 <= b <= s_d and 1 <= b < o_d):
-            raise LayoutError(f"branch index {b} invalid for dims S={s_d}, O={o_d}")
-    if i == j:
-        raise LayoutError("branch indices must differ")
+    if s_d < 2 or o_d < 3:
+        raise LayoutError(f"branches 1 and 2 need S >= 2 and O >= 3, got S={s_d}, O={o_d}")
     axes = (layout.axis(S_LABEL), layout.axis(O_LABEL))
     flat = np.moveaxis(np.arange(layout.total_dim).reshape(layout.dims), axes, (0, 1))
-    return InterferenceObservable(layout, (flat[i - 1, i].ravel(), flat[j - 1, j].ravel()))
+    return InterferenceObservable(layout, (flat[0, 1].ravel(), flat[1, 2].ravel()))
 
 
 def discriminate(rho, b: InterferenceObservable) -> float:
@@ -56,18 +51,16 @@ def discriminate(rho, b: InterferenceObservable) -> float:
     return 2.0 * float(rho.entries[r2, r1].sum().real)
 
 
-def pointer_incompatibility(b: InterferenceObservable, pointer_values=None) -> float:
-    """Operator norm of [Q_O, B] on B's layout; positive whenever the branch
-    pointer values differ, which is why the internal observer cannot probe B.
+def pointer_incompatibility(b: InterferenceObservable) -> float:
+    """Operator norm of [Q_O, B] on B's layout; positive, since the pointer
+    values of branches 1 and 2 differ, which is why the internal observer cannot probe B.
 
     B pairs disjoint rows (r1_k, r2_k), so [Q_O, B] is block-diagonal, each
-    block (q(r1_k) - q(r2_k)) [[0, 1], [-1, 0]] with q(r) the pointer value of
-    row r's O index: the norm is the largest |q(r1_k) - q(r2_k)|.
+    block (q(r1_k) - q(r2_k)) [[0, 1], [-1, 0]] with q(r) the pointer value
+    (``default_pointer_values``) of row r's O index: the norm is the largest
+    |q(r1_k) - q(r2_k)|.
     """
     layout = b.layout
-    o_d = layout.dim(O_LABEL)
-    q = default_pointer_values(o_d) if pointer_values is None else np.asarray(pointer_values, float)
-    if q.shape != (o_d,):
-        raise LayoutError(f"pointer values of shape {q.shape}, expected ({o_d},)")
+    q = default_pointer_values(layout.dim(O_LABEL))
     r1, r2 = (np.unravel_index(r, layout.dims)[layout.axis(O_LABEL)] for r in b.rows)
     return float(np.max(np.abs(q[r1] - q[r2])))

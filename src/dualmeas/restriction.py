@@ -16,7 +16,7 @@ import numpy as np
 from .core import DensityMatrix, InvariantError, LayoutError, Record, partial_trace, trace_distance
 from .dynamics import O_LABEL
 
-# Default operational threshold for "these restrictions coincide".
+# Operational threshold for "these restrictions coincide".
 DISTINGUISH_TOL = 1e-9
 
 SOURCE_KINDS = ("pure_ensemble", "mixed_ensemble", "individual_event")
@@ -50,14 +50,14 @@ class RestrictedState(Record):
         return self.o_density.layout.total_dim
 
 
-def restricted_state(state, o_label=O_LABEL, source_kind="pure_ensemble") -> RestrictedState:
+def restricted_state(state, source_kind="pure_ensemble") -> RestrictedState:
     """Partial trace of a StateVector or DensityMatrix over all but the observer."""
-    reduced = partial_trace(state, {o_label})
+    reduced = partial_trace(state, {O_LABEL})
     return RestrictedState(o_density=reduced, source_kind=source_kind)
 
 
-def breuer_distinguishable(a: RestrictedState, b: RestrictedState, tol=DISTINGUISH_TOL):
-    """Trace-distance verdict on whether the observer can tell a from b.
+def breuer_distinguishable(a: RestrictedState, b: RestrictedState):
+    """Verdict, a trace distance past DISTINGUISH_TOL, on whether the observer can tell a from b.
 
     Returns ``(verdict, distance)``; a False verdict means the two composite
     states look identical from inside the observer.
@@ -65,7 +65,7 @@ def breuer_distinguishable(a: RestrictedState, b: RestrictedState, tol=DISTINGUI
     if a.dim != b.dim:
         raise LayoutError(f"observer dimensions differ: {a.dim} vs {b.dim}")
     d = trace_distance(a.o_density, b.o_density)
-    return d > tol, d
+    return d > DISTINGUISH_TOL, d
 
 
 def premeasured_restrictions(psi, amplitudes):

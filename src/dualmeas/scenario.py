@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import MAX_TOTAL_DIM, Record
 from .dual import philox_uniforms
-from .dynamics import EnvironmentModel, MeasurementModel, default_pointer_values
+from .dynamics import MeasurementModel, default_pointer_values
 
 
 class ScenarioError(ValueError):
@@ -129,12 +129,11 @@ class Scenario(Record):
             return MeasurementModel.calibrated(self.s_dim, self.o_dim, self.delta_t)
         return MeasurementModel(self.s_dim, self.o_dim, self.coupling, self.delta_t)
 
-    def environment(self) -> EnvironmentModel:
-        """Environment with couplings drawn from the configured range on substream
+    def bath_couplings(self) -> np.ndarray:
+        """One coupling per bath atom, drawn from the configured range on substream
         1 << 62 of the scenario seed (recorded in the summary), disjoint from every event's."""
         lo, hi = self.env_coupling_range
-        g = lo + (hi - lo) * philox_uniforms(self.seed, 1 << 62, self.env_atoms)
-        return EnvironmentModel.default(self.env_atoms, self.o_dim, couplings=g)
+        return lo + (hi - lo) * philox_uniforms(self.seed, 1 << 62, self.env_atoms)
 
     def canonical_dict(self) -> dict:
         return {
@@ -313,7 +312,7 @@ def parse_scenario(text: str) -> Scenario:
 
         try:
             doc = yaml.safe_load(text)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, ValueError) as e:  # ValueError: an int past 4300 digits
             raise ScenarioError("malformed YAML: " + " ".join(str(e).split()))
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")

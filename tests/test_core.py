@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dualmeas import (
     DualState,
-    EnvironmentModel,
     Scenario,
     core,
     interference_operator,
@@ -440,7 +439,6 @@ def _records():
         "DensityMatrix": psi.to_density(),
         "LinearOperator": LinearOperator(qubit(), SZ),
         "MeasurementModel": model,
-        "EnvironmentModel": EnvironmentModel.default(2, 3),
         "RestrictedState": restricted_state(psi),
         "PerceptionTimePdf": perception_time_pdf(model, [0.6, 0.8], np.linspace(0.0, 1.0, 5)),
         "DualState": DualState(psi, 1),

@@ -25,12 +25,10 @@ from dualmeas.core import (
 from dualmeas.dynamics import (
     O_LABEL,
     S_LABEL,
-    EnvironmentModel,
     MeasurementModel,
     attach_environment,
     branch_weights,
     build_dephasing_hamiltonian,
-    default_pointer_values,
     offdiag_suppression,
     run_premeasurement,
 )
@@ -709,16 +707,16 @@ class TestUndo:
         # to ready, but S keeps only the coherence the bath's two records
         # overlap in, the cosine product r(t): rho_S[0, 1] = a_0 a_1* r(t).
         # A re-measurement turns the state back to the dephased one.
-        env = EnvironmentModel(6, np.linspace(0.2, 1.2, 6), default_pointer_values(3))
-        psi = attach_environment(run_premeasurement(StateVector(MODEL.s_layout(), amplitudes), MODEL), env)
-        h, a = build_dephasing_hamiltonian(env, psi.layout), np.asarray(amplitudes)
+        couplings = np.linspace(0.2, 1.2, 6)
+        psi = attach_environment(run_premeasurement(StateVector(MODEL.s_layout(), amplitudes), MODEL), 6)
+        h, a = build_dephasing_hamiltonian(couplings, psi.layout), np.asarray(amplitudes)
         for t in (0.0, 0.3, 1.0, 2.5):
             dephased = StateVector(psi.layout, np.exp(-1j * h * t) * psi.amplitudes)
             undone = DualState(dephased, 1, clock=MODEL.duration).record(MODEL.duration, 1).undo(MODEL)
             assert undone.phi_d.layout == psi.layout
             assert branch_weights(undone.phi_d)[0] == pytest.approx(1.0, rel=0, abs=1e-15)
             rho_s = partial_trace(undone.phi_d, {S_LABEL}).entries
-            assert abs(rho_s[0, 1] - a[0] * a[1].conj() * offdiag_suppression(env, t)) <= 1e-12
+            assert abs(rho_s[0, 1] - a[0] * a[1].conj() * offdiag_suppression(couplings, t)) <= 1e-12
             np.testing.assert_allclose(undone.measure(MODEL).phi_d.amplitudes, dephased.amplitudes,
                                        rtol=0, atol=1e-15)
 

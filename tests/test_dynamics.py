@@ -23,7 +23,6 @@ from dualmeas.core import (
 )
 from dualmeas.dynamics import (
     _GRID_CHUNK,
-    EnvironmentModel,
     MeasurementModel,
     attach_environment,
     branch_weights,
@@ -57,10 +56,6 @@ class TestModelValidation:
 
     def test_default_pointer_values(self):
         np.testing.assert_allclose(default_pointer_values(5), [0, 1, -1, 2, -2])
-
-    def test_env_pointer_values_distinct(self):
-        with pytest.raises(InvariantError):
-            EnvironmentModel(n_atoms=0, couplings=[], pointer_values=np.array([0.0, 1.0, 1.0]))
 
 
 class TestMeasurementHamiltonian:
@@ -129,15 +124,12 @@ class TestBranchWeightsProperty:
     @given(composite_states())
     @settings(max_examples=40, deadline=None)
     def test_equals_clipped_normalized_projector_expectations(self, psi):
-        # Reference: Tr(P_j rho) with P_j the dense projector embed.
+        # Reference: Tr(P_j rho) with P_j the dense projector embed on O.
         for state in (psi, psi.to_density()):
-            for obs in sorted({"O", "O2"} & set(psi.layout.labels)):
-                dim = psi.layout.dim(obs)
-                ref = np.array([expectation(state, projector(psi.layout, obs, j)) for j in range(dim)])
-                ref = np.clip(ref, 0.0, None)
-                np.testing.assert_allclose(
-                    branch_weights(state, observer=obs), ref / ref.sum(), rtol=0, atol=1e-12
-                )
+            dim = psi.layout.dim("O")
+            ref = np.array([expectation(state, projector(psi.layout, "O", j)) for j in range(dim)])
+            ref = np.clip(ref, 0.0, None)
+            np.testing.assert_allclose(branch_weights(state), ref / ref.sum(), rtol=0, atol=1e-12)
 
 
 class TestPremeasurement:
@@ -273,15 +265,13 @@ class TestRotate:
 
 class TestDephasingHamiltonian:
     def test_no_atoms_zero_operator(self, model):
-        env = EnvironmentModel.default(0, model.o_dim)
         layout = model.so_layout()
-        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)))
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian([], layout)))
         assert np.max(np.abs(h.entries)) == 0.0
 
     def test_commutes_with_pointer_projectors(self, model):
-        env = EnvironmentModel.default(2, model.o_dim)
-        layout = attach_environment(run_premeasurement(s_state(1, 1), model), env).layout
-        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(env, layout)))
+        layout = attach_environment(run_premeasurement(s_state(1, 1), model), 2).layout
+        h = LinearOperator(layout, np.diag(build_dephasing_hamiltonian(np.ones(2), layout)))
         for j in range(model.o_dim):
             p = projector(layout, "O", j)
             np.testing.assert_allclose(
@@ -290,48 +280,42 @@ class TestDephasingHamiltonian:
 
     def test_single_atom_spectrum(self):
         # diagonal operator: eigenvalues are +-q_i over the joint basis
-        model = MeasurementModel.calibrated()
-        env = EnvironmentModel.default(1, model.o_dim)
         layout = CompositeLayout((("O", 3), (env_label(0), 2)))
-        h = build_dephasing_hamiltonian(env, layout)
+        h = build_dephasing_hamiltonian([1.0], layout)
         got = sorted(h)
-        expected = sorted(q * s for q in env.pointer_values for s in (1, -1))
+        expected = sorted(q * s for q in default_pointer_values(3) for s in (1, -1))
         np.testing.assert_allclose(got, expected, atol=TOL_ALGEBRAIC)
 
     def test_missing_atom_label(self, model):
-        env = EnvironmentModel.default(1, model.o_dim)
         with pytest.raises(Exception):
-            build_dephasing_hamiltonian(env, model.so_layout())
+            build_dephasing_hamiltonian([1.0], model.so_layout())
 
 
 class TestDecoherence:
     def test_no_evolution_factor_one(self, model):
-        env = EnvironmentModel.default(3, model.o_dim)
-        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), env, [0.0])
+        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), np.ones(3), [0.0])
         assert abs(factor - 1.0) <= TOL_ALGEBRAIC
 
     def test_single_atom_exact_zero(self, model):
         # q1 - q2 = 2, g = 1, t = pi/4: cos(pi/2) = 0
-        env = EnvironmentModel.default(1, model.o_dim)
-        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), env, [math.pi / 4])
+        ((_, factor),) = run_decoherence(run_premeasurement(s_state(1, 1), model), [1.0], [math.pi / 4])
         assert abs(factor) <= 1e-10
 
     def test_eight_atoms_product_formula(self, model):
         # The per-atom product of bath overlaps against the closed-form cosine product.
         rng = np.random.default_rng(17)
-        env = EnvironmentModel.default(8, model.o_dim, couplings=rng.uniform(0.5, 1.5, 8))
+        couplings = rng.uniform(0.5, 1.5, 8)
         psi = run_premeasurement(s_state(1, 1), model)
         times = np.linspace(0.0, 1.2, 7)
-        for t, (_, factor) in zip(times, run_decoherence(psi, env, times)):
-            assert abs(abs(factor) - abs(offdiag_suppression(env, float(t)))) <= 1e-10
+        for t, (_, factor) in zip(times, run_decoherence(psi, couplings, times)):
+            assert abs(abs(factor) - abs(offdiag_suppression(couplings, float(t)))) <= 1e-10
 
     def test_branch_weights_untouched(self, model):
         # Each branch's bath state has norm 1: the dephased 2^N state has the
         # pointer weights of the bare S (x) O state that decohere draws from.
-        env = EnvironmentModel.default(4, model.o_dim)
         psi = run_premeasurement(s_state(0.6, 0.8), model)
-        full = attach_environment(psi, env)
-        h = build_dephasing_hamiltonian(env, full.layout)
+        full = attach_environment(psi, 4)
+        h = build_dephasing_hamiltonian(np.ones(4), full.layout)
         out = StateVector(full.layout, np.exp(-1j * h * 0.83) * full.amplitudes)
         np.testing.assert_allclose(branch_weights(out), branch_weights(psi), atol=TOL_ALGEBRAIC)
 
@@ -357,20 +341,20 @@ class TestDecoherence:
         if empty is not None:
             amps[empty - 1] = 0.0
         model = MeasurementModel.calibrated(s_dim=s_dim, o_dim=s_dim + extra_o)
-        env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.0, 2.0, n_atoms))
+        couplings = rng.uniform(0.0, 2.0, n_atoms)
         psi = run_premeasurement(s_state(*amps), model)
         plus, z, one = np.full(2, 2**-0.5), np.array([1.0, -1.0]), np.ones(2)
         full, h = psi.amplitudes, np.zeros(model.s_dim * model.o_dim * 2**n_atoms)
         for k in range(n_atoms):
             full = np.kron(full, plus)
             z_k = [z if i == k else one for i in range(n_atoms)]
-            q_o = np.kron(np.ones(model.s_dim), env.pointer_values)
-            h += env.couplings[k] * np.kron(q_o, reduce(np.kron, z_k, np.ones(1)))
+            q_o = np.kron(np.ones(model.s_dim), default_pointer_values(model.o_dim))
+            h += couplings[k] * np.kron(q_o, reduce(np.kron, z_k, np.ones(1)))
         if full.size <= MAX_TOTAL_DIM:  # within its cap, the package's dense layer forms both
-            dense = attach_environment(psi, env)
+            dense = attach_environment(psi, n_atoms)
             np.testing.assert_allclose(dense.amplitudes, full, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(build_dephasing_hamiltonian(env, dense.layout), h, rtol=0, atol=1e-12)
-        ((coherence, factor),) = run_decoherence(psi, env, [t])
+            np.testing.assert_allclose(build_dephasing_hamiltonian(couplings, dense.layout), h, rtol=0, atol=1e-12)
+        ((coherence, factor),) = run_decoherence(psi, couplings, [t])
         r1, r2 = 1, model.o_dim + 2  # |s_0 O_1> and |s_1 O_2>
         rows = (np.exp(-1j * h * t) * full).reshape(model.s_dim * model.o_dim, -1)
         assert abs(coherence - np.vdot(rows[r1], rows[r2])) <= 1e-12
@@ -379,7 +363,7 @@ class TestDecoherence:
         reduced = DensityMatrix(psi.layout, rows @ rows.conj().T)
         b = discriminate(reduced, interference_operator(reduced.layout))
         assert abs(2.0 * coherence.real - b) <= 1e-12
-        want_factor = 1.0 if empty else offdiag_suppression(env, t)
+        want_factor = 1.0 if empty else offdiag_suppression(couplings, t)
         assert abs(factor - want_factor) <= 1e-10
 
     @pytest.mark.parametrize("n_atoms, n_times", [(4096, 13), (8, 2 * _GRID_CHUNK // 8 + 1),
@@ -390,43 +374,42 @@ class TestDecoherence:
         # loop of one time at a time, in the same operations, so the bits are
         # equal.
         rng = np.random.default_rng(n_atoms)
-        env = EnvironmentModel.default(n_atoms, model.o_dim, couplings=rng.uniform(0.5, 1.5, n_atoms))
+        couplings, q = rng.uniform(0.5, 1.5, n_atoms), default_pointer_values(model.o_dim)
         psi = run_premeasurement(s_state(0.6, 0.8j), model)
         times = np.linspace(0.0, 0.01, n_times)  # the coherence at 4096 atoms stays near exp(-0.8)
         rows = psi.amplitudes.reshape(-1, 1)[[1, model.o_dim + 2]]
-        bare, generator = np.vdot(*rows), -1j * np.outer(env.pointer_values[1:3], env.couplings)
+        bare, generator = np.vdot(*rows), -1j * np.outer(q[1:3], couplings)
         w1, w2 = (rows * rows.conj()).real.sum(axis=1)
         unphase = np.exp(-1j * np.angle(bare)) / math.sqrt(w1 * w2)
-        dq = env.pointer_values[1] - env.pointer_values[2]
+        dq = q[1] - q[2]
         want, formula = [], []
         for t in times:
             e1, e2 = np.exp(generator * t)
             coherence = bare * np.prod((e1.conj() * e2).real)
             want.append((coherence, complex(coherence * unphase)))
-            formula.append(float(np.prod(np.cos(dq * env.couplings * t))))
-        assert run_decoherence(psi, env, times) == want
-        assert offdiag_suppression(env, times).tolist() == formula
-        assert [offdiag_suppression(env, t) for t in times] == formula
+            formula.append(float(np.prod(np.cos(dq * couplings * t))))
+        assert run_decoherence(psi, couplings, times) == want
+        assert offdiag_suppression(couplings, times).tolist() == formula
+        assert [offdiag_suppression(couplings, t) for t in times] == formula
 
     def test_overlap_needs_system_and_observer_leading(self, model):
-        env = EnvironmentModel.default(2, model.o_dim)
+        couplings = np.ones(2)
         psi = run_premeasurement(s_state(1, 1), model)
         swapped = psi.amplitudes.reshape(psi.layout.dims).swapaxes(0, 1)
         layout = CompositeLayout((("O", model.o_dim), ("S", model.s_dim)))
-        with pytest.raises(LayoutError, match="lead the layout"):
-            run_decoherence(StateVector(layout, swapped.ravel()), env, [0.3])
-        with pytest.raises(LayoutError, match="a pointer value per O state"):
-            run_decoherence(psi, EnvironmentModel.default(2, model.o_dim + 1), [0.3])
+        for state in (StateVector(layout, swapped.ravel()),
+                      StateVector.basis(CompositeLayout((("S", 2), ("O", 2))), {})):  # no branch 2
+            with pytest.raises(LayoutError, match="lead the layout"):
+                run_decoherence(state, couplings, [0.3])
         with pytest.raises(LayoutError, match="without the bath's atoms"):
-            run_decoherence(attach_environment(psi, env), env, [0.3])
+            run_decoherence(attach_environment(psi, 2), couplings, [0.3])
 
     def test_monotone_suppression_in_atom_count(self, model):
         t = 0.2  # all g_k * t in (0, pi/4)
         couplings = np.linspace(0.6, 1.1, 6)
         factors = []
         for n in range(1, 7):
-            env = EnvironmentModel.default(n, model.o_dim, couplings=couplings[:n])
-            factors.append(abs(offdiag_suppression(env, t)))
+            factors.append(abs(offdiag_suppression(couplings[:n], t)))
         assert all(b <= a + 1e-15 for a, b in zip(factors, factors[1:]))
 
 
@@ -453,18 +436,17 @@ class TestReversal:
         np.testing.assert_allclose(forward.amplitudes, psi.amplitudes, atol=1e-10)
 
     def test_full_round_trip_with_decoherence(self, model):
-        env = EnvironmentModel.default(4, model.o_dim)
         psi_s = s_state(0.6, 0.8)
         psi0 = attach_environment(
             StateVector(
                 model.so_layout(), np.kron(psi_s.amplitudes, np.array([1, 0, 0], complex))
             ),
-            env,
+            4,
         )
         layout = psi0.layout
         # The measurement generator on S (x) O, times the identity on the bath.
-        h_meas = LinearOperator(layout, np.kron(model.hamiltonian.entries, np.eye(2**env.n_atoms)))
-        h_deco = build_dephasing_hamiltonian(env, layout)
+        h_meas = LinearOperator(layout, np.kron(model.hamiltonian.entries, np.eye(2**4)))
+        h_deco = build_dephasing_hamiltonian(np.ones(4), layout)
         t_deco = 0.7
         state = evolve_unitary(psi0, h_meas, model.duration)
         state = StateVector(layout, np.exp(-1j * h_deco * t_deco) * state.amplitudes)

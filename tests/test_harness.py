@@ -260,7 +260,7 @@ class TestRunner:
         )
         summary, _ = run(sc)
         assert all(c["passed"] for c in summary.checks), summary.checks
-        assert len(summary.env_couplings) == 3
+        assert summary.env_couplings == sc.bath_couplings().tolist() and len(summary.env_couplings) == 3
         assert len(summary.offdiag_curve["times"]) == 10
 
     @pytest.mark.parametrize("amplitudes", ["[1, 0]", "[0, 1]", "[0, 0, 1]"])
@@ -275,7 +275,7 @@ class TestRunner:
     def test_planted_cosine_product_fails_only_with_coherence(self, monkeypatch, amplitudes,
                                                               passed):
         exact = harness.offdiag_suppression
-        monkeypatch.setattr(harness, "offdiag_suppression", lambda env, t: 1.001 * exact(env, t))
+        monkeypatch.setattr(harness, "offdiag_suppression", lambda g, t: 1.001 * exact(g, t))
         summary, _ = run(_decohere(amplitudes))
         assert summary.checks[0]["name"] == COSINE
         assert summary.checks[0]["passed"] is passed
@@ -289,8 +289,8 @@ class TestRunner:
         off = np.eye(8)[3] * 1e-6
         for planted in (False, True):
             if planted:
-                monkeypatch.setattr(harness, "run_decoherence", lambda psi, env, times: exact(
-                    psi, replace(env, couplings=env.couplings + off), times))
+                monkeypatch.setattr(harness, "run_decoherence",
+                                    lambda psi, couplings, times: exact(psi, couplings + off, times))
             check = run(scenario)[0].checks[0]
             assert check["name"] == COSINE
             assert check["passed"] is not planted, check
@@ -1280,6 +1280,8 @@ INVALID_BODIES = [
     MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[true, false]"),
     MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", "[[0.6, true], 0.8]"),
     MINIMAL.replace("[0.5477225575051661, 0.8366600265340756]", f"[{10**400}, 1]"),
+    MINIMAL.replace("seed: 7", "seed: " + "1" * 4301),  # int() refuses past 4300 digits
+    MINIMAL.replace("n_events: 200", "n_events: " + "1" * 4301),
 ]
 INVALID_IDS = [
     "unknown_key", "negative_seed", "seed_2_64", "seed_abc", "n_events_abc",
@@ -1295,7 +1297,7 @@ INVALID_IDS = [
     "output_empty_list", "output_empty_string", "timing_past_pi", "timing_at_pi",
     "sample_past_pi", "decohere_t_max_past_rounding_floor", "delta_t_yes",
     "lambda_true", "t_max_true", "coupling_range_bool", "amplitudes_bool",
-    "amplitude_pair_bool", "amplitude_past_float_range",
+    "amplitude_pair_bool", "amplitude_past_float_range", "seed_4301_digits", "n_events_4301_digits",
 ]
 
 
